@@ -201,50 +201,60 @@ def _schedule(params: dict) -> optimizers.StepSchedule:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
 
+def _ngd_config(f: Objective, p: dict) -> optimizers.NgdConfig:
+    return optimizers.NgdConfig(T=int(p["T"]), eta=float(p["eta"]), x1=_x1(p, f.dim),
+                                region=f.domain)
+
+
+# name -> (kind of objective it needs, build(f, params, stream) -> trace).
+# Builders look optimizers.<name> up when called, so wrapping a module
+# attribute (as a profiler does) also reaches runs started here.
+OPTIMIZERS = {
+    "ngd": ("deterministic", lambda f, p, s: optimizers.ngd(f, _ngd_config(f, p))),
+    "ngd_oracle": ("deterministic",
+                   lambda f, p, s: optimizers.ngd_with_oracle(f, _ngd_config(f, p))),
+    "sngd": ("stochastic", lambda f, p, s: optimizers.sngd(f, optimizers.SngdConfig(
+        T=int(p["T"]), eta=float(p["eta"]), x1=_x1(p, f.dim), b=int(p.get("b", 1)), stream=s))),
+    "gd": ("deterministic",
+           lambda f, p, s: optimizers.gd(f, _schedule(p), int(p["T"]), _x1(p, f.dim))),
+    "sgd": ("stochastic",
+            lambda f, p, s: optimizers.sgd(f, _schedule(p), int(p["T"]), _x1(p, f.dim), s)),
+    "msgd": ("stochastic", lambda f, p, s: optimizers.msgd(
+        f, _schedule(p), int(p["T"]), _x1(p, f.dim), int(p.get("b", 1)), s)),
+    "nesterov": ("stochastic", lambda f, p, s: optimizers.nesterov(
+        f, _schedule(p), int(p["T"]), _x1(p, f.dim), int(p.get("b", 1)), s)),
+}
+
+
+def _optimizer(name: str, prob: BuiltProblem):
+    """A known optimizer's builder and the problem's objective of the kind it needs."""
+    if name not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer {name!r}; known: {sorted(OPTIMIZERS)}")
+    kind, build = OPTIMIZERS[name]
+    f = prob.objective if kind == "deterministic" else prob.stochastic
+    if f is None:
+        raise ConfigError(f"optimizer {name!r} needs a {kind} problem")
+    return build, f
+
+
 def run_optimizer(name: str, prob: BuiltProblem, params: dict,
                   stream: RandomStream) -> OptTrace:
-    params = params or {}
-    deterministic = {"ngd", "ngd_oracle", "gd"}
-    if name in deterministic and prob.objective is None:
-        raise ConfigError(f"optimizer {name!r} needs a deterministic problem")
-    if name not in deterministic and prob.stochastic is None:
-        raise ConfigError(f"optimizer {name!r} needs a stochastic problem")
+    build, f = _optimizer(name, prob)
     try:
-        if name == "ngd" or name == "ngd_oracle":
-            cfg = optimizers.NgdConfig(
-                T=int(params["T"]), eta=float(params["eta"]),
-                x1=_x1(params, prob.dim), region=prob.objective.domain,
-            )
-            fn = optimizers.ngd if name == "ngd" else optimizers.ngd_with_oracle
-            return fn(prob.objective, cfg)
-        if name == "sngd":
-            cfg = optimizers.SngdConfig(
-                T=int(params["T"]), eta=float(params["eta"]),
-                x1=_x1(params, prob.dim), b=int(params.get("b", 1)), stream=stream,
-            )
-            return optimizers.sngd(prob.stochastic, cfg)
-        if name == "gd":
-            return optimizers.gd(prob.objective, _schedule(params),
-                                 int(params["T"]), _x1(params, prob.dim))
-        if name == "sgd":
-            return optimizers.sgd(prob.stochastic, _schedule(params),
-                                  int(params["T"]), _x1(params, prob.dim), stream)
-        if name == "msgd":
-            return optimizers.msgd(prob.stochastic, _schedule(params), int(params["T"]),
-                                   _x1(params, prob.dim), int(params.get("b", 1)), stream)
-        if name == "nesterov":
-            return optimizers.nesterov(prob.stochastic, _schedule(params), int(params["T"]),
-                                       _x1(params, prob.dim), int(params.get("b", 1)), stream)
+        return build(f, params or {}, stream)
     except KeyError as exc:
         raise ConfigError(f"optimizer {name!r} missing parameter {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad parameters for optimizer {name!r}: {exc}") from exc
-    raise ConfigError(f"unknown optimizer {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # run subcommand
 # ---------------------------------------------------------------------------
+
+
+def _sweep_tag(param: str, value) -> str:
+    return f"_{param}-{value:g}" if isinstance(value, float) else f"_{param}-{value}"
 
 
 def _run_single(cfg: dict, trial: int, sweep_idx: int, out_dir: str) -> dict:
@@ -258,7 +268,7 @@ def _run_single(cfg: dict, trial: int, sweep_idx: int, out_dir: str) -> dict:
     if sweep is not None:
         value = sweep["values"][sweep_idx]
         opt_params[sweep["param"]] = value
-        tag = f"_{sweep['param']}-{value:g}" if isinstance(value, float) else f"_{sweep['param']}-{value}"
+        tag = _sweep_tag(sweep["param"], value)
     run_stream = root.substream(1).substream(trial).substream(sweep_idx)
     t0 = time.perf_counter()
     trace = run_optimizer(cfg["optimizer"]["name"], prob, opt_params, run_stream)
@@ -305,23 +315,22 @@ def cmd_run(args) -> int:
         cfg["trials"] = args.trials
     trials = cfg.get("trials", 1)
     sweep = cfg.get("sweep")
-    n_sweep = len(sweep["values"]) if sweep else 1
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    tags = [_sweep_tag(sweep["param"], v) for v in sweep["values"]] if sweep else [""]
+    clashes = sorted({tag[1:] for tag in tags if tags.count(tag) > 1})
+    if clashes:  # checked before any run: one trace would overwrite another
+        raise ConfigError(f"sweep values give the same trace file name: {clashes}")
 
     # validate problem/optimizer pairing up front for a clean usage error
     root = seeded_stream(cfg["seed"])
     prob = build_problem(cfg["problem"]["name"], cfg["problem"].get("params"),
                          root.substream(0))
-    name = cfg["optimizer"]["name"]
-    if name in {"ngd", "ngd_oracle", "gd"} and prob.objective is None:
-        raise ConfigError(f"optimizer {name!r} needs a deterministic problem")
-    if name not in {"ngd", "ngd_oracle", "gd", "sgd", "msgd", "nesterov", "sngd"}:
-        raise ConfigError(f"unknown optimizer {name!r}")
+    _optimizer(cfg["optimizer"]["name"], prob)
 
-    jobs = resolve_jobs(args.jobs)
-    work = [(trial, s) for trial in range(trials) for s in range(n_sweep)]
-    if jobs > 1 and len(work) > 1:
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    work = [(trial, s) for trial in range(trials) for s in range(len(tags))]
+    jobs = cap_workers(resolve_jobs(args.jobs), len(work))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_single, cfg, t, s, str(out_dir)) for t, s in work]
             runs = [f.result() for f in futures]
@@ -347,6 +356,11 @@ def resolve_jobs(flag_value: int | None) -> int:
         except ValueError:
             raise ConfigError(f"SLQC_OPT_JOBS must be an integer, got {env!r}")
     return max(1, flag_value or 1)
+
+
+def cap_workers(jobs: int, n_work: int) -> int:
+    """Worker processes worth starting: no more than the runs or the CPUs."""
+    return min(jobs, n_work, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------

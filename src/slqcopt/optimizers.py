@@ -64,8 +64,8 @@ class SngdConfig(NgdConfig):
 class StepSchedule:
     """Step sizes eta_t = eta0 * (1 + gamma*t)^(-exponent), t counted from 1.
 
-    gamma = 0 gives a constant step.  momentum is consumed by the
-    look-ahead baseline only.
+    gamma = 0 gives a constant step.  Only nesterov takes a nonzero
+    momentum; gd, sgd and msgd reject one.
     """
 
     eta0: float
@@ -97,29 +97,29 @@ class StepSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Normalized descent core
+# The descent loop
 # ---------------------------------------------------------------------------
 
 
-def _normalized_descent(dim: int, cfg: NgdConfig, query) -> OptTrace:
-    """Shared loop: query(t, x) -> (value, direction, batch_id).
+def _descent(x: Point, T: int, query, step, lookahead=None) -> OptTrace:
+    """The one descent loop; methods differ only in query and step.
 
-    Records the iterate before each update.  A direction of norm <= grad_tol
-    skips the update (the iterate is kept and recorded); a non-finite value
-    or direction aborts the run with the trace so far flagged.
+    query(t) -> (value, direction, batch_id) gives the oracles of iteration t.
+    The value is taken at x and the direction at lookahead(x) (x itself by
+    default); step(t, x, g, gn) returns the next iterate.  Records the iterate
+    before each update; a non-finite value or direction aborts the run with
+    the trace so far flagged.
     """
-    T = cfg.T
-    x = as_point(cfg.x1, dim)
-    if cfg.region is not None:
-        x = cfg.region.project(x)
-    iterates = np.empty((T, dim))
+    iterates = np.empty((T, x.size))
     values = np.empty(T)
     grad_norms = np.empty(T)
     batch_ids = np.empty(T, dtype=np.int64)
     aborted = False
     steps = 0
     for t in range(T):
-        value, g, bid = query(t, x)
+        value_at, direction_at, bid = query(t)
+        value = value_at(x)
+        g = direction_at(x if lookahead is None else lookahead(x))
         gn = math.sqrt(float(np.dot(g, g)))
         iterates[t] = x
         values[t] = value
@@ -129,17 +129,51 @@ def _normalized_descent(dim: int, cfg: NgdConfig, query) -> OptTrace:
         if not (math.isfinite(value) and math.isfinite(gn)):
             aborted = True
             break
-        if gn <= cfg.grad_tol:
-            continue
-        x = x - (cfg.eta / gn) * g
-        if cfg.region is not None:
-            x = cfg.region.project(x)
+        x = step(t, x, g, gn)
     has_batches = bool(batch_ids[:steps].size) and batch_ids[:steps].max() >= 0
     return build_trace(
         iterates[:steps], values[:steps], grad_norms[:steps],
         minibatch_ids=batch_ids[:steps] if has_batches else None,
         aborted=aborted,
     )
+
+
+def _minibatches(F: StochasticObjective, b: int, stream: RandomStream):
+    """query drawing one fresh size-b minibatch per iteration from stream."""
+    if b < 1:
+        raise ValueError("minibatch size b must be >= 1")
+    gen = stream.generator()
+
+    def query(t: int):
+        fb = F.sample_minibatch(gen, b)
+        return fb.value, fb.gradient, t
+
+    return query
+
+
+# ---------------------------------------------------------------------------
+# Normalized descent
+# ---------------------------------------------------------------------------
+
+
+def _run_normalized(dim: int, cfg: NgdConfig, query) -> OptTrace:
+    """Step rule x <- P(x - eta * g/||g||), P the projection onto cfg.region.
+
+    A direction of norm <= grad_tol skips the update: the iterate is kept
+    and recorded again at the next iteration.
+    """
+    eta, grad_tol, region = cfg.eta, cfg.grad_tol, cfg.region
+
+    def step(t: int, x: Point, g: Point, gn: float) -> Point:
+        if gn <= grad_tol:
+            return x
+        x = x - (eta / gn) * g
+        return x if region is None else region.project(x)
+
+    x = as_point(cfg.x1, dim)
+    if region is not None:
+        x = region.project(x)
+    return _descent(x, cfg.T, query, step)
 
 
 def ngd(f: Objective, cfg: NgdConfig) -> OptTrace:
@@ -151,22 +185,14 @@ def ngd(f: Objective, cfg: NgdConfig) -> OptTrace:
     grad_tol) are recorded and the update is skipped: at such points an SLQC
     objective is already eps-optimal.
     """
-
-    def query(t: int, x: Point):
-        return f.value(x), f.gradient(x), -1
-
-    return _normalized_descent(f.dim, cfg, query)
+    return _run_normalized(f.dim, cfg, lambda t: (f.value, f.gradient, -1))
 
 
 def ngd_with_oracle(f: Objective, cfg: NgdConfig) -> OptTrace:
     """Normalized descent along a direction oracle instead of the gradient."""
     if f.direction_oracle is None:
         raise ValueError("objective has no direction oracle")
-
-    def query(t: int, x: Point):
-        return f.value(x), f.direction_oracle(x), -1
-
-    return _normalized_descent(f.dim, cfg, query)
+    return _run_normalized(f.dim, cfg, lambda t: (f.value, f.direction_oracle, -1))
 
 
 def sngd(F: StochasticObjective, cfg: SngdConfig) -> OptTrace:
@@ -180,13 +206,7 @@ def sngd(F: StochasticObjective, cfg: SngdConfig) -> OptTrace:
     vanished minibatch gradient the iterate stays put but the next iteration
     still draws a fresh minibatch.
     """
-    gen = cfg.stream.generator()
-
-    def query(t: int, x: Point):
-        fb = F.sample_minibatch(gen, cfg.b)
-        return fb.value(x), fb.gradient(x), t
-
-    return _normalized_descent(F.dim, cfg, query)
+    return _run_normalized(F.dim, cfg, _minibatches(F, cfg.b, cfg.stream))
 
 
 def evaluate_iterates(trace: OptTrace, f: Objective) -> np.ndarray:
@@ -199,72 +219,42 @@ def evaluate_iterates(trace: OptTrace, f: Objective) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _unnormalized_descent(dim: int, x1, T: int, schedule: StepSchedule, query,
-                          momentum: float = 0.0) -> OptTrace:
-    """Baseline loop; with momentum > 0 uses the classic look-ahead form."""
+def _run_scheduled(dim: int, x1, T: int, schedule: StepSchedule, query) -> OptTrace:
+    """Step rule x <- x - eta_t * g; with momentum mu > 0 the look-ahead form
+    v <- mu*v - eta_t * g(x + mu*v); x <- x + v."""
     if T < 1:
         raise ValueError("T must be >= 1")
+    eta, mu = schedule.step_size, schedule.momentum
     x = as_point(x1, dim)
+    if mu == 0.0:
+        return _descent(x, T, query, lambda t, x, g, gn: x - eta(t + 1) * g)
     v = np.zeros(dim)
-    iterates = np.empty((T, dim))
-    values = np.empty(T)
-    grad_norms = np.empty(T)
-    batch_ids = np.empty(T, dtype=np.int64)
-    aborted = False
-    steps = 0
-    for t in range(T):
-        eta = schedule.step_size(t + 1)
-        if momentum > 0.0:
-            value, _, bid = query(t, x)
-            _, g, _ = query(t, x + momentum * v)
-            v = momentum * v - eta * g
-            x_next = x + v
-        else:
-            value, g, bid = query(t, x)
-            x_next = x - eta * g
-        gn = float(np.linalg.norm(g))
-        iterates[t] = x
-        values[t] = value
-        grad_norms[t] = gn
-        batch_ids[t] = bid
-        steps = t + 1
-        if not (math.isfinite(value) and math.isfinite(gn)):
-            aborted = True
-            break
-        x = x_next
-    has_batches = bool(batch_ids[:steps].size) and batch_ids[:steps].max() >= 0
-    return build_trace(
-        iterates[:steps], values[:steps], grad_norms[:steps],
-        minibatch_ids=batch_ids[:steps] if has_batches else None,
-        aborted=aborted,
-    )
+
+    def step(t: int, x: Point, g: Point, gn: float) -> Point:
+        nonlocal v
+        v = mu * v - eta(t + 1) * g
+        return x + v
+
+    return _descent(x, T, query, step, lookahead=lambda x: x + mu * v)
+
+
+def _reject_momentum(schedule: StepSchedule) -> None:
+    if schedule.momentum != 0.0:
+        raise ValueError(f"momentum {schedule.momentum:g} is only used by nesterov; "
+                         "this baseline needs schedule.momentum = 0")
 
 
 def gd(f: Objective, schedule: StepSchedule, T: int, x1) -> OptTrace:
-    """Plain gradient descent with a step schedule."""
-
-    def query(t: int, x: Point):
-        return f.value(x), f.gradient(x), -1
-
-    return _unnormalized_descent(f.dim, x1, T, schedule, query)
+    """Plain gradient descent with a step schedule (no momentum)."""
+    _reject_momentum(schedule)
+    return _run_scheduled(f.dim, x1, T, schedule, lambda t: (f.value, f.gradient, -1))
 
 
 def msgd(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,
          stream: RandomStream) -> OptTrace:
-    """Minibatch stochastic gradient descent (no normalization)."""
-    if b < 1:
-        raise ValueError("minibatch size b must be >= 1")
-    gen = stream.generator()
-    cache: dict[int, object] = {}
-
-    def query(t: int, x: Point):
-        if t not in cache:
-            cache.clear()
-            cache[t] = F.sample_minibatch(gen, b)
-        fb = cache[t]
-        return fb.value(x), fb.gradient(x), t
-
-    return _unnormalized_descent(F.dim, x1, T, schedule, query)
+    """Minibatch stochastic gradient descent (no normalization, no momentum)."""
+    _reject_momentum(schedule)
+    return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream))
 
 
 def sgd(F: StochasticObjective, schedule: StepSchedule, T: int, x1,
@@ -281,17 +271,4 @@ def nesterov(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,
     the schedule's momentum field.  One minibatch per iteration scores the
     current iterate and supplies the look-ahead gradient.
     """
-    if b < 1:
-        raise ValueError("minibatch size b must be >= 1")
-    gen = stream.generator()
-    cache: dict[int, object] = {}
-
-    def query(t: int, x: Point):
-        if t not in cache:
-            cache.clear()
-            cache[t] = F.sample_minibatch(gen, b)
-        fb = cache[t]
-        return fb.value(x), fb.gradient(x), t
-
-    return _unnormalized_descent(F.dim, x1, T, schedule, query,
-                                 momentum=schedule.momentum)
+    return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream))

@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from slqcopt.cli import main, resolve_jobs
+from slqcopt.cli import cap_workers, main, resolve_jobs
 
 
 def write_config(path, **overrides):
@@ -116,6 +117,32 @@ def test_run_rejects_mismatched_pairing(tmp_path):
     write_config(cfg_path, optimizer={"name": "sngd",
                                       "params": {"T": 10, "eta": 0.1, "b": 2}})
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("name", ["gd", "sgd", "msgd"])
+def test_run_rejects_momentum_on_plain_baselines(tmp_path, name, capsys):
+    # only nesterov uses schedule.momentum; elsewhere it would be silently ignored
+    stochastic = name != "gd"
+    problem = ({"name": "noisy_glm", "params": {"d": 3, "pool_size": 50}} if stochastic
+               else {"name": "cliff_plateau"})
+    x1 = [0.0, 0.0, 0.0] if stochastic else [1.0]
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, problem=problem, optimizer={
+        "name": name, "params": {"T": 10, "x1": x1, "schedule": {"momentum": 0.95}}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert "momentum" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("values", [[0.1, 0.1000001], [1e-7, 1.0000001e-7], [10, 10]])
+def test_run_rejects_sweep_values_sharing_a_file_name(tmp_path, values, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, sweep={"param": "eta", "values": values})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert "same trace file name" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_rejects_bad_x1_dimension(tmp_path):
@@ -237,6 +264,17 @@ def test_jobs_env_invalid(monkeypatch):
     monkeypatch.setenv("SLQC_OPT_JOBS", "many")
     with pytest.raises(ConfigError):
         resolve_jobs(1)
+
+
+def test_cap_workers_bounded_by_work_and_cpus(monkeypatch):
+    # only the capping function is exercised; no pool is started
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cap_workers(1000, 3) == 3
+    assert cap_workers(1000, 50) == 8
+    assert cap_workers(2, 50) == 2
+    assert cap_workers(1, 1) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cap_workers(4, 10) == 1
 
 
 def test_no_command_exits_2():

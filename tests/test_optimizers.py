@@ -268,6 +268,37 @@ def test_nesterov_momentum_accelerates_quadratic(quadratic):
     assert mom.values[-1] < plain.values[-1]
 
 
+def test_nesterov_values_at_x_and_gradients_at_lookahead_only(quadratic):
+    # two oracle calls per iteration: the value scores the recorded iterate,
+    # the gradient is taken at the look-ahead point x + mu*v
+    points = {"value": [], "gradient": []}
+
+    def log(kind, fn):
+        return lambda x: points[kind].append(x.copy()) or fn(x)
+
+    f = Objective(dim=2, value=log("value", quadratic.value),
+                  gradient=log("gradient", quadratic.gradient))
+    sch = StepSchedule.constant(0.05, momentum=0.5)
+    tr = nesterov(constant_distribution(f), sch, 20, np.array([1.0, -2.0]), 1, seeded_stream(0))
+    assert len(points["value"]) == len(points["gradient"]) == 20
+    np.testing.assert_array_equal(points["value"], tr.iterates)
+    v = np.diff(tr.iterates, axis=0)  # the velocity carried into each next iteration
+    np.testing.assert_array_equal(points["gradient"][0], tr.iterates[0])
+    np.testing.assert_allclose(points["gradient"][1:], tr.iterates[1:] + 0.5 * v)
+
+
+def test_plain_baselines_reject_momentum(quadratic):
+    F = constant_distribution(quadratic)
+    sch = StepSchedule.constant(0.05, momentum=0.5)
+    x1 = np.ones(2)
+    with pytest.raises(ValueError, match="momentum"):
+        gd(quadratic, sch, 5, x1)
+    with pytest.raises(ValueError, match="momentum"):
+        sgd(F, sch, 5, x1, seeded_stream(0))
+    with pytest.raises(ValueError, match="momentum"):
+        msgd(F, sch, 5, x1, 2, seeded_stream(0))
+
+
 def test_polynomial_schedule_values():
     sch = StepSchedule.polynomial(0.01, 1e-4)
     assert sch.step_size(1) == pytest.approx(0.01 * (1 + 1e-4) ** -0.75)
