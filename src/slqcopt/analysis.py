@@ -116,6 +116,33 @@ def absorb_probability(spec: ChainSpec) -> float:
     return (spec.p / (1.0 - spec.p)) ** spec.start_state
 
 
+def _first_passage(gen: np.random.Generator, d: np.ndarray, left: int,
+                   p: float) -> tuple[int, int, int]:
+    """Advance walks at integer distances d >= 1 from a target for up to
+    `left` steps each; a step goes toward the target w.p. p, away otherwise.
+
+    Returns (walks that reached the target, steps taken, steps taken toward
+    the target), the step counts summed over walks and stopping at arrival.
+    Each round moves every live walk min(d, steps left) steps with one
+    binomial draw.  That is exact: a walk d steps away cannot arrive in
+    fewer than d steps, and arrives at step d only if all d steps go toward
+    the target; after j of d steps toward it, it is 2(d-j) away.
+    """
+    left = np.full(d.shape, left, dtype=np.int64)
+    hits = steps = toward = 0
+    while d.size:
+        k = np.minimum(d, left)
+        j = gen.binomial(k, p)
+        steps += int(k.sum())
+        toward += int(j.sum())
+        d = d + k - 2 * j
+        left -= k
+        hits += int(np.count_nonzero(d == 0))
+        live = (d > 0) & (left > 0)
+        d, left = d[live], left[live]
+    return hits, steps, toward
+
+
 def absorb_probability_mc(spec: ChainSpec, trials: int,
                           stream: RandomStream) -> tuple[float, float]:
     """Monte Carlo estimate of the absorb probability, with standard error.
@@ -123,39 +150,15 @@ def absorb_probability_mc(spec: ChainSpec, trials: int,
     Walks are truncated at max_steps, which biases the estimate downward
     (late absorptions are missed); the absorption-time tail decays like
     (2*sqrt(p*(1-p)))^t, so a few hundred steps suffice for p away from 1/2.
-    Walks farther from 0 than the block length are advanced a whole block at
-    a time with a single binomial draw, which is exact: they cannot absorb
-    inside the block.
+    A walk at state s is advanced s steps (or the steps it has left) with a
+    single binomial draw, which is exact: it cannot absorb sooner.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if spec.start_state == 0:
         return 1.0, 0.0
-    gen = stream.generator()
-    block = 128
-    s = np.full(trials, spec.start_state, dtype=np.int64)
-    absorbed = 0
-    t = 0
-    while t < spec.max_steps and s.size:
-        k = min(block, spec.max_steps - t)
-        far = s > k
-        fs = s[far]
-        if fs.size:
-            down = gen.binomial(k, spec.p, size=fs.size)
-            fs = fs + k - 2 * down
-        ns = s[~far]
-        for _ in range(k):
-            if not ns.size:
-                break
-            step_down = gen.random(ns.size) < spec.p
-            ns = np.where(step_down, ns - 1, ns + 1)
-            hit = ns == 0
-            nhit = int(hit.sum())
-            if nhit:
-                absorbed += nhit
-                ns = ns[~hit]
-        s = np.concatenate([fs, ns])
-        t += k
+    start = np.full(trials, spec.start_state, dtype=np.int64)
+    absorbed, _, _ = _first_passage(stream.generator(), start, spec.max_steps, spec.p)
     est = absorbed / trials
     se = math.sqrt(max(est * (1.0 - est), 1.0 / trials) / trials)
     return est, se
@@ -184,12 +187,14 @@ def all_linear_prob(eps: float, b: int | None = None) -> float:
 class LowerBoundReport:
     """Monte Carlo evidence that the too-small minibatch never finds the optimum.
 
-    p_hat estimates P(batch-mean gradient >= 0) at queried points right of
-    the minimum; a nonnegative mean makes the normalized step move away.
-    hit_fraction is the fraction of trials whose trace ever entered the
-    eps-optimal segment.  The analytic ceiling instantiates the absorb
-    probability at p = 0.2 and 1/eta - 1 states; the empirical ceiling
-    plugs in p_hat instead.
+    p_hat estimates P(batch-mean gradient >= 0) right of the minimum; a
+    nonnegative mean makes the normalized step move toward the segment.  It
+    counts the p_events moves each trial makes before it first enters the
+    segment (all T-1 moves if it never does), as sampled by the exact
+    skip-ahead walk.  hit_fraction is the fraction of trials with a query
+    x_0..x_{T-1} in the eps-optimal segment.  The analytic ceiling
+    instantiates the absorb probability at p = 0.2 and 1/eta - 1 states;
+    the empirical ceiling plugs in p_hat instead.
     """
 
     eps: float
@@ -224,10 +229,11 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
     """Run normalized minibatch descent on the adversarial distribution.
 
     Uses b = ceil(0.2/eps) components per batch, step eta = eps, start x1 = 0,
-    and simulates the induced sign walk exactly (the batch-mean gradient's
-    sign depends only on whether the batch is all-linear, or, left of the
-    minimum, all-hinge).  Trials are processed in fixed chunks of 10^4 with
-    one substream each, so results do not depend on scheduling.
+    and simulates the induced sign walk exactly up to each trial's first
+    entry into the segment (right of the minimum the batch-mean gradient's
+    sign depends only on whether the batch is all-linear).  Trials are
+    processed in fixed chunks of 10^4 with one substream each, so results do
+    not depend on scheduling.
     """
     if not (0.0 < eps <= 0.1):
         raise ValueError("eps must lie in (0, 0.1]")
@@ -240,7 +246,7 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
                          "(need 0 < eps*b/2 < 1)")
     eta = eps
     hits = 0
-    events_above = 0
+    events = 0
     nonneg_events = 0
     n_chunks = (trials + _CHUNK - 1) // _CHUNK
     for c in range(n_chunks):
@@ -248,12 +254,12 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
         ch_hits, ch_events, ch_nonneg = _simulate_walks(
             stream.substream(c).generator(), n, T, eps, b, eta)
         hits += ch_hits
-        events_above += ch_events
+        events += ch_events
         nonneg_events += ch_nonneg
 
-    p_hat = nonneg_events / events_above if events_above else 0.0
-    p_hat_se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / max(events_above, 1))
-                         / max(events_above, 1))
+    p_hat = nonneg_events / events if events else 0.0
+    p_hat_se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / max(events, 1))
+                         / max(events, 1))
     p_bound = 0.2
     hit_fraction = hits / trials
     states = max(1, round(1.0 / eta) - 1)
@@ -265,7 +271,7 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
     hit_ceiling = ceiling_analytic + 3.0 * math.sqrt(ceiling_analytic / trials) + 3.0 / trials
     return LowerBoundReport(
         eps=eps, b=b, eta=eta, T=T, trials=trials,
-        p_hat=p_hat, p_hat_se=p_hat_se, p_events=events_above,
+        p_hat=p_hat, p_hat_se=p_hat_se, p_events=events,
         p_bound=p_bound,
         p_within_bound=p_hat <= p_bound + 3.0 * p_hat_se,
         hits=hits, hit_fraction=hit_fraction,
@@ -279,51 +285,17 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
 
 def _simulate_walks(gen: np.random.Generator, n: int, T: int, eps: float,
                     b: int, eta: float) -> tuple[int, int, int]:
-    """Vectorized sign walk for n trials over T queries.
+    """Sign walk of n trials on the lattice x = -m*eta until each first
+    enters the eps-optimal segment (lo, hi) or its T queries run out.
 
-    Above the minimum (-3) the batch-mean gradient is negative iff the batch
-    is all-linear (prob (1-eps)^b), so the walk steps +eta; otherwise -eta.
-    At or below -3 the hinge components contribute zero gradient, so the
-    mean is negative (step +eta) unless the batch is all-hinge (stay put).
-    Walks too far right to reach the segment within a block are advanced a
-    whole block with one binomial draw; that is exact because every blocked
-    query stays right of the segment and of -3.
+    Right of the minimum (-3) the batch-mean gradient is negative iff the
+    batch is all-linear (prob (1-eps)^b), so the walk steps +eta; otherwise
+    it steps -eta, toward the segment.  The start x = 0 lies h = ceil(-hi/eta)
+    steps from the segment, and the walk first enters it at -h*eta, right of
+    -3.  A hit means one of the queries x_0..x_{T-1} lies in the segment,
+    so each walk makes at most T-1 moves.  Returns the hits, the moves made
+    before each walk's first entry, and how many of those went toward it.
     """
-    lo, hi = LOWER_BOUND_SEGMENT
-    hi_tol = hi + 1e-12
-    p0 = (1.0 - eps) ** b    # all-linear: mean gradient < 0 above -3
-    pb = eps ** b            # all-hinge: mean gradient 0 at or below -3
-    p_pos = 1.0 - p0
-    block = 128
-    pos = np.zeros(n)
-    ever_hit = np.zeros(n, dtype=bool)
-    events_above = 0
-    nonneg_events = 0
-    t = 0
-    while t < T:
-        k = min(block, T - t)
-        far = pos > hi_tol + k * eta
-        fpos = pos[far]
-        if fpos.size:
-            j = gen.binomial(k, p_pos, size=fpos.size)   # nonneg-gradient steps
-            fpos = fpos + eta * (k - 2 * j)
-            events_above += k * fpos.size
-            nonneg_events += int(j.sum())
-        npos = pos[~far]
-        nhit = ever_hit[~far]
-        for _ in range(k):
-            above = npos > -3.0
-            nhit |= (npos <= hi_tol) & (npos >= lo - 1e-12)
-            events_above += int(above.sum())
-            u = gen.random(npos.size)
-            all_linear = u < p0
-            all_hinge = u >= 1.0 - pb
-            nonneg_events += int((above & ~all_linear).sum())
-            move = np.where(above,
-                            np.where(all_linear, eta, -eta),
-                            np.where(all_hinge, 0.0, eta))
-            npos = npos + move
-        pos = np.concatenate([fpos, npos])
-        ever_hit = np.concatenate([ever_hit[far], nhit])
-        t += k
-    return int(ever_hit.sum()), events_above, nonneg_events
+    h = math.ceil(-LOWER_BOUND_SEGMENT[1] / eta - 1e-9)
+    return _first_passage(gen, np.full(n, h, dtype=np.int64), T - 1,
+                          1.0 - (1.0 - eps) ** b)

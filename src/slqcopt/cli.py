@@ -253,15 +253,28 @@ def run_optimizer(name: str, prob: BuiltProblem, params: dict,
 # ---------------------------------------------------------------------------
 
 
+def _tag_value(value) -> str:
+    if isinstance(value, list):
+        return "_".join(_tag_value(v) for v in value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
 def _sweep_tag(param: str, value) -> str:
-    return f"_{param}-{value:g}" if isinstance(value, float) else f"_{param}-{value}"
+    return f"_{param}-{_tag_value(value)}"
 
 
-def _run_single(cfg: dict, trial: int, sweep_idx: int, out_dir: str) -> dict:
-    """One seeded run; safe to execute in a worker process."""
+def _build_configured(cfg: dict) -> BuiltProblem:
+    return build_problem(cfg["problem"]["name"], cfg["problem"].get("params"),
+                         seeded_stream(cfg["seed"]).substream(0))
+
+
+def _run_single(cfg: dict, trial: int, sweep_idx: int, out_dir: str,
+                prob: BuiltProblem | None = None) -> dict:
+    """One seeded run; safe to execute in a worker process, which builds the
+    problem itself when none is passed."""
     root = seeded_stream(cfg["seed"])
-    prob = build_problem(cfg["problem"]["name"], cfg["problem"].get("params"),
-                         root.substream(0))
+    if prob is None:
+        prob = _build_configured(cfg)
     opt_params = dict(cfg["optimizer"].get("params") or {})
     sweep = cfg.get("sweep")
     tag = ""
@@ -321,9 +334,7 @@ def cmd_run(args) -> int:
         raise ConfigError(f"sweep values give the same trace file name: {clashes}")
 
     # validate problem/optimizer pairing up front for a clean usage error
-    root = seeded_stream(cfg["seed"])
-    prob = build_problem(cfg["problem"]["name"], cfg["problem"].get("params"),
-                         root.substream(0))
+    prob = _build_configured(cfg)
     _optimizer(cfg["optimizer"]["name"], prob)
 
     out_dir = Path(args.out_dir)
@@ -335,7 +346,7 @@ def cmd_run(args) -> int:
             futures = [pool.submit(_run_single, cfg, t, s, str(out_dir)) for t, s in work]
             runs = [f.result() for f in futures]
     else:
-        runs = [_run_single(cfg, t, s, str(out_dir)) for t, s in work]
+        runs = [_run_single(cfg, t, s, str(out_dir), prob) for t, s in work]
     summary = {"schema_version": 1, "config": cfg, "runs": runs}
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)

@@ -17,7 +17,6 @@ from .core import (
     StochasticObjective,
     as_point,
     build_trace,
-    seeded_stream,
 )
 
 
@@ -49,10 +48,13 @@ class NgdConfig:
 
 @dataclass(frozen=True, kw_only=True, eq=False)
 class SngdConfig(NgdConfig):
-    """NgdConfig plus a minibatch size and the stream feeding the draws."""
+    """NgdConfig plus a minibatch size and the stream feeding the draws.
+
+    The stream has no default, so two configs never share draws by accident.
+    """
 
     b: int = 1
-    stream: RandomStream = seeded_stream(0)
+    stream: RandomStream
 
     def __post_init__(self):
         super().__post_init__()

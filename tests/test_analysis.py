@@ -163,6 +163,27 @@ def test_absorb_mc_near_critical_truncation():
     assert 0.9 < est < 1.0
 
 
+def _absorb_within(p: float, i: int, steps: int) -> float:
+    """Exact P(the walk from state i reaches 0 within `steps` steps), by DP."""
+    probs = np.zeros(i + steps + 2)
+    probs[i] = 1.0
+    absorbed = 0.0
+    for _ in range(steps):
+        probs = p * np.roll(probs, -1) + (1.0 - p) * np.roll(probs, 1)
+        absorbed += probs[0]
+        probs[0] = 0.0
+    return absorbed
+
+
+@pytest.mark.parametrize("p, i, max_steps, seed", [(0.45, 3, 50, 30), (0.6, 5, 20, 31)])
+def test_absorb_mc_matches_finite_horizon_dp(p, i, max_steps, seed):
+    # 4 SE: two-sided false-failure rate 6.3e-5 per estimate
+    exact = _absorb_within(p, i, max_steps)
+    spec = ChainSpec(p=p, start_state=i, max_steps=max_steps)
+    est, se = absorb_probability_mc(spec, trials=200_000, stream=seeded_stream(seed))
+    assert abs(est - exact) <= 4.0 * se
+
+
 def test_absorb_mc_start_zero():
     est, se = absorb_probability_mc(ChainSpec(p=0.2, start_state=0), 100, seeded_stream(0))
     assert est == 1.0 and se == 0.0
@@ -204,6 +225,28 @@ def test_lower_bound_experiment_eps_general():
     expected_p = 1.0 - all_linear_prob(0.05, b=4)
     assert abs(rep.p_hat - expected_p) <= 5.0 * rep.p_hat_se
     assert rep.ceiling_analytic == pytest.approx(0.25 ** 19)
+
+
+def test_lower_bound_experiment_hits_match_dp():
+    # b = 10 makes the step toward the segment likely (1 - 0.9^10 = 0.65), so
+    # about half the trials query a point in it.  The DP tracks the lattice
+    # position x = -m*eta over the T queries x_0..x_{T-1}, T-1 moves.
+    eps, b, T, trials = 0.1, 10, 30, 200_000
+    p = 1.0 - (1.0 - eps) ** b
+    lo, hi = -5.0, -1.0
+    m = np.arange(-T, T + 1)
+    inside = (-m * eps >= lo - 1e-9) & (-m * eps <= hi + 1e-9)
+    probs = (m == 0).astype(float)
+    hit = 0.0
+    for t in range(T):
+        hit += probs[inside].sum()
+        probs[inside] = 0.0
+        if t < T - 1:
+            probs = p * np.roll(probs, 1) + (1.0 - p) * np.roll(probs, -1)
+    rep = lower_bound_experiment(eps, trials=trials, T=T, stream=seeded_stream(32), b=b)
+    assert 0.4 < hit < 0.6
+    # 4 SE: two-sided false-failure rate 6.3e-5 per estimate
+    assert abs(rep.hit_fraction - hit) <= 4.0 * math.sqrt(hit * (1.0 - hit) / trials)
 
 
 def test_lower_bound_experiment_validation():

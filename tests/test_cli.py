@@ -1,10 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from slqcopt.cli import cap_workers, main, resolve_jobs
+from slqcopt import cli
+from slqcopt.cli import build_problem, cap_workers, main, resolve_jobs
 
 
 def write_config(path, **overrides):
@@ -143,6 +145,37 @@ def test_run_rejects_sweep_values_sharing_a_file_name(tmp_path, values, capsys):
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
     assert "same trace file name" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_list_sweep_values_give_plain_file_names(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, sweep={"param": "x1", "values": [[10, 10], [-2.5, 1e-7]]})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    names = sorted(p.name for p in out.glob("trace_*.csv"))
+    assert names == ["trace_trial000_x1--2.5_1e-07.csv", "trace_trial000_x1-10_10.csv"]
+    assert all(re.fullmatch(r"[\w.+-]+", name) for name in names)
+
+
+def test_run_serial_builds_the_problem_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_build(*args):
+        calls.append(args)
+        return build_problem(*args)
+
+    monkeypatch.setattr(cli, "build_problem", counting_build)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(
+        cfg_path, trials=3,
+        problem={"name": "noisy_glm", "params": {"d": 3, "pool_size": 50}},
+        optimizer={"name": "sngd", "params": {"T": 20, "eta": 0.1, "x1": [0, 0, 0]}},
+        sweep={"param": "b", "values": [1, 5]},
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out), "--jobs", "1"]) == 0
+    assert len(list(out.glob("trace_*.csv"))) == 6
+    assert len(calls) == 1
 
 
 def test_run_rejects_bad_x1_dimension(tmp_path):

@@ -109,7 +109,12 @@ def test_ngd_config_validation():
     with pytest.raises(ValueError):
         NgdConfig(T=1, eta=0.0, x1=np.zeros(1))
     with pytest.raises(ValueError):
-        SngdConfig(T=1, eta=0.1, x1=np.zeros(1), b=0)
+        SngdConfig(T=1, eta=0.1, x1=np.zeros(1), b=0, stream=seeded_stream(0))
+
+
+def test_sngd_config_requires_a_stream():
+    with pytest.raises(TypeError):
+        SngdConfig(T=1, eta=0.1, x1=np.zeros(1), b=1)
 
 
 def test_ngd_cliff_beats_gd():
