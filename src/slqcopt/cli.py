@@ -20,8 +20,9 @@ import jsonschema
 import numpy as np
 
 from . import analysis, optimizers, problems, properties
-from .core import Ball, Box, Objective, OptTrace, RandomStream, StochasticObjective, seeded_stream
-from .properties import SlqcQuery, box_grid
+from .core import (Ball, Box, Objective, OptTrace, RandomStream, StochasticObjective,
+                   atomic_write, sample_in_ball, seeded_stream)
+from .properties import box_grid
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -263,6 +264,14 @@ def _sweep_tag(param: str, value) -> str:
     return f"_{param}-{_tag_value(value)}"
 
 
+def _population_gaps(prob: BuiltProblem, *points: np.ndarray) -> list[float]:
+    """f(x) - f(z) at each point x, for the problem's population objective f
+    (the expected loss of a stochastic problem) and its minimizer z."""
+    f = prob.objective if prob.stochastic is None else prob.stochastic.expected
+    fz = f.value(prob.minimizer)
+    return [float(f.value(x) - fz) for x in points]
+
+
 def _build_configured(cfg: dict) -> BuiltProblem:
     return build_problem(cfg["problem"]["name"], cfg["problem"].get("params"),
                          seeded_stream(cfg["seed"]).substream(0))
@@ -293,6 +302,7 @@ def _run_single(cfg: dict, trial: int, sweep_idx: int, out_dir: str,
     if target is not None:
         hit = np.nonzero(trace.values <= target)[0]
         first_hit = int(hit[0]) if hit.size else None
+    final_gap, best_gap = _population_gaps(prob, trace.iterates[-1], trace.returned)
     return {
         "trial": trial,
         "sweep_param": sweep["param"] if sweep else None,
@@ -301,6 +311,8 @@ def _run_single(cfg: dict, trial: int, sweep_idx: int, out_dir: str,
         "final_value": float(trace.values[-1]),
         "best_value": float(trace.values[trace.returned_index]),
         "best_index": int(trace.returned_index),
+        "final_gap": final_gap,
+        "best_gap": best_gap,
         "first_hit": first_hit,
         "aborted": trace.aborted,
         "wall_time_s": wall,
@@ -348,7 +360,7 @@ def cmd_run(args) -> int:
     else:
         runs = [_run_single(cfg, t, s, str(out_dir), prob) for t, s in work]
     summary = {"schema_version": 1, "config": cfg, "runs": runs}
-    with open(out_dir / "summary.json", "w") as fh:
+    with atomic_write(out_dir / "summary.json") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     if any(r["aborted"] for r in runs):
@@ -385,7 +397,6 @@ def _check_points(prob: BuiltProblem, args, gen) -> np.ndarray:
         return box_grid(region, args.grid)
     if isinstance(region, Box):
         return gen.uniform(region.lower, region.upper, size=(args.points, prob.dim))
-    from .core import sample_in_ball
     return sample_in_ball(gen, prob.dim, region.radius, center=region.center, n=args.points)
 
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
@@ -258,6 +261,25 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+@contextmanager
+def atomic_write(path, newline: str | None = None):
+    """Open a text file that appears at `path` only once fully written.
+
+    Writes go to a temporary file in the same directory, which replaces
+    `path` on success and is removed on failure, so a crash mid-write never
+    leaves a truncated file behind or clobbers the previous one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 @dataclass(eq=False)
 class OptTrace:
     """Per-iteration record of an optimizer run.
@@ -286,7 +308,7 @@ class OptTrace:
     def write_csv(self, path) -> None:
         """Bit-stable CSV: t, value, grad_norm, coord_0..; 17 significant digits."""
         cols = ["t", "value", "grad_norm"] + [f"coord_{i}" for i in range(self.dim)]
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             fh.write(",".join(cols) + "\n")
             for t in range(len(self)):
                 row = [str(t), _fmt(self.values[t]), _fmt(self.grad_norms[t])]
@@ -306,7 +328,7 @@ class OptTrace:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.to_dict(), fh)
             fh.write("\n")
 

@@ -29,11 +29,6 @@ def sigmoid(z):
     return out if out.ndim else float(out)
 
 
-def sigmoid_prime(z):
-    s = sigmoid(z)
-    return s * (1.0 - s)
-
-
 def _sig(z: float) -> float:
     # scalar fast path for tight optimizer loops
     if z >= 0:

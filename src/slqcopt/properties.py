@@ -203,40 +203,42 @@ def _sample_region(gen: np.random.Generator, region: FeasibleRegion) -> Point:
 # ---------------------------------------------------------------------------
 
 
+def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
+                         stream: RandomStream, rtol: float, sides) -> SampleCheckReport:
+    """Draw pairs x, y in B(z, eps_ball) and require lhs <= rhs for
+    (lhs, rhs) = sides(x, y), up to relative slack rtol; the first violating
+    pair is the counterexample."""
+    z = as_point(z, f.dim)
+    gen = stream.generator()
+    for _ in range(trials):
+        x = sample_in_ball(gen, f.dim, eps_ball, center=z)
+        y = sample_in_ball(gen, f.dim, eps_ball, center=z)
+        lhs, rhs = sides(x, y)
+        if lhs > rhs * (1.0 + rtol) + 1e-15:
+            return SampleCheckReport(passed=False, trials=trials, counterexample={
+                "x": x.tolist(), "y": y.tolist(), "lhs": lhs, "rhs": rhs})
+    return SampleCheckReport(passed=True, trials=trials)
+
+
 def check_local_lipschitz(f: Objective, z, eps_ball: float, G: float, trials: int,
                           stream: RandomStream, rtol: float = 1e-9) -> SampleCheckReport:
     """Sampled pairs x, y in B(z, eps_ball) must satisfy |f(x)-f(y)| <= G*||x-y||.
 
     rtol is slack for float rounding when the bound is tight.
     """
-    z = as_point(z, f.dim)
-    gen = stream.generator()
-    for _ in range(trials):
-        x = sample_in_ball(gen, f.dim, eps_ball, center=z)
-        y = sample_in_ball(gen, f.dim, eps_ball, center=z)
-        lhs = abs(f.value(x) - f.value(y))
-        rhs = G * float(np.linalg.norm(x - y))
-        if lhs > rhs * (1.0 + rtol) + 1e-15:
-            return SampleCheckReport(passed=False, trials=trials, counterexample={
-                "x": x.tolist(), "y": y.tolist(), "lhs": lhs, "rhs": rhs})
-    return SampleCheckReport(passed=True, trials=trials)
+    return _check_sampled_pairs(
+        f, z, eps_ball, trials, stream, rtol,
+        lambda x, y: (abs(f.value(x) - f.value(y)), G * float(np.linalg.norm(x - y))))
 
 
 def check_local_smooth(f: Objective, z, eps_ball: float, beta: float, trials: int,
                        stream: RandomStream, rtol: float = 1e-9) -> SampleCheckReport:
     """Sampled pairs in B(z, eps_ball) must satisfy the quadratic Taylor bound
     |f(x) - f(y) - <grad f(y), x - y>| <= (beta/2)*||x - y||^2."""
-    z = as_point(z, f.dim)
-    gen = stream.generator()
-    for _ in range(trials):
-        x = sample_in_ball(gen, f.dim, eps_ball, center=z)
-        y = sample_in_ball(gen, f.dim, eps_ball, center=z)
-        lhs = abs(f.value(x) - f.value(y) - float(np.dot(f.gradient(y), x - y)))
-        rhs = 0.5 * beta * float(np.dot(x - y, x - y))
-        if lhs > rhs * (1.0 + rtol) + 1e-15:
-            return SampleCheckReport(passed=False, trials=trials, counterexample={
-                "x": x.tolist(), "y": y.tolist(), "lhs": lhs, "rhs": rhs})
-    return SampleCheckReport(passed=True, trials=trials)
+    return _check_sampled_pairs(
+        f, z, eps_ball, trials, stream, rtol,
+        lambda x, y: (abs(f.value(x) - f.value(y) - float(np.dot(f.gradient(y), x - y))),
+                      0.5 * beta * float(np.dot(x - y, x - y))))
 
 
 @dataclass(frozen=True)

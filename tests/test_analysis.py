@@ -259,17 +259,17 @@ def test_lower_bound_experiment_validation():
 
 
 def test_lower_bound_experiment_chunking_invariance():
-    # results must not depend on how trials split into chunks
+    # trials split into fixed chunks of 10^4, chunk c drawing from substream(c),
+    # so results do not depend on scheduling
     import slqcopt.analysis as analysis
 
-    r1 = lower_bound_experiment(0.1, trials=12_000, T=300, stream=seeded_stream(5))
-    old = analysis._CHUNK
-    try:
-        analysis._CHUNK = 10_000  # the default; rerun identically
-        r2 = lower_bound_experiment(0.1, trials=12_000, T=300, stream=seeded_stream(5))
-    finally:
-        analysis._CHUNK = old
-    assert (r1.hits, r1.p_events, r1.p_hat) == (r2.hits, r2.p_events, r2.p_hat)
+    eps, T, stream = 0.1, 300, seeded_stream(5)
+    rep = lower_bound_experiment(eps, trials=12_000, T=T, stream=stream)
+    b = math.ceil(0.2 / eps)
+    parts = [analysis._simulate_walks(stream.substream(c).generator(), n, T, eps, b, eps)
+             for c, n in ((0, 10_000), (1, 2_000))]
+    hits, events, nonneg = (sum(col) for col in zip(*parts))
+    assert (rep.hits, rep.p_events, rep.p_hat) == (hits, events, nonneg / events)
 
 
 # ---------------------------------------------------------------------------

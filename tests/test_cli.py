@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from slqcopt import cli
+from slqcopt import cli, core, seeded_stream
 from slqcopt.cli import build_problem, cap_workers, main, resolve_jobs
 
 
@@ -32,6 +32,63 @@ def test_run_sigmoid_sum(tmp_path):
     assert run["best_value"] <= 0.1
     assert run["first_hit"] is not None
     assert (out / run["csv"]).exists()
+
+
+def test_run_reports_population_gap_at_returned_iterate(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = write_config(
+        cfg_path,
+        problem={"name": "noisy_glm", "params": {"d": 3, "pool_size": 50}},
+        optimizer={"name": "sngd", "params": {"T": 50, "eta": 0.1, "b": 1}},
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    run = json.loads((out / "summary.json").read_text())["runs"][0]
+    prob = build_problem("noisy_glm", cfg["problem"]["params"],
+                         seeded_stream(cfg["seed"]).substream(0))
+    rows = (out / run["csv"]).read_text().splitlines()[1:]
+    assert run["best_index"] < len(rows) - 1  # the returned iterate is not the last
+    best = np.array([float(c) for c in rows[run["best_index"]].split(",")[3:]])
+    f = prob.stochastic.expected
+    assert run["best_gap"] == f.value(best) - f.value(prob.minimizer)
+    assert run["best_gap"] != run["final_gap"]
+
+
+def _rerun_with_torn_write(tmp_path, monkeypatch, module, attr, torn):
+    """Run a config, then rerun it into the same directory with module.attr
+    failing mid-write; returns the directory's files before and after."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(module, attr, torn)
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    return before, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_run_failing_summary_write_keeps_previous_summary(tmp_path, monkeypatch):
+    def torn_dump(obj, fh, **kwargs):
+        fh.write('{"schema_version": 1, "ru')
+        raise OSError("disk full")
+
+    before, after = _rerun_with_torn_write(tmp_path, monkeypatch, json, "dump", torn_dump)
+    assert set(before) == {"summary.json", "trace_trial000.csv"}
+    assert after == before  # no torn summary.json, no temp file left
+
+
+def test_run_failing_trace_write_keeps_previous_trace(tmp_path, monkeypatch):
+    fields = []
+
+    def torn_fmt(x):
+        fields.append(x)
+        if len(fields) > 10:
+            raise OSError("disk full")
+        return format(x, ".17g")
+
+    before, after = _rerun_with_torn_write(tmp_path, monkeypatch, core, "_fmt", torn_fmt)
+    assert len(fields) == 11
+    assert after == before
 
 
 def test_run_byte_identical_across_repeats(tmp_path):
