@@ -22,6 +22,9 @@ CASES = {
     "slqc_idealized_glm": ["idealized_glm", "slqc", "--points", "50"],
     "slqc_perceptron_oracle": ["perceptron", "slqc", "--points", "50"],
     "sublevel_counterexample": ["counterexample", "sublevel"],
+    # found on the 25th sampled pair, so the order of the random draws is pinned
+    "sublevel_sigmoid_sum_sampled": ["sigmoid_sum", "sublevel", "--alpha", "1.5",
+                                     "--trials", "3000"],
     "lipschitz_idealized_glm": ["idealized_glm", "lipschitz", "--bound", "1",
                                 "--radius", "0.5", "--trials", "500"],
     "smooth_idealized_glm": ["idealized_glm", "smooth", "--bound", "2",
@@ -39,6 +42,8 @@ DIGESTS = {
         "97bda09175e64719c168de59a3807d0cb6548ea6fbf037792ec3c0606f3b3576",
     "sublevel_counterexample":
         "37f5fa2665091e34026275c99d36f03f4c7ac75dd3d92b81d1a52d9e6a12acce",
+    "sublevel_sigmoid_sum_sampled":
+        "ed304176c2c1f1c22f0774f058569688ff6b96526800c5b1d4dcc287579daf63",
     "lipschitz_idealized_glm":
         "7eb55833bd62c54d65d598c503dbc2b09301111a5397a5172a5e406723366fad",
     "smooth_idealized_glm":
