@@ -61,7 +61,6 @@ from .properties import (
     check_quasiconvex_grad,
     check_slqc,
     check_slqc_batch,
-    check_slqc_oracle,
     check_sublevel_convex,
     derive_slqc_from_lipschitz,
 )

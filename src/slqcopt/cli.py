@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, optimizers, problems, properties
 from .core import (Ball, Box, Objective, OptTrace, RandomStream, StochasticObjective,
-                   atomic_write, sample_in_ball, seeded_stream)
+                   atomic_write, sample_region, seeded_stream)
 from .properties import box_grid
 
 CONFIG_SCHEMA = {
@@ -391,13 +391,13 @@ def cap_workers(jobs: int, n_work: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_points(prob: BuiltProblem, args, gen) -> np.ndarray:
-    region = prob.sample_region
-    if isinstance(region, Box) and prob.dim == 2 and args.grid:
-        return box_grid(region, args.grid)
-    if isinstance(region, Box):
-        return gen.uniform(region.lower, region.upper, size=(args.points, prob.dim))
-    return sample_in_ball(gen, prob.dim, region.radius, center=region.center, n=args.points)
+def _report(doc: dict, out: str | None) -> None:
+    """Print a JSON report; with `out`, also write it there atomically."""
+    if out:
+        with atomic_write(out) as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    print(json.dumps(doc, indent=2))
 
 
 def cmd_check(args) -> int:
@@ -416,7 +416,10 @@ def cmd_check(args) -> int:
         if kappa is None:
             raise ConfigError("no default kappa for this problem; pass --kappa")
         eps_values = [float(s) for s in args.eps_grid.split(",")]
-        points = _check_points(prob, args, gen)
+        region = prob.sample_region
+        points = (box_grid(region, args.grid)
+                  if isinstance(region, Box) and prob.dim == 2 and args.grid
+                  else sample_region(gen, region, n=args.points))
         batch = properties.check_slqc_batch(
             f, prob.minimizer, kappa, eps_values, points,
             use_oracle=f.direction_oracle is not None,
@@ -450,11 +453,8 @@ def cmd_check(args) -> int:
     else:  # unreachable: argparse restricts choices
         raise ConfigError(f"unknown property {args.property!r}")
 
-    text = json.dumps(result, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
-    return 0
+    _report(result, args.out)
+    return 0  # also when the property fails: the report says so
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +470,7 @@ def cmd_lowerbound(args) -> int:
             args.eps, args.trials, args.T, seeded_stream(args.seed))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    doc = report.to_dict()
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _report(report.to_dict(), args.out)
     if not report.passed:
         print("FAIL: empirical hit fraction exceeds the declared ceiling", file=sys.stderr)
         return 1

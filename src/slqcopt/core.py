@@ -75,6 +75,15 @@ def sample_in_ball(gen: np.random.Generator, dim: int, radius: float = 1.0,
     return pts[0] if n is None else pts
 
 
+def sample_region(gen: np.random.Generator, region: FeasibleRegion,
+                  n: int | None = None) -> np.ndarray:
+    """Draw uniformly from a box or a ball; returns (dim,) or (n, dim)."""
+    if isinstance(region, Box):
+        return gen.uniform(region.lower, region.upper,
+                           size=None if n is None else (n, region.dim))
+    return sample_in_ball(gen, region.dim, region.radius, center=region.center, n=n)
+
+
 # ---------------------------------------------------------------------------
 # Feasible regions and projection
 # ---------------------------------------------------------------------------
@@ -157,10 +166,6 @@ class Objective:
     gradient: Callable[[Point], Point]
     direction_oracle: Callable[[Point], Point] | None = None
     domain: FeasibleRegion | None = None
-
-    def direction(self, x: Point) -> Point:
-        oracle = self.direction_oracle or self.gradient
-        return oracle(x)
 
 
 @dataclass(frozen=True, eq=False)

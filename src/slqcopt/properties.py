@@ -9,7 +9,7 @@ checkers are probabilistic: a pass means no counterexample in N trials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,12 +22,20 @@ from .core import (
     RandomStream,
     as_point,
     sample_in_ball,
+    sample_region,
 )
+
+
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
 class SlqcQuery:
-    """One SLQC check: is f (eps, kappa, z)-SLQC at x?"""
+    """One SLQC check: is f (eps, kappa, z)-SLQC at x?  With use_oracle the
+    direction is f.direction_oracle, which must exist, not the gradient."""
 
     eps: float
     kappa: float
@@ -38,10 +46,7 @@ class SlqcQuery:
     def __post_init__(self):
         object.__setattr__(self, "z", as_point(self.z))
         object.__setattr__(self, "x", as_point(self.x, self.z.size))
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError("eps must be finite and positive")
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError("kappa must be finite and positive")
+        _require_positive(eps=self.eps, kappa=self.kappa)
 
 
 @dataclass(frozen=True)
@@ -64,56 +69,63 @@ class SlqcReport:
                 "margin": self.margin, "grad_norm": self.grad_norm}
 
 
-def check_slqc(f: Objective, q: SlqcQuery, grad_tol: float = GRAD_TOL) -> SlqcReport:
-    """Decide an SLQC query exactly.
+def _direction(f: Objective, use_oracle: bool):
+    if use_oracle and f.direction_oracle is None:
+        raise ValueError("objective has no direction oracle")
+    return f.direction_oracle if use_oracle else f.gradient
+
+
+def _slqc_verdict(gap: float, g: Point, gn: float, zx: Point, eps: float, kappa: float,
+                  grad_tol: float) -> SlqcReport:
+    """Decide SLQC at x from gap = f(x) - f(z), direction g, gn = ||g||, zx = z - x.
 
     Clause 2 is decided in closed form: the maximand <g, y - x> is linear in
     y, so its maximum over the ball B(z, r) is <g, z - x> + r*||g||.  Clause 2
     holds iff ||g|| > grad_tol and that maximum is <= 0.
     """
-    gap = f.value(q.x) - f.value(q.z)
-    g = f.direction(q.x) if q.use_oracle else f.gradient(q.x)
-    gn = float(np.linalg.norm(g))
-    if gap <= q.eps:
-        return SlqcReport(holds=True, clause=1, margin=q.eps - gap, grad_norm=gn)
+    if gap <= eps:
+        return SlqcReport(holds=True, clause=1, margin=eps - gap, grad_norm=gn)
     if gn <= grad_tol:
-        return SlqcReport(holds=False, clause=None, margin=q.eps - gap, grad_norm=gn)
-    ball_max = float(np.dot(g, q.z - q.x)) + (q.eps / q.kappa) * gn
+        return SlqcReport(holds=False, clause=None, margin=eps - gap, grad_norm=gn)
+    ball_max = float(np.dot(g, zx)) + (eps / kappa) * gn
     if ball_max <= 0.0:
         return SlqcReport(holds=True, clause=2, margin=-ball_max, grad_norm=gn)
     return SlqcReport(holds=False, clause=None, margin=-ball_max, grad_norm=gn)
 
 
-def check_slqc_oracle(f: Objective, q: SlqcQuery, grad_tol: float = GRAD_TOL) -> SlqcReport:
-    """SLQC check with the direction oracle standing in for the gradient."""
-    if f.direction_oracle is None:
-        raise ValueError("objective has no direction oracle")
-    oq = SlqcQuery(eps=q.eps, kappa=q.kappa, z=q.z, x=q.x, use_oracle=True)
-    return check_slqc(f, oq, grad_tol=grad_tol)
+def check_slqc(f: Objective, q: SlqcQuery, grad_tol: float = GRAD_TOL) -> SlqcReport:
+    """Decide an SLQC query exactly (see `_slqc_verdict`)."""
+    g = _direction(f, q.use_oracle)(q.x)
+    return _slqc_verdict(f.value(q.x) - f.value(q.z), g, float(np.linalg.norm(g)),
+                         q.z - q.x, q.eps, q.kappa, grad_tol)
 
 
 @dataclass
 class BatchSlqcResult:
     all_hold: bool
-    reports: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"all_hold": self.all_hold, "reports": self.reports}
+    reports: list[dict]
 
 
 def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
                      use_oracle: bool = False, grad_tol: float = GRAD_TOL) -> BatchSlqcResult:
-    """Run the SLQC check over a set of points and eps values."""
+    """`check_slqc` on each (eps, x) pair, eps-major.  No evaluation depends on
+    eps, so f(z) is evaluated once and f(x) and the direction once per point."""
     z = as_point(z, f.dim)
-    reports = []
-    all_hold = True
+    _require_positive(kappa=kappa)
+    eps_values = [float(eps) for eps in eps_values]
     for eps in eps_values:
-        for x in points:
-            q = SlqcQuery(eps=float(eps), kappa=kappa, z=z, x=x, use_oracle=use_oracle)
-            rep = check_slqc(f, q, grad_tol=grad_tol)
-            all_hold &= rep.holds
-            reports.append({"eps": float(eps), "x": list(map(float, x)), **rep.to_dict()})
-    return BatchSlqcResult(all_hold=all_hold, reports=reports)
+        _require_positive(eps=eps)
+    direction = _direction(f, use_oracle)
+    fz = f.value(z)
+    per_point = []
+    for x in points:
+        xp = as_point(x, z.size)
+        g = direction(xp)
+        per_point.append((xp, f.value(xp) - fz, g, float(np.linalg.norm(g)), z - xp))
+    reports = [{"eps": eps, "x": xp.tolist(),
+                **_slqc_verdict(gap, g, gn, zx, eps, kappa, grad_tol).to_dict()}
+               for eps in eps_values for xp, gap, g, gn, zx in per_point]
+    return BatchSlqcResult(all_hold=all(r["holds"] for r in reports), reports=reports)
 
 
 # ---------------------------------------------------------------------------
@@ -159,43 +171,26 @@ def check_sublevel_convex(f: Objective, alpha: float, trials: int,
     if region is None:
         raise ValueError("no sampling region: pass region= or set f.domain")
     gen = stream.generator()
+
+    def candidates():
+        for x, y in pairs or []:
+            yield as_point(x, f.dim), as_point(y, f.dim), True
+        for _ in range(trials):
+            yield sample_region(gen, region), sample_region(gen, region), False
+
     tested = 0
-
-    def violation(x, y, lam):
-        zpt = lam * x + (1.0 - lam) * y
-        fz = f.value(zpt)
-        if fz > alpha:
-            return {"x": x.tolist(), "y": y.tolist(), "lambda": lam,
-                    "point": zpt.tolist(), "value": fz, "alpha": alpha}
-        return None
-
-    for x, y in pairs or []:
-        x, y = as_point(x, f.dim), as_point(y, f.dim)
+    for x, y, explicit in candidates():
         if f.value(x) > alpha or f.value(y) > alpha:
             continue
         tested += 1
-        for lam in (0.5, 0.25, 0.75):
-            bad = violation(x, y, lam)
-            if bad is not None:
-                return SampleCheckReport(passed=False, trials=tested, counterexample=bad)
-
-    for _ in range(trials):
-        x = _sample_region(gen, region)
-        y = _sample_region(gen, region)
-        if f.value(x) > alpha or f.value(y) > alpha:
-            continue
-        tested += 1
-        for lam in (0.5, float(gen.random())):
-            bad = violation(x, y, lam)
-            if bad is not None:
-                return SampleCheckReport(passed=False, trials=tested, counterexample=bad)
+        for lam in (0.5, 0.25, 0.75) if explicit else (0.5, float(gen.random())):
+            zpt = lam * x + (1.0 - lam) * y
+            fz = f.value(zpt)
+            if fz > alpha:
+                return SampleCheckReport(passed=False, trials=tested, counterexample={
+                    "x": x.tolist(), "y": y.tolist(), "lambda": lam,
+                    "point": zpt.tolist(), "value": fz, "alpha": alpha})
     return SampleCheckReport(passed=True, trials=tested)
-
-
-def _sample_region(gen: np.random.Generator, region: FeasibleRegion) -> Point:
-    if isinstance(region, Box):
-        return gen.uniform(region.lower, region.upper)
-    return sample_in_ball(gen, region.dim, region.radius, center=region.center)
 
 
 # ---------------------------------------------------------------------------

@@ -54,27 +54,44 @@ def test_run_reports_population_gap_at_returned_iterate(tmp_path):
     assert run["best_gap"] != run["final_gap"]
 
 
-def _rerun_with_torn_write(tmp_path, monkeypatch, module, attr, torn):
-    """Run a config, then rerun it into the same directory with module.attr
-    failing mid-write; returns the directory's files before and after."""
-    cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path)
+def _rerun_with_torn_write(tmp_path, monkeypatch, module, attr, torn, argv=None):
+    """Run `argv` (default: a `run` config) writing into tmp_path/out, then
+    rerun it with module.attr failing mid-write; returns the files in
+    tmp_path/out before and after."""
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    out.mkdir()
+    if argv is None:
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        argv = ["run", "--config", str(cfg_path), "--out-dir", str(out)]
+    assert main(argv) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     monkeypatch.setattr(module, attr, torn)
-    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert main(argv) == 1
     return before, {p.name: p.read_bytes() for p in out.iterdir()}
 
 
-def test_run_failing_summary_write_keeps_previous_summary(tmp_path, monkeypatch):
-    def torn_dump(obj, fh, **kwargs):
-        fh.write('{"schema_version": 1, "ru')
-        raise OSError("disk full")
+def _torn_dump(obj, fh, **kwargs):
+    fh.write('{"schema_version": 1, "ru')
+    raise OSError("disk full")
 
-    before, after = _rerun_with_torn_write(tmp_path, monkeypatch, json, "dump", torn_dump)
+
+def test_run_failing_summary_write_keeps_previous_summary(tmp_path, monkeypatch):
+    before, after = _rerun_with_torn_write(tmp_path, monkeypatch, json, "dump", _torn_dump)
     assert set(before) == {"summary.json", "trace_trial000.csv"}
     assert after == before  # no torn summary.json, no temp file left
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "sigmoid_sum", "slqc", "--grid", "3"],
+    ["lowerbound", "--trials", "200", "--T", "100"],
+], ids=["check", "lowerbound"])
+def test_failing_report_write_keeps_previous_report(argv, tmp_path, monkeypatch):
+    report = tmp_path / "out" / "report.json"
+    before, after = _rerun_with_torn_write(tmp_path, monkeypatch, json, "dump", _torn_dump,
+                                           argv=[*argv, "--out", str(report)])
+    assert set(before) == {"report.json"}
+    assert after == before  # no torn report.json, no .report.json.tmp left
 
 
 def test_run_failing_trace_write_keeps_previous_trace(tmp_path, monkeypatch):

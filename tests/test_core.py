@@ -232,18 +232,6 @@ def test_trace_json(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_direction_falls_back_to_gradient():
-    f = make_quadratic(2)
-    x = np.array([0.5, -1.0])
-    np.testing.assert_array_equal(f.direction(x), f.gradient(x))
-    g = make_quadratic(2)
-    oracle = lambda x: -x  # noqa: E731
-    from slqcopt import Objective
-
-    h = Objective(dim=2, value=g.value, gradient=g.gradient, direction_oracle=oracle)
-    np.testing.assert_array_equal(h.direction(x), -x)
-
-
 def test_scaled_objective():
     f = make_quadratic(2)
     g = scaled(f, 10.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from slqcopt import (
     check_quasiconvex_grad,
     check_slqc,
     check_slqc_batch,
-    check_slqc_oracle,
     check_sublevel_convex,
     derive_slqc_from_lipschitz,
     line_restriction,
@@ -27,6 +27,7 @@ from slqcopt import (
     sample_in_ball,
     seeded_stream,
 )
+from slqcopt.core import sample_region
 from slqcopt.problems import (
     NONQC_GRAD_WITNESS,
     NONQC_SUBLEVEL_WITNESS,
@@ -96,7 +97,7 @@ def test_slqc_query_validation():
 
 
 # ---------------------------------------------------------------------------
-# check_slqc_oracle
+# SLQC with the direction oracle (use_oracle=True)
 # ---------------------------------------------------------------------------
 
 
@@ -106,13 +107,15 @@ def test_slqc_oracle_perceptron_holds():
     gen = seeded_stream(3).generator()
     for _ in range(100):
         x = gen.normal(size=5) * 2.0
-        rep = check_slqc_oracle(f, SlqcQuery(eps=0.1, kappa=kappa, z=ds.planted, x=x))
+        rep = check_slqc(f, SlqcQuery(eps=0.1, kappa=kappa, z=ds.planted, x=x,
+                                      use_oracle=True))
         assert rep.holds
 
 
 def test_slqc_oracle_zero_direction_at_optimum_is_clause1():
     ds, f = make_perceptron(seeded_stream(4), d=4, m=50, gamma=0.2)
-    rep = check_slqc_oracle(f, SlqcQuery(eps=0.1, kappa=10.0, z=ds.planted, x=ds.planted))
+    rep = check_slqc(f, SlqcQuery(eps=0.1, kappa=10.0, z=ds.planted, x=ds.planted,
+                                  use_oracle=True))
     assert rep.holds and rep.clause == 1
 
 
@@ -124,8 +127,13 @@ def test_slqc_x_equals_z_is_clause1(quadratic):
 
 def test_slqc_oracle_requires_oracle(quadratic):
     with pytest.raises(ValueError):
-        check_slqc_oracle(quadratic, SlqcQuery(eps=0.1, kappa=1.0,
-                                               z=np.zeros(2), x=np.ones(2)))
+        check_slqc(quadratic, SlqcQuery(eps=0.1, kappa=1.0, z=np.zeros(2), x=np.ones(2),
+                                        use_oracle=True))
+
+
+def test_slqc_batch_oracle_requires_oracle(quadratic):
+    with pytest.raises(ValueError):
+        check_slqc_batch(quadratic, np.zeros(2), 1.0, [0.1], [np.ones(2)], use_oracle=True)
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +348,11 @@ def _quad_region():
 def test_definition_equivalence_on_quasiconvex(make):
     f, region = make()
     gen = seeded_stream(19).generator()
-    from slqcopt.properties import _sample_region
-
     grad_ok = all(
-        check_quasiconvex_grad(f, _sample_region(gen, region), _sample_region(gen, region))
+        check_quasiconvex_grad(f, sample_region(gen, region), sample_region(gen, region))
         for _ in range(1000)
     )
-    levels = [f.value(_sample_region(gen, region)) for _ in range(5)]
+    levels = [f.value(sample_region(gen, region)) for _ in range(5)]
     sub_ok = all(
         check_sublevel_convex(f, alpha, trials=200, stream=seeded_stream(20 + i),
                               region=region).passed
@@ -436,3 +442,47 @@ def test_batch_slqc_glm_certification():
     batch = check_slqc_batch(f, ds.planted, math.exp(2.0), [0.01, 0.1, 0.5], points)
     assert batch.all_hold
     assert len(batch.reports) == 90
+
+
+def test_batch_slqc_evaluates_each_point_once():
+    ds, f = make_idealized_glm(seeded_stream(31), d=3, m=50, W=2.0)
+    calls = []
+
+    def counted(fn):
+        def call(x):
+            calls.append(x)
+            return fn(x)
+        return call
+
+    f = dataclasses.replace(f, value=counted(f.value), gradient=counted(f.gradient))
+    points = sample_in_ball(seeded_stream(32).generator(), 3, 2.0, n=40)
+    batch = check_slqc_batch(f, ds.planted, math.exp(2.0), [0.01, 0.1, 0.5], points)
+    assert len(batch.reports) == 120
+    assert len(calls) == 1 + 2 * 40  # f(z) once; f(x) and the gradient once per point
+
+
+@pytest.mark.parametrize("use_oracle", [False, True], ids=["gradient", "oracle"])
+def test_batch_slqc_equals_per_query_checks(use_oracle):
+    # the perceptron's gradient is zero, so without the oracle every point
+    # above eps is a vanished-direction failure; kappa 0.1 makes the ball
+    # wide enough that the oracle fails clause 2 at some points
+    ds, f = make_perceptron(seeded_stream(5), d=3, m=60, gamma=0.2)
+    points = np.vstack([ds.planted, sample_in_ball(seeded_stream(6).generator(), 3, 2.0, n=12)])
+    eps_values, kappa = [0.05, 0.3], 0.1
+    batch = check_slqc_batch(f, ds.planted, kappa, eps_values, points, use_oracle=use_oracle)
+    expected = [
+        {"eps": eps, "x": x.tolist(), **check_slqc(f, SlqcQuery(
+            eps=eps, kappa=kappa, z=ds.planted, x=x, use_oracle=use_oracle)).to_dict()}
+        for eps in eps_values for x in points
+    ]
+    assert batch.reports == expected
+    assert batch.all_hold == all(r["holds"] for r in expected)
+    kinds = {(r["clause"], r["grad_norm"] > 0) for r in batch.reports}
+    assert kinds >= ({(1, True), (2, True), (None, True)} if use_oracle
+                     else {(1, False), (None, False)})
+
+
+def test_batch_slqc_validates_eps_and_kappa(quadratic):
+    for eps, kappa in ((0.0, 1.0), (math.nan, 1.0), (0.1, -1.0), (0.1, math.inf)):
+        with pytest.raises(ValueError):
+            check_slqc_batch(quadratic, np.zeros(2), kappa, [eps], [np.ones(2)])
