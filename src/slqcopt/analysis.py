@@ -123,7 +123,10 @@ def _first_passage(gen: np.random.Generator, d: np.ndarray, left: int,
 
     Returns (walks that reached the target, steps taken, steps taken toward
     the target), the step counts summed over walks and stopping at arrival.
-    Each round moves every live walk min(d, steps left) steps with one
+    Each round first sets aside the walks farther away than their steps
+    left: they cannot arrive, so their remaining steps are counted and the
+    toward count of all of them is one binomial draw (a sum of binomials
+    with the same p is binomial).  Every other walk moves d steps with one
     binomial draw.  That is exact: a walk d steps away cannot arrive in
     fewer than d steps, and arrives at step d only if all d steps go toward
     the target; after j of d steps toward it, it is 2(d-j) away.
@@ -131,12 +134,17 @@ def _first_passage(gen: np.random.Generator, d: np.ndarray, left: int,
     left = np.full(d.shape, left, dtype=np.int64)
     hits = steps = toward = 0
     while d.size:
-        k = np.minimum(d, left)
-        j = gen.binomial(k, p)
-        steps += int(k.sum())
+        stuck = d > left
+        if stuck.any():
+            n = int(left[stuck].sum())
+            steps += n
+            toward += int(gen.binomial(n, p))
+            d, left = d[~stuck], left[~stuck]
+        j = gen.binomial(d, p)
+        steps += int(d.sum())
         toward += int(j.sum())
-        d = d + k - 2 * j
-        left -= k
+        left -= d
+        d = 2 * (d - j)
         hits += int(np.count_nonzero(d == 0))
         live = (d > 0) & (left > 0)
         d, left = d[live], left[live]
