@@ -108,7 +108,7 @@ class Ball:
 
     def project(self, x: Point) -> Point:
         d = x - self.center
-        r = float(np.linalg.norm(d))
+        r = math.sqrt(float(d @ d))  # what np.linalg.norm computes for a vector
         if r <= self.radius:
             return x
         return self.center + d * (self.radius / r)
@@ -130,12 +130,17 @@ class Box:
         return self.lower.size
 
     def contains(self, x: Point, tol: float = 0.0) -> bool:
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        # a loop over Python floats: at small dim, numpy's temporaries cost
+        # more than the comparisons (projection runs once per NGD step)
+        for lo, c, hi in zip(self.lower.tolist(), x.tolist(), self.upper.tolist()):
+            if not lo - tol <= c <= hi + tol:
+                return False
+        return True
 
     def project(self, x: Point) -> Point:
         if self.contains(x):
             return x
-        return np.clip(x, self.lower, self.upper)
+        return np.minimum(np.maximum(x, self.lower), self.upper)  # np.clip, bit for bit
 
 
 FeasibleRegion = Ball | Box
@@ -262,8 +267,11 @@ def finite_diff_gradient(f: Objective, x: Point, h: float = 1e-5) -> Point:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+_CSV_CHUNK = 256  # rows formatted per write; bounds the text held in memory
+
+
+def _format_rows(line: str, rows: list[list[float]]) -> str:
+    return "".join([line % tuple(r) for r in rows])
 
 
 @contextmanager
@@ -311,14 +319,21 @@ class OptTrace:
         return self.iterates.shape[1]
 
     def write_csv(self, path) -> None:
-        """Bit-stable CSV: t, value, grad_norm, coord_0..; 17 significant digits."""
+        """Bit-stable CSV: t, value, grad_norm, coord_0..; 17 significant digits.
+
+        Rows are formatted _CSV_CHUNK at a time with `%.17g`, which prints
+        exactly what format(x, ".17g") prints (nan, inf and -0 included).
+        """
         cols = ["t", "value", "grad_norm"] + [f"coord_{i}" for i in range(self.dim)]
+        line = "%d," + ",".join(["%.17g"] * (2 + self.dim)) + "\n"
+        T = len(self)
         with atomic_write(path, newline="") as fh:
             fh.write(",".join(cols) + "\n")
-            for t in range(len(self)):
-                row = [str(t), _fmt(self.values[t]), _fmt(self.grad_norms[t])]
-                row += [_fmt(c) for c in self.iterates[t]]
-                fh.write(",".join(row) + "\n")
+            for start in range(0, T, _CSV_CHUNK):
+                stop = min(start + _CSV_CHUNK, T)
+                table = np.column_stack([np.arange(start, stop), self.values[start:stop],
+                                         self.grad_norms[start:stop], self.iterates[start:stop]])
+                fh.write(_format_rows(line, table.tolist()))
 
     def to_dict(self) -> dict:
         return {

@@ -95,16 +95,18 @@ def test_failing_report_write_keeps_previous_report(argv, tmp_path, monkeypatch)
 
 
 def test_run_failing_trace_write_keeps_previous_trace(tmp_path, monkeypatch):
-    fields = []
+    chunks = []
+    format_rows = core._format_rows
 
-    def torn_fmt(x):
-        fields.append(x)
-        if len(fields) > 10:
+    def torn_format_rows(line, rows):
+        chunks.append(len(rows))
+        if len(chunks) > 1:  # the first chunk has been written by now
             raise OSError("disk full")
-        return format(x, ".17g")
+        return format_rows(line, rows)
 
-    before, after = _rerun_with_torn_write(tmp_path, monkeypatch, core, "_fmt", torn_fmt)
-    assert len(fields) == 11
+    before, after = _rerun_with_torn_write(tmp_path, monkeypatch, core, "_format_rows",
+                                           torn_format_rows)
+    assert chunks == [core._CSV_CHUNK, 400 - core._CSV_CHUNK]  # T = 400 rows, two chunks
     assert after == before
 
 

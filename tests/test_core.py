@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -18,7 +19,7 @@ from slqcopt import (
     scaled,
     seeded_stream,
 )
-from slqcopt.core import build_trace
+from slqcopt.core import _CSV_CHUNK, build_trace
 
 from conftest import make_quadratic
 
@@ -125,6 +126,42 @@ def test_project_box_idempotent_and_feasible(coords):
     np.testing.assert_allclose(project(box, p), p)
 
 
+def test_project_box_equals_clip_bit_for_bit():
+    lower, upper = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 2.5])
+    box = Box(lower, upper)
+    # per axis: outside below, on the lower face, inside (signed zeros too),
+    # on the upper face, outside above
+    axes = [[-1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0],
+            [-2.0, -0.0, 0.0, 2.5, 5.0, 5.5],
+            [-1e300, 2.0, 2.25, 2.5, np.nextafter(2.5, 3.0)]]
+    for coords in itertools.product(*axes):
+        x = np.array(coords)
+        feasible = bool(np.all(x >= lower) and np.all(x <= upper))
+        assert box.contains(x) == feasible
+        for tol in (0.25, 1e-300):
+            assert box.contains(x, tol) == bool(np.all(x >= lower - tol)
+                                                and np.all(x <= upper + tol))
+        p = box.project(x)
+        if feasible:  # even where np.clip would turn -0.0 into the face 0.0
+            assert p is x
+        else:
+            assert p.tobytes() == np.clip(x, lower, upper).tobytes()
+
+
+def test_project_ball_equals_norm_formula_bit_for_bit():
+    gen = seeded_stream(8).generator()
+    for dim in (1, 2, 5, 64):
+        ball = Ball(gen.normal(size=dim), 1.5)
+        for scale in (1e-3, 0.5, 1.0, 3.0, 1e3):
+            x = ball.center + scale * gen.normal(size=dim)
+            d = x - ball.center
+            r = float(np.linalg.norm(d))
+            expected = x if r <= ball.radius else ball.center + d * (ball.radius / r)
+            p = ball.project(x)
+            assert p.tobytes() == expected.tobytes()
+            assert (p is x) == (r <= ball.radius)
+
+
 def test_region_validation():
     with pytest.raises(ValueError):
         Ball([0.0], 0.0)
@@ -214,6 +251,41 @@ def test_trace_csv_round_trips_floats(tmp_path):
     back = np.array([[float(c) for c in row[1:]] for row in rows])
     np.testing.assert_array_equal(back[:, 0], tr.values)
     np.testing.assert_array_equal(back[:, 2:], tr.iterates)
+
+
+def _reference_csv(tr) -> str:
+    """The trace CSV written one field at a time with format(x, ".17g")."""
+    lines = [["t", "value", "grad_norm"] + [f"coord_{i}" for i in range(tr.dim)]]
+    for t in range(len(tr)):
+        fields = [tr.values[t], tr.grad_norms[t], *tr.iterates[t]]
+        lines.append([str(t)] + [format(x, ".17g") for x in fields])
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+           0.1, 1.0 / 3.0, 123456789.0, 1e22, 1e-7]
+
+
+def _special_trace() -> object:
+    # spans three chunks; each column cycles through SPECIAL at its own offset
+    T, dim = 2 * _CSV_CHUNK + 5, 3
+    cells = np.resize(np.array(SPECIAL), T * (2 + dim) + 1)[1:].reshape(T, 2 + dim)
+    return build_trace(cells[:, 2:], cells[:, 0], cells[:, 1])
+
+
+def _aborted_trace() -> object:
+    gen = seeded_stream(9).generator()
+    values = np.append(gen.normal(size=4), np.nan)
+    grad_norms = np.append(np.abs(gen.normal(size=4)), np.inf)
+    return build_trace(gen.normal(size=(5, 2)), values, grad_norms, aborted=True)
+
+
+@pytest.mark.parametrize("make", [_special_trace, _aborted_trace], ids=["special", "aborted"])
+def test_trace_csv_matches_per_field_reference(make, tmp_path):
+    tr = make()
+    path = tmp_path / "t.csv"
+    tr.write_csv(path)
+    assert path.read_bytes() == _reference_csv(tr).encode()
 
 
 def test_trace_json(tmp_path):
