@@ -406,6 +406,8 @@ def cmd_check(args) -> int:
     f = prob.objective
     if f is None:
         raise ConfigError(f"problem {args.problem!r} has no deterministic objective to check")
+    if args.property != "slqc" and args.trials < 1:  # a pass over no pairs certifies nothing
+        raise ConfigError("--trials must be >= 1")
     gen = stream.substream(1).generator()
     result: dict = {"problem": args.problem, "property": args.property, "seed": args.seed}
 
@@ -415,11 +417,20 @@ def cmd_check(args) -> int:
         kappa = args.kappa or prob.default_kappa
         if kappa is None:
             raise ConfigError("no default kappa for this problem; pass --kappa")
-        eps_values = [float(s) for s in args.eps_grid.split(",")]
+        try:
+            eps_values = [float(s) for s in args.eps_grid.split(",")]
+        except ValueError:
+            raise ConfigError(f"--eps-grid must be comma-separated numbers, got {args.eps_grid!r}")
+        if not all(math.isfinite(eps) and eps > 0 for eps in eps_values):
+            raise ConfigError(f"--eps-grid values must be finite and positive, "
+                              f"got {args.eps_grid!r}")
         region = prob.sample_region
-        points = (box_grid(region, args.grid)
-                  if isinstance(region, Box) and prob.dim == 2 and args.grid
-                  else sample_region(gen, region, n=args.points))
+        if isinstance(region, Box) and prob.dim == 2 and args.grid:
+            points = box_grid(region, args.grid)
+        elif args.points < 1:
+            raise ConfigError("--points must be >= 1")
+        else:
+            points = sample_region(gen, region, n=args.points)
         batch = properties.check_slqc_batch(
             f, prob.minimizer, kappa, eps_values, points,
             use_oracle=f.direction_oracle is not None,

@@ -309,6 +309,23 @@ def test_check_lipschitz_runs(tmp_path):
     assert json.loads(out.read_text())["passed"] is True
 
 
+@pytest.mark.parametrize("grid", ["0.1,abc", "0", "0.1,-1", "inf"])
+def test_check_bad_eps_grid_exits_2(grid, capsys):
+    assert main(["check", "sigmoid_sum", "slqc", "--eps-grid", grid]) == 2
+    assert "--eps-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["idealized_glm", "slqc", "--points", "0"],
+    ["idealized_glm", "lipschitz", "--bound", "1", "--radius", "0.5", "--trials", "0"],
+    ["idealized_glm", "smooth", "--bound", "2", "--radius", "0.5", "--trials", "0"],
+    ["idealized_glm", "sublevel", "--alpha", "0.5", "--trials", "0"],
+], ids=["slqc", "lipschitz", "smooth", "sublevel"])
+def test_check_over_nothing_exits_2(argv, capsys):
+    assert main(["check", *argv]) == 2  # no vacuous "passed": true
+    assert capsys.readouterr().out == ""
+
+
 def test_check_unknown_property_exits_2():
     assert main(["check", "sigmoid_sum", "nosuch"]) == 2
 
