@@ -155,6 +155,8 @@ def test_criterion_5_markov_oracle():
             est, se = absorb_probability_mc(spec, trials=10 ** 6,
                                             stream=seeded_stream(hash((p, i)) % 2 ** 32))
             exact = absorb_probability(spec)
+            # a 3-SE band misses w.p. 0.0027, so a fresh draw of the nine
+            # cases fails falsely w.p. 1 - (1 - 0.0027)^9 ~ 2.4%
             ok &= abs(est - exact) <= 3.0 * max(se, 1e-6)
     elapsed = time.perf_counter() - t0
     _report(5, "absorb probabilities: analytic matches 1e6-walk Monte Carlo", ok, elapsed)

@@ -266,14 +266,14 @@ SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
            0.1, 1.0 / 3.0, 123456789.0, 1e22, 1e-7]
 
 
-def _special_trace() -> object:
+def _special_trace():
     # spans three chunks; each column cycles through SPECIAL at its own offset
     T, dim = 2 * _CSV_CHUNK + 5, 3
     cells = np.resize(np.array(SPECIAL), T * (2 + dim) + 1)[1:].reshape(T, 2 + dim)
     return build_trace(cells[:, 2:], cells[:, 0], cells[:, 1])
 
 
-def _aborted_trace() -> object:
+def _aborted_trace():
     gen = seeded_stream(9).generator()
     values = np.append(gen.normal(size=4), np.nan)
     grad_norms = np.append(np.abs(gen.normal(size=4)), np.inf)
