@@ -267,9 +267,10 @@ SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
 
 
 def _special_trace():
-    # spans three chunks; each column cycles through SPECIAL at its own offset
+    # spans three chunks; SPECIAL repeated row-major over 5 columns puts each
+    # value in every column, since 5 and len(SPECIAL) are coprime
     T, dim = 2 * _CSV_CHUNK + 5, 3
-    cells = np.resize(np.array(SPECIAL), T * (2 + dim) + 1)[1:].reshape(T, 2 + dim)
+    cells = np.resize(np.array(SPECIAL), (T, 2 + dim))
     return build_trace(cells[:, 2:], cells[:, 0], cells[:, 1])
 
 
