@@ -28,10 +28,18 @@ CASES = {
         "optimizer": {"name": "ngd_oracle",
                       "params": {"T": 300, "eta": 0.05, "x1": [1.0, 0.0, 0.0, 0.0, 0.0]}},
     },
+    "ngd_idealized_glm": {
+        "problem": {"name": "idealized_glm", "params": {"d": 4, "m": 200, "W": 2.0}},
+        "optimizer": {"name": "ngd", "params": {"T": 300, "eta": 0.05, "x1": X1_GLM}},
+    },
     "sngd": {
         "problem": GLM,
         "optimizer": {"name": "sngd", "params": {"T": 300, "eta": 0.05, "x1": X1_GLM}},
         "sweep": {"param": "b", "values": [1, 10]},
+    },
+    "sngd_lower_bound": {
+        "problem": {"name": "lower_bound", "params": {"eps": 0.1}},
+        "optimizer": {"name": "sngd", "params": {"T": 300, "eta": 0.1, "x1": [0.0], "b": 2}},
     },
     "gd": {
         "problem": {"name": "cliff_plateau", "params": {"plateau_slope": 0.5}},
@@ -86,6 +94,12 @@ DIGESTS = {
         "trace_trial001.csv":
             "f94c73d7cb11edf1a374c672f5397a7b10d0251c0e509fc894535fc8f39cdd49",
     },
+    "ngd_idealized_glm": {
+        "trace_trial000.csv":
+            "59ee3818080d7cf82a32f8c929a3bd3186576f0ed35d8c32f295f5f2333ffff4",
+        "trace_trial001.csv":
+            "59ee3818080d7cf82a32f8c929a3bd3186576f0ed35d8c32f295f5f2333ffff4",
+    },
     "ngd_oracle": {
         "trace_trial000.csv":
             "91e85c542205e5c06dffc740474a6a2556e7bf30b338837e628e8e57661cd5aa",
@@ -113,6 +127,12 @@ DIGESTS = {
             "a27eb923902688e26cfa7afede41307f702656c59fa5239cf018d11d6b30ee24",
         "trace_trial001_b-10.csv":
             "a0de318798ba39a346d60540960bbade9101f17a36f0b506e5b5394e054b807f",
+    },
+    "sngd_lower_bound": {
+        "trace_trial000.csv":
+            "470be7a8c664135145074252f990228a1e4be3c68c7cb599c19914d378d15035",
+        "trace_trial001.csv":
+            "f2c435d768aad01954c4db787890f2720f531571daff07310a77a6f53faa9868",
     },
 }
 
