@@ -9,7 +9,6 @@ from .core import (
     Ball,
     Box,
     FeasibleRegion,
-    MinibatchFn,
     Objective,
     OptTrace,
     Point,
@@ -40,6 +39,7 @@ from .optimizers import (
 from .problems import (
     GlmDataset,
     PerceptronDataset,
+    SigmoidLoss,
     glm_objective,
     load_dataset,
     make_cliff_plateau,

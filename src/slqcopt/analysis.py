@@ -10,8 +10,6 @@ import numpy as np
 from .core import RandomStream
 from .problems import LOWER_BOUND_SEGMENT
 
-_LB_GRAD_BOUND = 1.0  # the two-component losses are 1-Lipschitz
-
 
 @dataclass(frozen=True)
 class Budget:

@@ -452,6 +452,9 @@ def cmd_check(args) -> int:
         rep = properties.check_sublevel_convex(
             f, alpha, args.trials, stream.substream(2),
             region=prob.sample_region, pairs=[prob.sublevel_witness] if prob.sublevel_witness else None)
+        if rep.trials == 0:
+            raise ConfigError(f"no pair was found in the alpha-sublevel set (alpha={alpha:g}); "
+                              "raise --alpha or --trials")
         result.update({"alpha": alpha, **rep.to_dict()})
     elif args.property in ("lipschitz", "smooth"):
         if args.bound is None or args.radius is None:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -174,33 +173,18 @@ class Objective:
 
 
 @dataclass(frozen=True, eq=False)
-class MinibatchFn:
-    """Arithmetic mean of a drawn batch of component functions.
-
-    value/gradient are the exact means of the component values/gradients.
-    component_values exposes the individual terms; meta records the draws
-    that generated the batch (indices, noise, branch choices).
-    """
-
-    dim: int
-    size: int
-    value: Callable[[Point], float]
-    gradient: Callable[[Point], Point]
-    component_values: Callable[[Point], np.ndarray] | None = None
-    meta: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True, eq=False)
 class StochasticObjective:
     """Distribution over component functions with seeded minibatch draws.
 
-    sample_minibatch(gen, b) averages b independent component draws.
+    sample_minibatch(gen, b) returns the mean of b independent component
+    draws: any object with value(x) and gradient(x), in practice the
+    family's own loss over the drawn rows.
     expected, when known in closed form, is the population objective;
     bound_M is a uniform bound on |component value| (inf if unbounded).
     """
 
     dim: int
-    sample_minibatch: Callable[[np.random.Generator, int], MinibatchFn]
+    sample_minibatch: Callable[[np.random.Generator, int], Any]
     expected: Objective | None = None
     bound_M: float = math.inf
     minimizer: Point | None = None
@@ -208,17 +192,7 @@ class StochasticObjective:
 
 def constant_distribution(f: Objective) -> StochasticObjective:
     """Zero-variance distribution: every minibatch is f itself."""
-
-    def sample(gen: np.random.Generator, b: int) -> MinibatchFn:
-        return MinibatchFn(
-            dim=f.dim,
-            size=b,
-            value=f.value,
-            gradient=f.gradient,
-            component_values=lambda x: np.full(b, f.value(x)),
-        )
-
-    return StochasticObjective(dim=f.dim, sample_minibatch=sample, expected=f)
+    return StochasticObjective(dim=f.dim, sample_minibatch=lambda gen, b: f, expected=f)
 
 
 def scaled(f: Objective, c: float) -> Objective:
@@ -308,7 +282,6 @@ class OptTrace:
     grad_norms: np.ndarray        # (T,)
     returned: Point
     returned_index: int
-    minibatch_ids: np.ndarray | None = None
     aborted: bool = False
 
     def __len__(self) -> int:
@@ -335,25 +308,8 @@ class OptTrace:
                                          self.grad_norms[start:stop], self.iterates[start:stop]])
                 fh.write(_format_rows(line, table.tolist()))
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "returned_index": int(self.returned_index),
-            "returned": self.returned.tolist(),
-            "aborted": self.aborted,
-            "values": self.values.tolist(),
-            "grad_norms": self.grad_norms.tolist(),
-            "iterates": self.iterates.tolist(),
-            "minibatch_ids": None if self.minibatch_ids is None else self.minibatch_ids.tolist(),
-        }
 
-    def write_json(self, path) -> None:
-        with atomic_write(path) as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
-
-
-def build_trace(iterates, values, grad_norms, minibatch_ids=None, aborted=False) -> OptTrace:
+def build_trace(iterates, values, grad_norms, aborted=False) -> OptTrace:
     """Assemble a trace; picks the returned iterate by the first-argmin rule."""
     values = np.asarray(values, dtype=np.float64)
     iterates = np.asarray(iterates, dtype=np.float64)
@@ -372,6 +328,5 @@ def build_trace(iterates, values, grad_norms, minibatch_ids=None, aborted=False)
         grad_norms=grad_norms,
         returned=iterates[idx].copy(),
         returned_index=idx,
-        minibatch_ids=None if minibatch_ids is None else np.asarray(minibatch_ids, dtype=np.int64),
         aborted=aborted,
     )

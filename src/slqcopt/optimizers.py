@@ -106,7 +106,7 @@ class StepSchedule:
 def _descent(x: Point, T: int, query, step, lookahead=None) -> OptTrace:
     """The one descent loop; methods differ only in query and step.
 
-    query(t) -> (value, direction, batch_id) gives the oracles of iteration t.
+    query(t) -> (value, direction) gives the oracles of iteration t.
     The value is taken at x and the direction at lookahead(x) (x itself by
     default); step(t, x, g, gn) returns the next iterate.  Records the iterate
     before each update; a non-finite value or direction aborts the run with
@@ -115,29 +115,22 @@ def _descent(x: Point, T: int, query, step, lookahead=None) -> OptTrace:
     iterates = np.empty((T, x.size))
     values = np.empty(T)
     grad_norms = np.empty(T)
-    batch_ids = np.empty(T, dtype=np.int64)
     aborted = False
     steps = 0
     for t in range(T):
-        value_at, direction_at, bid = query(t)
+        value_at, direction_at = query(t)
         value = value_at(x)
         g = direction_at(x if lookahead is None else lookahead(x))
         gn = math.sqrt(float(np.dot(g, g)))
         iterates[t] = x
         values[t] = value
         grad_norms[t] = gn
-        batch_ids[t] = bid
         steps = t + 1
         if not (math.isfinite(value) and math.isfinite(gn)):
             aborted = True
             break
         x = step(t, x, g, gn)
-    has_batches = bool(batch_ids[:steps].size) and batch_ids[:steps].max() >= 0
-    return build_trace(
-        iterates[:steps], values[:steps], grad_norms[:steps],
-        minibatch_ids=batch_ids[:steps] if has_batches else None,
-        aborted=aborted,
-    )
+    return build_trace(iterates[:steps], values[:steps], grad_norms[:steps], aborted=aborted)
 
 
 def _minibatches(F: StochasticObjective, b: int, stream: RandomStream):
@@ -148,7 +141,7 @@ def _minibatches(F: StochasticObjective, b: int, stream: RandomStream):
 
     def query(t: int):
         fb = F.sample_minibatch(gen, b)
-        return fb.value, fb.gradient, t
+        return fb.value, fb.gradient
 
     return query
 
@@ -187,14 +180,14 @@ def ngd(f: Objective, cfg: NgdConfig) -> OptTrace:
     grad_tol) are recorded and the update is skipped: at such points an SLQC
     objective is already eps-optimal.
     """
-    return _run_normalized(f.dim, cfg, lambda t: (f.value, f.gradient, -1))
+    return _run_normalized(f.dim, cfg, lambda t: (f.value, f.gradient))
 
 
 def ngd_with_oracle(f: Objective, cfg: NgdConfig) -> OptTrace:
     """Normalized descent along a direction oracle instead of the gradient."""
     if f.direction_oracle is None:
         raise ValueError("objective has no direction oracle")
-    return _run_normalized(f.dim, cfg, lambda t: (f.value, f.direction_oracle, -1))
+    return _run_normalized(f.dim, cfg, lambda t: (f.value, f.direction_oracle))
 
 
 def sngd(F: StochasticObjective, cfg: SngdConfig) -> OptTrace:
@@ -249,7 +242,7 @@ def _reject_momentum(schedule: StepSchedule) -> None:
 def gd(f: Objective, schedule: StepSchedule, T: int, x1) -> OptTrace:
     """Plain gradient descent with a step schedule (no momentum)."""
     _reject_momentum(schedule)
-    return _run_scheduled(f.dim, x1, T, schedule, lambda t: (f.value, f.gradient, -1))
+    return _run_scheduled(f.dim, x1, T, schedule, lambda t: (f.value, f.gradient))
 
 
 def msgd(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,

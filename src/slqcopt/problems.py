@@ -11,7 +11,6 @@ import numpy as np
 from .core import (
     Ball,
     Box,
-    MinibatchFn,
     Objective,
     Point,
     RandomStream,
@@ -173,20 +172,32 @@ class GlmDataset:
         return self.X.shape[1]
 
 
+@dataclass(frozen=True, eq=False)
+class SigmoidLoss:
+    """Mean squared sigmoid-regression error (y_i - sig(<w, x_i>))^2 over the rows of X.
+
+    The one loss of the GLM family: a dataset's error, the noisy
+    distribution's population error and each of its minibatches are this
+    loss over their own rows.
+    """
+
+    X: np.ndarray  # (m, d)
+    y: np.ndarray  # (m,)
+
+    def value(self, w: Point) -> float:
+        r = self.y - sigmoid(self.X @ w)
+        return float(np.dot(r, r)) / self.y.size
+
+    def gradient(self, w: Point) -> Point:
+        X, y = self.X, self.y
+        s = sigmoid(X @ w)
+        return (2.0 / y.size) * (X.T @ (s * (1.0 - s) * (s - y)))
+
+
 def glm_objective(ds: GlmDataset) -> Objective:
     """Mean squared sigmoid-regression error over the dataset."""
-    X, y, m = ds.X, ds.y, ds.m
-
-    def value(w: Point) -> float:
-        s = sigmoid(X @ w)
-        r = y - s
-        return float(np.dot(r, r)) / m
-
-    def gradient(w: Point) -> Point:
-        s = sigmoid(X @ w)
-        return (2.0 / m) * (X.T @ (s * (1.0 - s) * (s - y)))
-
-    return Objective(dim=ds.dim, value=value, gradient=gradient)
+    loss = SigmoidLoss(ds.X, ds.y)
+    return Objective(dim=ds.dim, value=loss.value, gradient=loss.gradient)
 
 
 def make_idealized_glm(stream: RandomStream, d: int, m: int, W: float,
@@ -254,37 +265,14 @@ def make_noisy_glm(stream: RandomStream, d: int, W: float, noise_scale: float = 
     sig_star = sigmoid(X @ w_star)
     amp = np.minimum(noise_scale, np.minimum(sig_star, 1.0 - sig_star))
     noise_var = float(np.mean(amp ** 2)) / 3.0
+    pool = SigmoidLoss(X, sig_star)
+    expected = Objective(dim=d, value=lambda w: pool.value(w) + noise_var,
+                         gradient=pool.gradient)
 
-    def expected_value(w: Point) -> float:
-        diff = sig_star - sigmoid(X @ w)
-        return float(np.dot(diff, diff)) / pool_size + noise_var
-
-    def expected_gradient(w: Point) -> Point:
-        s = sigmoid(X @ w)
-        return (2.0 / pool_size) * (X.T @ (s * (1.0 - s) * (s - sig_star)))
-
-    expected = Objective(dim=d, value=expected_value, gradient=expected_gradient)
-
-    def sample(gen: np.random.Generator, b: int) -> MinibatchFn:
+    def sample(gen: np.random.Generator, b: int) -> SigmoidLoss:
         idx = gen.integers(0, pool_size, size=b)
         xi = gen.uniform(-1.0, 1.0, size=b) * amp[idx]
-        Xb = X[idx]
-        yb = sig_star[idx] + xi
-
-        def value(w: Point) -> float:
-            r = yb - sigmoid(Xb @ w)
-            return float(np.dot(r, r)) / b
-
-        def gradient(w: Point) -> Point:
-            s = sigmoid(Xb @ w)
-            return (2.0 / b) * (Xb.T @ (s * (1.0 - s) * (s - yb)))
-
-        def component_values(w: Point) -> np.ndarray:
-            return (yb - sigmoid(Xb @ w)) ** 2
-
-        return MinibatchFn(dim=d, size=b, value=value, gradient=gradient,
-                           component_values=component_values,
-                           meta={"indices": idx, "noise": xi})
+        return SigmoidLoss(X[idx], sig_star[idx] + xi)
 
     return StochasticObjective(dim=d, sample_minibatch=sample, expected=expected,
                                bound_M=1.0, minimizer=w_star)
@@ -296,6 +284,35 @@ def make_noisy_glm(stream: RandomStream, d: int, W: float, noise_scale: float = 
 
 LOWER_BOUND_MINIMIZER = -3.0
 LOWER_BOUND_SEGMENT = (-5.0, -1.0)  # every point here is eps-optimal
+
+
+@dataclass(frozen=True, eq=False)
+class _TwoComponentLoss:
+    """(w_linear * lin(x) + w_hinge * hinge(x)) / n for the lower-bound family.
+
+    lin(x) = -0.5*eps*x and hinge(x) = (1 - 0.5*eps)*max(x + 3, 0), whose
+    subgradient at the kink x = -3 is 0.  The population loss has weights
+    (1 - eps, eps) and n = 1; a minibatch of b draws with k hinge components
+    has weights (b - k, k) and n = b.
+    """
+
+    eps: float
+    w_linear: float
+    w_hinge: float
+    n: float
+
+    def value(self, x: Point) -> float:
+        t = float(x[0])
+        eps = self.eps
+        return (self.w_linear * (-0.5 * eps) * t
+                + self.w_hinge * (1.0 - 0.5 * eps) * max(t + 3.0, 0.0)) / self.n
+
+    def gradient(self, x: Point) -> Point:
+        eps = self.eps
+        g = self.w_linear * (-0.5 * eps)
+        if float(x[0]) > -3.0:
+            g += self.w_hinge * (1.0 - 0.5 * eps)
+        return np.array([g / self.n])
 
 
 def make_lower_bound_distribution(eps: float) -> StochasticObjective:
@@ -312,45 +329,12 @@ def make_lower_bound_distribution(eps: float) -> StochasticObjective:
     """
     if not (0.0 < eps <= 0.1):
         raise ValueError("eps must lie in (0, 0.1]")
-    lin_slope = -0.5 * eps
-    hinge_slope = 1.0 - 0.5 * eps
+    pop = _TwoComponentLoss(eps, 1.0 - eps, eps, 1.0)
+    expected = Objective(dim=1, value=pop.value, gradient=pop.gradient)
 
-    def expected_value(x: Point) -> float:
-        t = float(x[0])
-        return (1.0 - eps) * lin_slope * t + eps * hinge_slope * max(t + 3.0, 0.0)
-
-    def expected_gradient(x: Point) -> Point:
-        t = float(x[0])
-        g = (1.0 - eps) * lin_slope
-        if t > -3.0:
-            g += eps * hinge_slope
-        return np.array([g])
-
-    expected = Objective(dim=1, value=expected_value, gradient=expected_gradient)
-
-    def sample(gen: np.random.Generator, b: int) -> MinibatchFn:
-        hinge = gen.random(b) < eps
-        k = int(hinge.sum())
-
-        def value(x: Point) -> float:
-            t = float(x[0])
-            return ((b - k) * lin_slope * t + k * hinge_slope * max(t + 3.0, 0.0)) / b
-
-        def gradient(x: Point) -> Point:
-            t = float(x[0])
-            g = (b - k) * lin_slope
-            if t > -3.0:
-                g += k * hinge_slope
-            return np.array([g / b])
-
-        def component_values(x: Point) -> np.ndarray:
-            t = float(x[0])
-            vals = np.full(b, lin_slope * t)
-            vals[hinge] = hinge_slope * max(t + 3.0, 0.0)
-            return vals
-
-        return MinibatchFn(dim=1, size=b, value=value, gradient=gradient,
-                           component_values=component_values, meta={"hinge": hinge})
+    def sample(gen: np.random.Generator, b: int) -> _TwoComponentLoss:
+        k = int((gen.random(b) < eps).sum())
+        return _TwoComponentLoss(eps, b - k, k, b)
 
     return StochasticObjective(dim=1, sample_minibatch=sample, expected=expected,
                                minimizer=np.array([LOWER_BOUND_MINIMIZER]))

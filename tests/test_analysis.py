@@ -144,7 +144,7 @@ def test_chain_spec_validation():
 def test_absorb_mc_matches_analytic_p02_i1():
     spec = ChainSpec(p=0.2, start_state=1, max_steps=10_000)
     est, se = absorb_probability_mc(spec, trials=1_000_000, stream=seeded_stream(0))
-    assert abs(est - 0.25) <= 3.0 * se
+    assert abs(est - 0.25) <= 3.0 * se  # a fresh stream fails this with probability 0.27%
     assert se < 1e-3
 
 
@@ -286,7 +286,7 @@ def test_walk_sign_rule_matches_minibatch_gradients():
     gen = seeded_stream(6).generator()
     for _ in range(500):
         fb = F.sample_minibatch(gen, b)
-        k = int(fb.meta["hinge"].sum())
+        k = fb.w_hinge
         g_right = fb.gradient(np.array([1.3]))[0]
         assert (g_right < 0) == (k == 0)
         g_left = fb.gradient(np.array([-4.2]))[0]

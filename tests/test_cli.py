@@ -320,7 +320,9 @@ def test_check_bad_eps_grid_exits_2(grid, capsys):
     ["idealized_glm", "lipschitz", "--bound", "1", "--radius", "0.5", "--trials", "0"],
     ["idealized_glm", "smooth", "--bound", "2", "--radius", "0.5", "--trials", "0"],
     ["idealized_glm", "sublevel", "--alpha", "0.5", "--trials", "0"],
-], ids=["slqc", "lipschitz", "smooth", "sublevel"])
+    # no sampled pair of sigmoid_sum has both values <= 0.001
+    ["sigmoid_sum", "sublevel", "--alpha", "0.001", "--trials", "200"],
+], ids=["slqc", "lipschitz", "smooth", "sublevel", "sublevel_no_pair"])
 def test_check_over_nothing_exits_2(argv, capsys):
     assert main(["check", *argv]) == 2  # no vacuous "passed": true
     assert capsys.readouterr().out == ""

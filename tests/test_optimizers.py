@@ -173,12 +173,14 @@ def test_sngd_zero_variance_equals_ngd_bitwise():
     assert tn.returned_index == ts.returned_index
 
 
-def test_sngd_records_minibatch_values_and_ids():
+def test_sngd_records_minibatch_values():
     F = make_noisy_glm(seeded_stream(2), d=3, W=1.5)
     tr = sngd(F, SngdConfig(T=50, eta=0.05, x1=np.zeros(3), b=8,
                             stream=seeded_stream(3)))
-    assert tr.minibatch_ids is not None
-    np.testing.assert_array_equal(tr.minibatch_ids, np.arange(50))
+    # iteration t records the t-th draw from the stream, scored at x_t
+    gen = seeded_stream(3).generator()
+    for t in range(50):
+        assert tr.values[t] == F.sample_minibatch(gen, 8).value(tr.iterates[t])
     # recorded values are minibatch scores, not the population objective
     pop = evaluate_iterates(tr, F.expected)
     assert not np.allclose(tr.values, pop)
@@ -199,10 +201,7 @@ def test_sngd_continues_after_vanished_gradient():
     slope = Objective(dim=1, value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
 
     def sample(gen, b):
-        pick = flat if int(gen.integers(0, 2)) == 0 else slope
-        from slqcopt import MinibatchFn
-
-        return MinibatchFn(dim=1, size=b, value=pick.value, gradient=pick.gradient)
+        return flat if int(gen.integers(0, 2)) == 0 else slope
 
     from slqcopt import StochasticObjective
 

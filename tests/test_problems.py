@@ -184,16 +184,21 @@ def test_counterexample_dataset_literal_points():
 # ---------------------------------------------------------------------------
 
 
+def _squared_errors(fb, w):
+    """The per-row terms (y_i - sig(<w, x_i>))^2 of a sigmoid-loss batch."""
+    return (fb.y - sigmoid(fb.X @ w)) ** 2
+
+
 def test_noisy_glm_bound_and_minibatch_mean():
     F = make_noisy_glm(seeded_stream(9), d=4, W=2.0)
     assert F.bound_M == 1.0
     gen = seeded_stream(10).generator()
     fb = F.sample_minibatch(gen, 32)
     w = seeded_stream(11).generator().normal(size=4)
-    comps = fb.component_values(w)
+    comps = _squared_errors(fb, w)
     assert fb.value(w) == pytest.approx(float(np.mean(comps)), abs=1e-12)
     assert np.all(np.abs(comps) <= F.bound_M + 1e-12)
-    assert fb.size == 32 and fb.meta["indices"].shape == (32,)
+    assert fb.X.shape == (32, 4) and fb.y.shape == (32,)
 
 
 def test_noisy_glm_zero_noise_reduces_to_idealized():
@@ -209,7 +214,7 @@ def test_noisy_glm_labels_stay_in_unit_interval():
     for _ in range(20):
         fb = F.sample_minibatch(gen, 50)
         # component at the planted weights is xi^2 <= amp^2 <= 1
-        assert np.all(fb.component_values(F.minimizer) <= 1.0)
+        assert np.all(_squared_errors(fb, F.minimizer) <= 1.0)
 
 
 def test_noisy_glm_minibatch_draws_reproducible():
@@ -218,8 +223,8 @@ def test_noisy_glm_minibatch_draws_reproducible():
     w = np.array([0.1, -0.2, 0.3, 0.4])
     a = F.sample_minibatch(seeded_stream(33).generator(), 16)
     b = F.sample_minibatch(seeded_stream(33).generator(), 16)
-    np.testing.assert_array_equal(a.meta["indices"], b.meta["indices"])
-    np.testing.assert_array_equal(a.meta["noise"], b.meta["noise"])
+    np.testing.assert_array_equal(a.X, b.X)
+    np.testing.assert_array_equal(a.y, b.y)
     assert a.value(w) == b.value(w)
     np.testing.assert_array_equal(a.gradient(w), b.gradient(w))
 
@@ -230,8 +235,9 @@ def test_noisy_glm_component_mean_matches_expected():
     w = np.array([0.3, -0.2, 0.5])
     n = 20_000
     fb = F.sample_minibatch(gen, n)
-    vals = fb.component_values(w)
+    vals = _squared_errors(fb, w)
     se = float(np.std(vals)) / math.sqrt(n)
+    # 3 standard errors: a fresh draw fails with probability 0.27%
     assert abs(float(np.mean(vals)) - F.expected.value(w)) <= 3.0 * se
 
 
@@ -272,6 +278,7 @@ def test_lower_bound_all_negative_probability_arithmetic():
         neg += fb.gradient(np.array([0.5]))[0] < 0
     p_neg = neg / n
     assert (1.0 - eps) ** b == pytest.approx(0.81, rel=1e-12)
+    # 3 standard errors: a fresh draw fails with probability 0.27%
     assert p_neg == pytest.approx(0.81, abs=3.0 * math.sqrt(0.81 * 0.19 / n))
 
 
@@ -281,8 +288,13 @@ def test_lower_bound_component_mean_matches_expected():
     gen = seeded_stream(6).generator()
     x = np.array([2.0])
     fb = F.sample_minibatch(gen, 100_000)
-    vals = fb.component_values(x)
+    assert fb.n == fb.w_linear + fb.w_hinge == 100_000
+    # the batch's terms: w_linear linear components, w_hinge hinge ones
+    linear = problems._TwoComponentLoss(eps, 1, 0, 1).value(x)
+    hinge = problems._TwoComponentLoss(eps, 0, 1, 1).value(x)
+    vals = np.repeat([linear, hinge], [fb.w_linear, fb.w_hinge])
     se = float(np.std(vals)) / math.sqrt(vals.size)
+    # 3 standard errors: a fresh draw fails with probability 0.27%
     assert abs(float(np.mean(vals)) - F.expected.value(x)) <= 3.0 * se
 
 
@@ -292,7 +304,8 @@ def test_lower_bound_kink_subgradient_zero_from_left():
     gen = seeded_stream(0).generator()
     for _ in range(50):
         fb = F.sample_minibatch(gen, 3)
-        k = int(fb.meta["hinge"].sum())
+        k = fb.w_hinge
+        assert fb.n == 3 and fb.w_linear == 3 - k
         g = fb.gradient(np.array([-3.0]))[0]
         assert g == pytest.approx((3 - k) * (-0.05) / 3, rel=1e-12)
 
