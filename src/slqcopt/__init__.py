@@ -15,9 +15,6 @@ from .core import (
     RandomStream,
     StochasticObjective,
     as_point,
-    constant_distribution,
-    finite_diff_gradient,
-    line_restriction,
     project,
     sample_in_ball,
     scaled,
@@ -41,7 +38,6 @@ from .problems import (
     PerceptronDataset,
     SigmoidLoss,
     glm_objective,
-    load_dataset,
     make_cliff_plateau,
     make_idealized_glm,
     make_lower_bound_distribution,
@@ -50,7 +46,6 @@ from .problems import (
     make_perceptron,
     make_sigmoid_sum,
     perceptron_objective,
-    save_dataset,
     sigmoid,
 )
 from .properties import (

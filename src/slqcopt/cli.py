@@ -31,7 +31,7 @@ CONFIG_SCHEMA = {
     "required": ["schema_version", "seed", "problem", "optimizer"],
     "properties": {
         "schema_version": {"const": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "trials": {"type": "integer", "minimum": 1},
         "problem": {
             "type": "object",
@@ -352,7 +352,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     work = [(trial, s) for trial in range(trials) for s in range(len(tags))]
-    jobs = cap_workers(resolve_jobs(args.jobs), len(work))
+    jobs = cap_workers(args.jobs, len(work))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_single, cfg, t, s, str(out_dir)) for t, s in work]
@@ -369,16 +369,6 @@ def cmd_run(args) -> int:
         return 1
     print(f"wrote {len(runs)} trace(s) and summary.json to {out_dir}")
     return 0
-
-
-def resolve_jobs(flag_value: int | None) -> int:
-    env = os.environ.get("SLQC_OPT_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"SLQC_OPT_JOBS must be an integer, got {env!r}")
-    return max(1, flag_value or 1)
 
 
 def cap_workers(jobs: int, n_work: int) -> int:
@@ -525,6 +515,21 @@ def cmd_budgets(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer >= low; a value out of range is a usage
+    error that names the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="slqcopt",
                                  description="Normalized-descent experiment harness")
@@ -532,10 +537,12 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a configured experiment (sweeps, trials)")
     run.add_argument("--config", required=True)
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--trials", type=int, default=None, help="override the config trials")
+    run.add_argument("--seed", type=_int_at_least(0), default=None,
+                     help="override the config seed")
+    run.add_argument("--trials", type=_int_at_least(1), default=None,
+                     help="override the config trials")
     run.add_argument("--out-dir", default="runs")
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=_int_at_least(1), default=1)
     run.set_defaults(fn=cmd_run)
 
     chk = sub.add_parser("check", help="run a property checker over a grid/sample")
@@ -549,7 +556,7 @@ def _parser() -> argparse.ArgumentParser:
     chk.add_argument("--grid", type=int, default=10, help="grid points per axis (2-D box problems)")
     chk.add_argument("--points", type=int, default=100, help="sampled points (other problems)")
     chk.add_argument("--trials", type=int, default=10_000)
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--seed", type=_int_at_least(0), default=0)
     chk.add_argument("--out", default=None)
     chk.set_defaults(fn=cmd_check)
 
@@ -557,7 +564,7 @@ def _parser() -> argparse.ArgumentParser:
     lb.add_argument("--eps", type=float, default=0.1)
     lb.add_argument("--trials", type=int, default=100_000)
     lb.add_argument("--T", type=int, default=10_000)
-    lb.add_argument("--seed", type=int, default=0)
+    lb.add_argument("--seed", type=_int_at_least(0), default=0)
     lb.add_argument("--out", default=None)
     lb.set_defaults(fn=cmd_lowerbound)
 

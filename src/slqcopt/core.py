@@ -13,7 +13,7 @@ import numpy as np
 
 Point = np.ndarray  # dense 1-D float64 vector
 
-GRAD_TOL = 1e-12  # below this a gradient counts as vanished
+GRAD_TOL = 1e-12  # a gradient norm at or below this counts as vanished
 
 
 def as_point(coords, dim: int | None = None) -> Point:
@@ -190,11 +190,6 @@ class StochasticObjective:
     minimizer: Point | None = None
 
 
-def constant_distribution(f: Objective) -> StochasticObjective:
-    """Zero-variance distribution: every minibatch is f itself."""
-    return StochasticObjective(dim=f.dim, sample_minibatch=lambda gen, b: f, expected=f)
-
-
 def scaled(f: Objective, c: float) -> Objective:
     """The objective c*f (same minimizers for c > 0)."""
     return Objective(
@@ -204,36 +199,6 @@ def scaled(f: Objective, c: float) -> Objective:
         direction_oracle=(lambda x: c * f.direction_oracle(x)) if f.direction_oracle else None,
         domain=f.domain,
     )
-
-
-def line_restriction(f: Objective, x0, direction) -> Objective:
-    """Restrict f to the line t -> f(x0 + t*u); a 1-D objective."""
-    x0 = as_point(x0, f.dim)
-    u = as_point(direction, f.dim)
-
-    def value(t: Point) -> float:
-        return f.value(x0 + float(t[0]) * u)
-
-    def gradient(t: Point) -> Point:
-        return np.array([float(np.dot(f.gradient(x0 + float(t[0]) * u), u))])
-
-    return Objective(dim=1, value=value, gradient=gradient)
-
-
-def finite_diff_gradient(f: Objective, x: Point, h: float = 1e-5) -> Point:
-    """Central-difference gradient, one coordinate at a time."""
-    if not h > 0:
-        raise ValueError("step h must be positive")
-    x = as_point(x, f.dim)
-    g = np.empty(f.dim)
-    for i in range(f.dim):
-        e = np.zeros(f.dim)
-        e[i] = h
-        fp, fm = f.value(x + e), f.value(x - e)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise ValueError(f"non-finite function value near coordinate {i}")
-        g[i] = (fp - fm) / (2.0 * h)
-    return g
 
 
 # ---------------------------------------------------------------------------

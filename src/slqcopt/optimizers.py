@@ -34,7 +34,6 @@ class NgdConfig:
     eta: float
     x1: Point
     region: FeasibleRegion | None = None
-    grad_tol: float = GRAD_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "x1", as_point(self.x1))
@@ -42,8 +41,6 @@ class NgdConfig:
             raise ValueError("T must be >= 1")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be >= 0")
 
 
 @dataclass(frozen=True, kw_only=True, eq=False)
@@ -82,15 +79,6 @@ class StepSchedule:
             raise ValueError("gamma and exponent must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-
-    @classmethod
-    def constant(cls, eta: float, momentum: float = 0.0) -> StepSchedule:
-        return cls(eta0=eta, momentum=momentum)
-
-    @classmethod
-    def polynomial(cls, eta0: float, gamma: float, exponent: float = 0.75,
-                   momentum: float = 0.0) -> StepSchedule:
-        return cls(eta0=eta0, gamma=gamma, exponent=exponent, momentum=momentum)
 
     def step_size(self, t: int) -> float:
         if self.gamma == 0.0:
@@ -154,13 +142,13 @@ def _minibatches(F: StochasticObjective, b: int, stream: RandomStream):
 def _run_normalized(dim: int, cfg: NgdConfig, query) -> OptTrace:
     """Step rule x <- P(x - eta * g/||g||), P the projection onto cfg.region.
 
-    A direction of norm <= grad_tol skips the update: the iterate is kept
+    A direction of norm <= GRAD_TOL skips the update: the iterate is kept
     and recorded again at the next iteration.
     """
-    eta, grad_tol, region = cfg.eta, cfg.grad_tol, cfg.region
+    eta, region = cfg.eta, cfg.region
 
     def step(t: int, x: Point, g: Point, gn: float) -> Point:
-        if gn <= grad_tol:
+        if gn <= GRAD_TOL:
             return x
         x = x - (eta / gn) * g
         return x if region is None else region.project(x)
@@ -177,7 +165,7 @@ def ngd(f: Objective, cfg: NgdConfig) -> OptTrace:
     Steps have length exactly eta, so plateaus (tiny gradients) and cliffs
     (huge gradients) advance at the same rate.  Returns the iterate with the
     smallest recorded value.  Iterates where the gradient vanishes (within
-    grad_tol) are recorded and the update is skipped: at such points an SLQC
+    GRAD_TOL) are recorded and the update is skipped: at such points an SLQC
     objective is already eps-optimal.
     """
     return _run_normalized(f.dim, cfg, lambda t: (f.value, f.gradient))

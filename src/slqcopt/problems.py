@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -149,7 +148,6 @@ class GlmDataset:
     y: np.ndarray               # (m,)
     W: float
     planted: Point | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -214,7 +212,7 @@ def make_idealized_glm(stream: RandomStream, d: int, m: int, W: float,
     X = sample_in_ball(gen, d, 1.0, n=m)
     w_star = sample_in_ball(gen, d, W)
     y = sigmoid(X @ w_star)
-    ds = GlmDataset(X=X, y=y, W=float(W), planted=w_star, seed=stream.seed)
+    ds = GlmDataset(X=X, y=y, W=float(W), planted=w_star)
     return ds, glm_objective(ds)
 
 
@@ -357,7 +355,6 @@ class PerceptronDataset:
     y: np.ndarray
     gamma: float
     planted: Point
-    seed: int | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -435,42 +432,6 @@ def make_perceptron(stream: RandomStream, d: int, m: int, gamma: float,
                            f"(gamma={gamma} too large for d={d}?)")
     X = np.vstack(rows)[:m]
     y = np.concatenate(labels)[:m]
-    ds = PerceptronDataset(X=X, y=y, gamma=float(gamma), planted=w_star, seed=stream.seed)
+    ds = PerceptronDataset(X=X, y=y, gamma=float(gamma), planted=w_star)
     return ds, perceptron_objective(ds)
 
-
-# ---------------------------------------------------------------------------
-# Dataset export / import (versioned JSON, replayable across implementations)
-# ---------------------------------------------------------------------------
-
-
-def save_dataset(path, ds: GlmDataset | PerceptronDataset) -> None:
-    doc = {
-        "schema_version": 1,
-        "kind": "glm" if isinstance(ds, GlmDataset) else "perceptron",
-        "dim": ds.dim,
-        "X": ds.X.tolist(),
-        "y": ds.y.tolist(),
-        "planted": None if ds.planted is None else ds.planted.tolist(),
-        "seed": ds.seed,
-    }
-    if isinstance(ds, GlmDataset):
-        doc["W"] = ds.W
-    else:
-        doc["gamma"] = ds.gamma
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
-def load_dataset(path) -> GlmDataset | PerceptronDataset:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != 1:
-        raise ValueError(f"unsupported dataset schema_version: {doc.get('schema_version')}")
-    common = dict(X=np.array(doc["X"]), y=np.array(doc["y"]), seed=doc.get("seed"))
-    if doc["kind"] == "glm":
-        return GlmDataset(W=doc["W"], planted=doc["planted"], **common)
-    if doc["kind"] == "perceptron":
-        return PerceptronDataset(gamma=doc["gamma"], planted=doc["planted"], **common)
-    raise ValueError(f"unknown dataset kind: {doc['kind']!r}")

@@ -56,7 +56,7 @@ class SlqcReport:
     clause 1 margin: eps - (f(x) - f(z)); clause 2 margin: the negated ball
     maximum -(<g, z - x> + (eps/kappa)*||g||).  margin >= 0 iff the reported
     clause holds; on failure margin is the (negative) clause-2 margin, or the
-    clause-1 margin when the direction vanished below grad_tol.
+    clause-1 margin when the direction vanished (norm <= GRAD_TOL).
     """
 
     holds: bool
@@ -75,17 +75,17 @@ def _direction(f: Objective, use_oracle: bool):
     return f.direction_oracle if use_oracle else f.gradient
 
 
-def _slqc_verdict(gap: float, g: Point, gn: float, zx: Point, eps: float, kappa: float,
-                  grad_tol: float) -> SlqcReport:
+def _slqc_verdict(gap: float, g: Point, gn: float, zx: Point, eps: float,
+                  kappa: float) -> SlqcReport:
     """Decide SLQC at x from gap = f(x) - f(z), direction g, gn = ||g||, zx = z - x.
 
     Clause 2 is decided in closed form: the maximand <g, y - x> is linear in
     y, so its maximum over the ball B(z, r) is <g, z - x> + r*||g||.  Clause 2
-    holds iff ||g|| > grad_tol and that maximum is <= 0.
+    holds iff ||g|| > GRAD_TOL and that maximum is <= 0.
     """
     if gap <= eps:
         return SlqcReport(holds=True, clause=1, margin=eps - gap, grad_norm=gn)
-    if gn <= grad_tol:
+    if gn <= GRAD_TOL:
         return SlqcReport(holds=False, clause=None, margin=eps - gap, grad_norm=gn)
     ball_max = float(np.dot(g, zx)) + (eps / kappa) * gn
     if ball_max <= 0.0:
@@ -93,11 +93,11 @@ def _slqc_verdict(gap: float, g: Point, gn: float, zx: Point, eps: float, kappa:
     return SlqcReport(holds=False, clause=None, margin=-ball_max, grad_norm=gn)
 
 
-def check_slqc(f: Objective, q: SlqcQuery, grad_tol: float = GRAD_TOL) -> SlqcReport:
+def check_slqc(f: Objective, q: SlqcQuery) -> SlqcReport:
     """Decide an SLQC query exactly (see `_slqc_verdict`)."""
     g = _direction(f, q.use_oracle)(q.x)
     return _slqc_verdict(f.value(q.x) - f.value(q.z), g, float(np.linalg.norm(g)),
-                         q.z - q.x, q.eps, q.kappa, grad_tol)
+                         q.z - q.x, q.eps, q.kappa)
 
 
 @dataclass
@@ -107,7 +107,7 @@ class BatchSlqcResult:
 
 
 def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
-                     use_oracle: bool = False, grad_tol: float = GRAD_TOL) -> BatchSlqcResult:
+                     use_oracle: bool = False) -> BatchSlqcResult:
     """`check_slqc` on each (eps, x) pair, eps-major.  No evaluation depends on
     eps, so f(z) is evaluated once and f(x) and the direction once per point."""
     z = as_point(z, f.dim)
@@ -123,7 +123,7 @@ def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
         g = direction(xp)
         per_point.append((xp, f.value(xp) - fz, g, float(np.linalg.norm(g)), z - xp))
     reports = [{"eps": eps, "x": xp.tolist(),
-                **_slqc_verdict(gap, g, gn, zx, eps, kappa, grad_tol).to_dict()}
+                **_slqc_verdict(gap, g, gn, zx, eps, kappa).to_dict()}
                for eps in eps_values for xp, gap, g, gn, zx in per_point]
     return BatchSlqcResult(all_hold=all(r["holds"] for r in reports), reports=reports)
 
@@ -133,16 +133,16 @@ def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
 # ---------------------------------------------------------------------------
 
 
-def check_quasiconvex_grad(f: Objective, x, y, tol: float = GRAD_TOL) -> bool:
+def check_quasiconvex_grad(f: Objective, x, y) -> bool:
     """Gradient form at one pair: f(y) <= f(x) must imply <grad f(x), y - x> <= 0.
 
-    Vacuously true when f(y) > f(x).
+    Vacuously true when f(y) > f(x); the inner product may exceed 0 by GRAD_TOL.
     """
     x = as_point(x, f.dim)
     y = as_point(y, f.dim)
     if f.value(y) > f.value(x):
         return True
-    return float(np.dot(f.gradient(x), y - x)) <= tol
+    return float(np.dot(f.gradient(x), y - x)) <= GRAD_TOL
 
 
 @dataclass
@@ -198,40 +198,40 @@ def check_sublevel_convex(f: Objective, alpha: float, trials: int,
 # ---------------------------------------------------------------------------
 
 
+PAIR_SLACK = 1e-9  # relative slack of the sampled-pair bounds, for float rounding
+
+
 def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
-                         stream: RandomStream, rtol: float, sides) -> SampleCheckReport:
+                         stream: RandomStream, sides) -> SampleCheckReport:
     """Draw pairs x, y in B(z, eps_ball) and require lhs <= rhs for
-    (lhs, rhs) = sides(x, y), up to relative slack rtol; the first violating
-    pair is the counterexample."""
+    (lhs, rhs) = sides(x, y), up to relative slack PAIR_SLACK; the first
+    violating pair is the counterexample."""
     z = as_point(z, f.dim)
     gen = stream.generator()
     for _ in range(trials):
         x = sample_in_ball(gen, f.dim, eps_ball, center=z)
         y = sample_in_ball(gen, f.dim, eps_ball, center=z)
         lhs, rhs = sides(x, y)
-        if lhs > rhs * (1.0 + rtol) + 1e-15:
+        if lhs > rhs * (1.0 + PAIR_SLACK) + 1e-15:
             return SampleCheckReport(passed=False, trials=trials, counterexample={
                 "x": x.tolist(), "y": y.tolist(), "lhs": lhs, "rhs": rhs})
     return SampleCheckReport(passed=True, trials=trials)
 
 
 def check_local_lipschitz(f: Objective, z, eps_ball: float, G: float, trials: int,
-                          stream: RandomStream, rtol: float = 1e-9) -> SampleCheckReport:
-    """Sampled pairs x, y in B(z, eps_ball) must satisfy |f(x)-f(y)| <= G*||x-y||.
-
-    rtol is slack for float rounding when the bound is tight.
-    """
+                          stream: RandomStream) -> SampleCheckReport:
+    """Sampled pairs x, y in B(z, eps_ball) must satisfy |f(x)-f(y)| <= G*||x-y||."""
     return _check_sampled_pairs(
-        f, z, eps_ball, trials, stream, rtol,
+        f, z, eps_ball, trials, stream,
         lambda x, y: (abs(f.value(x) - f.value(y)), G * float(np.linalg.norm(x - y))))
 
 
 def check_local_smooth(f: Objective, z, eps_ball: float, beta: float, trials: int,
-                       stream: RandomStream, rtol: float = 1e-9) -> SampleCheckReport:
+                       stream: RandomStream) -> SampleCheckReport:
     """Sampled pairs in B(z, eps_ball) must satisfy the quadratic Taylor bound
     |f(x) - f(y) - <grad f(y), x - y>| <= (beta/2)*||x - y||^2."""
     return _check_sampled_pairs(
-        f, z, eps_ball, trials, stream, rtol,
+        f, z, eps_ball, trials, stream,
         lambda x, y: (abs(f.value(x) - f.value(y) - float(np.dot(f.gradient(y), x - y))),
                       0.5 * beta * float(np.dot(x - y, x - y))))
 

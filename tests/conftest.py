@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from slqcopt import Objective
+from slqcopt import Objective, StochasticObjective, as_point
 
 
 def make_cone(dim: int = 2) -> Objective:
@@ -20,6 +22,41 @@ def make_cone(dim: int = 2) -> Objective:
 def make_quadratic(dim: int = 2) -> Objective:
     """f(x) = ||x||^2: 2-smooth, strictly quasi-convex."""
     return Objective(dim=dim, value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x)
+
+
+def constant_distribution(f: Objective) -> StochasticObjective:
+    """Zero-variance distribution: every minibatch is f itself."""
+    return StochasticObjective(dim=f.dim, sample_minibatch=lambda gen, b: f, expected=f)
+
+
+def line_restriction(f: Objective, x0, direction) -> Objective:
+    """Restrict f to the line t -> f(x0 + t*u); a 1-D objective."""
+    x0 = as_point(x0, f.dim)
+    u = as_point(direction, f.dim)
+
+    def value(t):
+        return f.value(x0 + float(t[0]) * u)
+
+    def gradient(t):
+        return np.array([float(np.dot(f.gradient(x0 + float(t[0]) * u), u))])
+
+    return Objective(dim=1, value=value, gradient=gradient)
+
+
+def finite_diff_gradient(f: Objective, x, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient, one coordinate at a time."""
+    if not h > 0:
+        raise ValueError("step h must be positive")
+    x = as_point(x, f.dim)
+    g = np.empty(f.dim)
+    for i in range(f.dim):
+        e = np.zeros(f.dim)
+        e[i] = h
+        fp, fm = f.value(x + e), f.value(x - e)
+        if not (math.isfinite(fp) and math.isfinite(fm)):
+            raise ValueError(f"non-finite function value near coordinate {i}")
+        g[i] = (fp - fm) / (2.0 * h)
+    return g
 
 
 @pytest.fixture

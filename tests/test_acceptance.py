@@ -26,10 +26,7 @@ from slqcopt import (
     check_slqc,
     check_slqc_batch,
     check_sublevel_convex,
-    constant_distribution,
     derive_slqc_from_lipschitz,
-    finite_diff_gradient,
-    line_restriction,
     lower_bound_experiment,
     make_idealized_glm,
     make_noisy_glm,
@@ -55,7 +52,13 @@ from slqcopt.problems import (
 )
 from slqcopt.properties import box_grid
 
-from conftest import make_cone, make_quadratic
+from conftest import (
+    constant_distribution,
+    finite_diff_gradient,
+    line_restriction,
+    make_cone,
+    make_quadratic,
+)
 
 
 def _report(num: int, label: str, ok: bool, elapsed: float | None = None) -> None:
@@ -126,6 +129,10 @@ def test_criterion_3_sngd_noisy_glm():
         gap = F.expected.value(tr.returned) - F.expected.value(F.minimizer)
         successes += gap <= 3.0 * eps
     elapsed = time.perf_counter() - t0
+    # the SNGD guarantee (gap <= eps, looser here at 3*eps) fails a run with
+    # probability at most delta = 0.1, so a fresh set of ten seeds fails this
+    # check w.p. at most P[Bin(10, 0.1) >= 3] ~ 7.0%.  That rests on the
+    # theorem's premises holding for this instance (kappa = e^W, M = 1).
     ok = successes >= 8 and elapsed < 120.0
     _report(3, f"sngd on noisy sigmoid regression: {successes}/10 runs within 3*eps",
             ok, elapsed)
@@ -310,11 +317,11 @@ def test_criterion_9_desk_scale_comparison():
         F = make_noisy_glm(st.substream(0), d, W)
         x1 = np.zeros(d)
         tr_s = sngd(F, SngdConfig(T=T, eta=0.1, x1=x1, b=b, stream=st.substream(1)))
-        sch = StepSchedule.polynomial(0.01, 1e-4)
+        sch = StepSchedule(eta0=0.01, gamma=1e-4)
         tr_m = msgd(F, sch, T, x1, b, st.substream(2))
         sngd_wins += tr_s.values[tr_s.returned_index] <= tr_m.values[tr_m.returned_index]
         if seed == 0:  # momentum baseline runs, and lands in the same regime
-            tr_n = nesterov(F, StepSchedule.polynomial(0.01, 1e-4, momentum=0.95),
+            tr_n = nesterov(F, StepSchedule(eta0=0.01, gamma=1e-4, momentum=0.95),
                             T, x1, b, st.substream(3))
             assert tr_n.values[tr_n.returned_index] < 1.0
 
@@ -339,6 +346,12 @@ def test_criterion_9_desk_scale_comparison():
     endpoints = statistics.median(finals[646]) <= statistics.median(finals[1])
 
     elapsed = time.perf_counter() - t0
+    # no theorem gives a false-failure rate here.  Re-run with both seed
+    # bases (500, 900) shifted by 10_000*k for k = 1..40, this check failed
+    # at 26 of the 40 offsets: `endpoints` at 25 (a single draw's squared
+    # error is skewed, so the median b=1 value sits below the population
+    # value that b=646 values track), sngd winning only 7/10 at 2,
+    # `monotone` never.
     ok = sngd_wins >= 8 and monotone and endpoints
     _report(9, f"desk-scale comparison: sngd beat msgd {sngd_wins}/10; "
                f"sweep medians {['%.1e' % m for m in med]}", ok, elapsed)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slqcopt import cli, core, seeded_stream
-from slqcopt.cli import build_problem, cap_workers, main, resolve_jobs
+from slqcopt.cli import build_problem, cap_workers, main
 
 
 def write_config(path, **overrides):
@@ -223,6 +223,35 @@ def test_run_rejects_sweep_values_sharing_a_file_name(tmp_path, values, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--trials", "0"],
+    ["run", "--trials", "-2"],
+    ["run", "--seed", "-1"],
+    ["run", "--jobs", "0"],
+    ["run", "--jobs", "-5"],
+    ["check", "sigmoid_sum", "slqc", "--seed", "-1"],
+    ["lowerbound", "--seed", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_out_of_range_flag_is_a_usage_error(tmp_path, argv, capsys):
+    flag, out = argv[-2], tmp_path / "o"
+    if argv[0] == "run":
+        write_config(tmp_path / "cfg.json")
+        argv = [*argv, "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_negative_config_seed(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, seed=-3, problem={"name": "lower_bound"},
+                 optimizer={"name": "sngd", "params": {"T": 10, "eta": 0.1}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert "does not match schema" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_list_sweep_values_give_plain_file_names(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, sweep={"param": "x1", "values": [[10, 10], [-2.5, 1e-7]]})
@@ -376,22 +405,6 @@ def test_budgets_smooth(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ngd_smooth"]["T"] == 10_000
     assert doc["ngd_smooth"]["eta"] == pytest.approx(0.01)
-
-
-def test_jobs_env_override(monkeypatch):
-    monkeypatch.setenv("SLQC_OPT_JOBS", "3")
-    assert resolve_jobs(1) == 3
-    monkeypatch.delenv("SLQC_OPT_JOBS")
-    assert resolve_jobs(2) == 2
-    assert resolve_jobs(None) == 1
-
-
-def test_jobs_env_invalid(monkeypatch):
-    from slqcopt.cli import ConfigError
-
-    monkeypatch.setenv("SLQC_OPT_JOBS", "many")
-    with pytest.raises(ConfigError):
-        resolve_jobs(1)
 
 
 def test_cap_workers_bounded_by_work_and_cpus(monkeypatch):

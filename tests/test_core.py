@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slqcopt
 from slqcopt import (
     Ball,
     Box,
     as_point,
-    constant_distribution,
-    finite_diff_gradient,
-    line_restriction,
     make_sigmoid_sum,
     project,
     scaled,
@@ -20,7 +18,7 @@ from slqcopt import (
 )
 from slqcopt.core import _CSV_CHUNK, build_trace
 
-from conftest import make_quadratic
+from conftest import constant_distribution, finite_diff_gradient, line_restriction, make_quadratic
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -319,3 +317,28 @@ def test_constant_distribution_minibatch_is_exact():
     x = np.array([0.3, -0.4])
     assert fb is f  # every component, hence the batch mean, is f
     assert fb.value(x) == f.value(x)
+
+
+# ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+
+def test_public_surface_is_pinned():
+    # a name added to the package must be added here on purpose; helpers
+    # that only tests use live in conftest.py instead
+    assert sorted(slqcopt.__all__) == [
+        "Ball", "Box", "Budget", "ChainSpec", "FeasibleRegion", "GlmDataset", "NgdConfig",
+        "Objective", "OptTrace", "PerceptronDataset", "Point", "RandomStream", "SigmoidLoss",
+        "SlqcQuery", "SlqcReport", "SngdConfig", "StepSchedule", "StochasticObjective",
+        "absorb_probability", "absorb_probability_mc", "all_linear_prob", "analysis",
+        "as_point", "check_local_lipschitz", "check_local_smooth", "check_quasiconvex_grad",
+        "check_slqc", "check_slqc_batch", "check_sublevel_convex", "core",
+        "derive_slqc_from_lipschitz", "evaluate_iterates", "gd", "glm_minibatch_b0",
+        "glm_objective", "glm_sample_bound", "lower_bound_experiment", "make_cliff_plateau",
+        "make_idealized_glm", "make_lower_bound_distribution", "make_noisy_glm",
+        "make_nonqc_counterexample", "make_perceptron", "make_sigmoid_sum", "msgd", "nesterov",
+        "ngd", "ngd_budget", "ngd_smooth_budget", "ngd_with_oracle", "optimizers",
+        "perceptron_objective", "problems", "project", "properties", "sample_in_ball",
+        "scaled", "seeded_stream", "sgd", "sigmoid", "sngd", "sngd_minibatch_bound",
+    ]

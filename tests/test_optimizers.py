@@ -8,7 +8,6 @@ from slqcopt import (
     Objective,
     SngdConfig,
     StepSchedule,
-    constant_distribution,
     evaluate_iterates,
     gd,
     make_cliff_plateau,
@@ -27,7 +26,7 @@ from slqcopt import (
     sngd,
 )
 
-from conftest import make_cone, make_quadratic
+from conftest import constant_distribution, make_cone, make_quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +121,7 @@ def test_ngd_cliff_beats_gd():
     x1 = np.array([10.0])
     tr_ngd = ngd(cliff, NgdConfig(T=6400, eta=0.125, x1=x1))
     assert tr_ngd.values[tr_ngd.returned_index] <= 0.125  # inside the valley
-    tr_gd = gd(cliff, StepSchedule.constant(1e-3), 10_000, x1)
+    tr_gd = gd(cliff, StepSchedule(eta0=1e-3), 10_000, x1)
     # tiny plateau gradients leave gd stranded far from the valley
     assert abs(tr_gd.iterates[-1][0]) > 0.25
     assert tr_gd.values[tr_gd.returned_index] > 0.125
@@ -233,13 +232,13 @@ def test_sngd_lower_bound_walks_away():
 
 def test_gd_quadratic_closed_form():
     f = Objective(dim=1, value=lambda x: float(x[0] ** 2), gradient=lambda x: 2.0 * x)
-    tr = gd(f, StepSchedule.constant(0.1), 30, np.array([1.0]))
+    tr = gd(f, StepSchedule(eta0=0.1), 30, np.array([1.0]))
     np.testing.assert_allclose(tr.iterates[:, 0], 0.8 ** np.arange(30), rtol=1e-12)
 
 
 def test_msgd_on_constant_distribution_equals_gd(quadratic):
     F = constant_distribution(quadratic)
-    sch = StepSchedule.constant(0.05)
+    sch = StepSchedule(eta0=0.05)
     x1 = np.array([1.0, -2.0])
     t_gd = gd(quadratic, sch, 100, x1)
     t_msgd = msgd(F, sch, 100, x1, b=1, stream=seeded_stream(0))
@@ -248,7 +247,7 @@ def test_msgd_on_constant_distribution_equals_gd(quadratic):
 
 def test_sgd_is_msgd_with_b1():
     F = make_noisy_glm(seeded_stream(5), d=3, W=1.0)
-    sch = StepSchedule.constant(0.05)
+    sch = StepSchedule(eta0=0.05)
     a = sgd(F, sch, 30, np.zeros(3), seeded_stream(6))
     b = msgd(F, sch, 30, np.zeros(3), 1, seeded_stream(6))
     np.testing.assert_array_equal(a.iterates, b.iterates)
@@ -256,7 +255,7 @@ def test_sgd_is_msgd_with_b1():
 
 def test_nesterov_zero_momentum_equals_msgd():
     F = make_noisy_glm(seeded_stream(7), d=3, W=1.0)
-    sch = StepSchedule.constant(0.05)
+    sch = StepSchedule(eta0=0.05)
     a = nesterov(F, sch, 40, np.zeros(3), 4, seeded_stream(8))
     b = msgd(F, sch, 40, np.zeros(3), 4, seeded_stream(8))
     np.testing.assert_allclose(a.iterates, b.iterates, atol=1e-15)
@@ -264,8 +263,8 @@ def test_nesterov_zero_momentum_equals_msgd():
 
 def test_nesterov_momentum_accelerates_quadratic(quadratic):
     F = constant_distribution(quadratic)
-    sch0 = StepSchedule.constant(0.02)
-    sch9 = StepSchedule.constant(0.02, momentum=0.9)
+    sch0 = StepSchedule(eta0=0.02)
+    sch9 = StepSchedule(eta0=0.02, momentum=0.9)
     x1 = np.array([3.0, 1.0])
     plain = msgd(F, sch0, 120, x1, 1, seeded_stream(0))
     mom = nesterov(F, sch9, 120, x1, 1, seeded_stream(0))
@@ -282,7 +281,7 @@ def test_nesterov_values_at_x_and_gradients_at_lookahead_only(quadratic):
 
     f = Objective(dim=2, value=log("value", quadratic.value),
                   gradient=log("gradient", quadratic.gradient))
-    sch = StepSchedule.constant(0.05, momentum=0.5)
+    sch = StepSchedule(eta0=0.05, momentum=0.5)
     tr = nesterov(constant_distribution(f), sch, 20, np.array([1.0, -2.0]), 1, seeded_stream(0))
     assert len(points["value"]) == len(points["gradient"]) == 20
     np.testing.assert_array_equal(points["value"], tr.iterates)
@@ -293,7 +292,7 @@ def test_nesterov_values_at_x_and_gradients_at_lookahead_only(quadratic):
 
 def test_plain_baselines_reject_momentum(quadratic):
     F = constant_distribution(quadratic)
-    sch = StepSchedule.constant(0.05, momentum=0.5)
+    sch = StepSchedule(eta0=0.05, momentum=0.5)
     x1 = np.ones(2)
     with pytest.raises(ValueError, match="momentum"):
         gd(quadratic, sch, 5, x1)
@@ -304,15 +303,15 @@ def test_plain_baselines_reject_momentum(quadratic):
 
 
 def test_polynomial_schedule_values():
-    sch = StepSchedule.polynomial(0.01, 1e-4)
+    sch = StepSchedule(eta0=0.01, gamma=1e-4)
     assert sch.step_size(1) == pytest.approx(0.01 * (1 + 1e-4) ** -0.75)
     assert sch.step_size(10_000) == pytest.approx(0.01 * 2.0 ** -0.75)
-    assert StepSchedule.constant(0.1).step_size(123) == 0.1
+    assert StepSchedule(eta0=0.1).step_size(123) == 0.1
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        StepSchedule.constant(0.0)
+        StepSchedule(eta0=0.0)
     with pytest.raises(ValueError):
         StepSchedule(eta0=0.1, momentum=1.0)
     with pytest.raises(ValueError):
@@ -327,7 +326,7 @@ def test_gd_flags_non_finite_values():
 
     f = Objective(dim=1, value=blow_up,
                   gradient=lambda x: np.array([2.0 * x[0]]) * blow_up(x))
-    tr = gd(f, StepSchedule.constant(1.0), 100, np.array([2.0]))
+    tr = gd(f, StepSchedule(eta0=1.0), 100, np.array([2.0]))
     assert tr.aborted
     assert len(tr) < 100
     assert np.isfinite(tr.values[tr.returned_index])

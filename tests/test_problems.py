@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 import slqcopt.problems as problems
 from slqcopt import (
     GlmDataset,
-    finite_diff_gradient,
-    glm_objective,
-    load_dataset,
     make_cliff_plateau,
     make_idealized_glm,
     make_lower_bound_distribution,
@@ -19,7 +16,6 @@ from slqcopt import (
     make_perceptron,
     make_sigmoid_sum,
     perceptron_objective,
-    save_dataset,
     seeded_stream,
     sigmoid,
 )
@@ -32,7 +28,7 @@ from slqcopt.problems import (
     cliff_plateau_kinks,
 )
 
-from conftest import make_cone
+from conftest import finite_diff_gradient, make_cone
 
 LOG4 = math.log(4.0)
 LOG16 = math.log(16.0)
@@ -382,44 +378,6 @@ def test_perceptron_rejection_budget():
 def test_perceptron_gamma_validation():
     with pytest.raises(ValueError):
         make_perceptron(seeded_stream(0), d=2, m=10, gamma=1.5)
-
-
-# ---------------------------------------------------------------------------
-# dataset export / import
-# ---------------------------------------------------------------------------
-
-
-def test_glm_dataset_round_trip(tmp_path):
-    ds, _ = make_idealized_glm(seeded_stream(3), d=3, m=10, W=1.0)
-    path = tmp_path / "glm.json"
-    save_dataset(path, ds)
-    back = load_dataset(path)
-    assert isinstance(back, GlmDataset)
-    np.testing.assert_array_equal(back.X, ds.X)
-    np.testing.assert_array_equal(back.y, ds.y)
-    np.testing.assert_array_equal(back.planted, ds.planted)
-    assert back.W == ds.W and back.seed == ds.seed
-    f1, f2 = glm_objective(ds), glm_objective(back)
-    w = np.array([0.1, 0.2, 0.3])
-    assert f1.value(w) == f2.value(w)
-
-
-def test_perceptron_dataset_round_trip(tmp_path):
-    ds, _ = make_perceptron(seeded_stream(4), d=3, m=20, gamma=0.15)
-    path = tmp_path / "perc.json"
-    save_dataset(path, ds)
-    back = load_dataset(path)
-    assert isinstance(back, PerceptronDataset)
-    np.testing.assert_array_equal(back.X, ds.X)
-    np.testing.assert_array_equal(back.y, ds.y)
-    assert back.gamma == ds.gamma
-
-
-def test_load_rejects_unknown_schema(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"schema_version": 99, "kind": "glm"}')
-    with pytest.raises(ValueError):
-        load_dataset(path)
 
 
 def test_glm_dataset_label_validation():

@@ -18,7 +18,6 @@ from slqcopt import (
     check_slqc_batch,
     check_sublevel_convex,
     derive_slqc_from_lipschitz,
-    line_restriction,
     make_cliff_plateau,
     make_idealized_glm,
     make_nonqc_counterexample,
@@ -37,7 +36,7 @@ from slqcopt.problems import (
 )
 from slqcopt.properties import box_grid
 
-from conftest import make_cone, make_quadratic
+from conftest import line_restriction, make_cone, make_quadratic
 
 
 # ---------------------------------------------------------------------------
