@@ -404,7 +404,7 @@ def cmd_check(args) -> int:
     if args.property == "slqc":
         if prob.minimizer is None:
             raise ConfigError("slqc check needs a problem with a known minimizer")
-        kappa = args.kappa or prob.default_kappa
+        kappa = args.kappa if args.kappa is not None else prob.default_kappa
         if kappa is None:
             raise ConfigError("no default kappa for this problem; pass --kappa")
         try:
@@ -489,23 +489,27 @@ def cmd_lowerbound(args) -> int:
 def cmd_budgets(args) -> int:
     if args.kappa is None and args.beta is None:
         raise ConfigError("budgets needs --kappa and/or --beta")
+    if args.delta is not None and args.M is None:
+        raise ConfigError("--delta needs --M for the minibatch bound")
     out: dict = {"eps": args.eps, "dist0": args.dist0}
     T = None
-    if args.kappa is not None:
-        budget = analysis.ngd_budget(args.eps, args.kappa, args.dist0)
-        T = budget.T
-        out["ngd"] = budget.to_dict()
-    if args.beta is not None:
-        sb = analysis.ngd_smooth_budget(args.eps, args.beta, args.dist0)
-        T = T or sb.T
-        out["ngd_smooth"] = sb.to_dict()
-    if args.delta is not None:
-        if args.M is None:
-            raise ConfigError("--delta needs --M for the minibatch bound")
-        out["minibatch_b"] = analysis.sngd_minibatch_bound(args.eps, args.delta, T, args.M)
-        if args.W is not None:
-            out["glm_samples"] = analysis.glm_sample_bound(args.eps, args.delta, args.W)
-            out["glm_minibatch_b0"] = analysis.glm_minibatch_b0(args.eps, args.delta, T, args.W)
+    try:
+        if args.kappa is not None:
+            budget = analysis.ngd_budget(args.eps, args.kappa, args.dist0)
+            T = budget.T
+            out["ngd"] = budget.to_dict()
+        if args.beta is not None:
+            sb = analysis.ngd_smooth_budget(args.eps, args.beta, args.dist0)
+            T = T or sb.T
+            out["ngd_smooth"] = sb.to_dict()
+        if args.delta is not None:
+            out["minibatch_b"] = analysis.sngd_minibatch_bound(args.eps, args.delta, T, args.M)
+            if args.W is not None:
+                out["glm_samples"] = analysis.glm_sample_bound(args.eps, args.delta, args.W)
+                out["glm_minibatch_b0"] = analysis.glm_minibatch_b0(args.eps, args.delta, T,
+                                                                    args.W)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     print(json.dumps(out, indent=2))
     return 0
 
@@ -530,6 +534,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a finite number > 0; anything else is a usage error
+    that names the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="slqcopt",
                                  description="Normalized-descent experiment harness")
@@ -549,11 +565,12 @@ def _parser() -> argparse.ArgumentParser:
     chk.add_argument("problem", choices=sorted(PROBLEMS))
     chk.add_argument("property", choices=["slqc", "sublevel", "lipschitz", "smooth"])
     chk.add_argument("--eps-grid", default="0.1,0.5,1")
-    chk.add_argument("--kappa", type=float, default=None)
+    chk.add_argument("--kappa", type=_positive_float, default=None)
     chk.add_argument("--alpha", default="auto")
-    chk.add_argument("--bound", type=float, default=None)
-    chk.add_argument("--radius", type=float, default=None)
-    chk.add_argument("--grid", type=int, default=10, help="grid points per axis (2-D box problems)")
+    chk.add_argument("--bound", type=_positive_float, default=None)
+    chk.add_argument("--radius", type=_positive_float, default=None)
+    chk.add_argument("--grid", type=_int_at_least(0), default=10,
+                     help="grid points per axis (2-D box problems); 0 samples --points")
     chk.add_argument("--points", type=int, default=100, help="sampled points (other problems)")
     chk.add_argument("--trials", type=int, default=10_000)
     chk.add_argument("--seed", type=_int_at_least(0), default=0)

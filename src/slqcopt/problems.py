@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,8 +22,9 @@ from .core import (
 def sigmoid(z):
     """Logistic function, overflow-safe for any finite argument."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp(min(z, 0)) is 1 for z >= 0 and exp(z) below: the same bits as
+    # choosing 1/(1+e) or e/(1+e) by sign, with e = exp(-|z|) never overflowing
+    out = np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
     return out if out.ndim else float(out)
 
 
@@ -181,14 +182,32 @@ class SigmoidLoss:
 
     X: np.ndarray  # (m, d)
     y: np.ndarray  # (m,)
+    # [(bytes of the last point as float64, sigmoid(X @ point))]
+    _last: list = field(default_factory=lambda: [(None, None)], init=False, repr=False)
+
+    def _sigmoid_at(self, w: Point) -> np.ndarray:
+        """sigmoid(X @ w), computed once for a value and a gradient at one point.
+
+        The memo is keyed on the point's bytes, not its identity, so a point
+        changed in place misses; equal bytes give equal bits, so a hit is
+        exact.  Key and result are stored as one tuple, so a reader never
+        pairs one point's key with another point's result.
+        """
+        w = np.asarray(w, dtype=np.float64)
+        key = w.tobytes()
+        last_key, s = self._last[0]
+        if key != last_key:
+            s = sigmoid(self.X @ w)
+            self._last[0] = (key, s)
+        return s
 
     def value(self, w: Point) -> float:
-        r = self.y - sigmoid(self.X @ w)
+        r = self.y - self._sigmoid_at(w)
         return float(np.dot(r, r)) / self.y.size
 
     def gradient(self, w: Point) -> Point:
         X, y = self.X, self.y
-        s = sigmoid(X @ w)
+        s = self._sigmoid_at(w)
         return (2.0 / y.size) * (X.T @ (s * (1.0 - s) * (s - y)))
 
 
@@ -269,8 +288,8 @@ def make_noisy_glm(stream: RandomStream, d: int, W: float, noise_scale: float = 
 
     def sample(gen: np.random.Generator, b: int) -> SigmoidLoss:
         idx = gen.integers(0, pool_size, size=b)
-        xi = gen.uniform(-1.0, 1.0, size=b) * amp[idx]
-        return SigmoidLoss(X[idx], sig_star[idx] + xi)
+        xi = gen.uniform(-1.0, 1.0, size=b) * amp.take(idx)
+        return SigmoidLoss(X.take(idx, axis=0), sig_star.take(idx) + xi)
 
     return StochasticObjective(dim=d, sample_minibatch=sample, expected=expected,
                                bound_M=1.0, minimizer=w_star)

@@ -357,6 +357,28 @@ def test_check_over_nothing_exits_2(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["sigmoid_sum", "slqc", "--grid", "-1"],
+    ["idealized_glm", "slqc", "--kappa", "0"],
+    ["idealized_glm", "slqc", "--kappa", "-1"],
+    ["idealized_glm", "slqc", "--kappa", "nan"],
+    ["idealized_glm", "lipschitz", "--bound", "1", "--radius", "-0.5"],
+    ["idealized_glm", "smooth", "--bound", "2", "--radius", "inf"],
+    ["idealized_glm", "lipschitz", "--radius", "0.5", "--bound", "-1"],
+    ["idealized_glm", "smooth", "--radius", "0.5", "--bound", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_check_out_of_range_constant_is_a_usage_error(argv, capsys):
+    assert main(["check", *argv]) == 2  # not the default kappa, not a vacuous pass
+    captured = capsys.readouterr()
+    assert f"argument {argv[-2]}:" in captured.err
+    assert captured.out == ""
+
+
+def test_check_grid_zero_samples_points(capsys):
+    assert main(["check", "sigmoid_sum", "slqc", "--grid", "0", "--points", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_points"] == 7
+
+
 def test_check_unknown_property_exits_2():
     assert main(["check", "sigmoid_sum", "nosuch"]) == 2
 
@@ -397,6 +419,17 @@ def test_budgets_output(capsys):
 
 def test_budgets_requires_kappa_or_beta():
     assert main(["budgets", "--eps", "0.1", "--dist0", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kappa", "0"],
+    ["--kappa", "1", "--delta", "2", "--M", "1"],
+], ids=["kappa", "delta"])
+def test_budgets_out_of_range_constant_is_a_usage_error(argv, capsys):
+    assert main(["budgets", "--eps", "0.1", "--dist0", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need")
+    assert captured.out == ""
 
 
 def test_budgets_smooth(capsys):

@@ -48,6 +48,42 @@ def test_sigmoid_values_and_stability():
     assert np.all(np.isfinite(sigmoid(np.array([-700.0, -50.0, 0.0, 50.0, 700.0]))))
 
 
+def _where_sigmoid(z):
+    """The by-sign formula sigmoid replaced; kept as its bit-level reference."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+SIGMOID_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 700.0, -700.0,
+                    750.0, -750.0, math.inf, -math.inf, math.nan]
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 646])
+def test_sigmoid_matches_where_formula_bit_for_bit(n):
+    gen = np.random.default_rng(n)
+    z = gen.normal(scale=20.0, size=n)
+    # plant every special value, cycling through the positions
+    for i, v in enumerate(SIGMOID_SPECIALS):
+        z[(3 * i) % n] = v
+    _assert_same_bits(sigmoid(z), _where_sigmoid(z))
+    # every special value at least once, also where n is too short to hold them all
+    specials = np.array(SIGMOID_SPECIALS)
+    _assert_same_bits(sigmoid(specials), _where_sigmoid(specials))
+    for v in z[:5]:
+        got = sigmoid(float(v))
+        assert isinstance(got, float)
+        _assert_same_bits(got, _where_sigmoid(v))
+
+
 # ---------------------------------------------------------------------------
 # sum of two sigmoids
 # ---------------------------------------------------------------------------
@@ -183,6 +219,58 @@ def test_counterexample_dataset_literal_points():
 def _squared_errors(fb, w):
     """The per-row terms (y_i - sig(<w, x_i>))^2 of a sigmoid-loss batch."""
     return (fb.y - sigmoid(fb.X @ w)) ** 2
+
+
+def _glm_loss():
+    gen = np.random.default_rng(3)
+    X = gen.normal(size=(40, 4))
+    return X, sigmoid(X @ gen.normal(size=4))
+
+
+def _assert_fresh_loss(loss, w, order=("value", "gradient")):
+    """loss answers at w as a loss that never saw another point, bit for bit."""
+    X, y = loss.X, loss.y
+    fresh = problems.SigmoidLoss(X, y)
+    ref_s = _where_sigmoid(X @ np.asarray(w, dtype=np.float64))
+    r = y - ref_s
+    want = {"value": float(np.dot(r, r)) / y.size,
+            "gradient": (2.0 / y.size) * (X.T @ (ref_s * (1.0 - ref_s) * (ref_s - y)))}
+    for name in order:
+        got = getattr(loss, name)(w)
+        _assert_same_bits(got, getattr(fresh, name)(w))
+        _assert_same_bits(got, want[name])
+
+
+def test_sigmoid_loss_memo_revisits_points():
+    loss = problems.SigmoidLoss(*_glm_loss())
+    w1, w2 = np.array([0.5, -1.0, 2.0, 0.0]), np.array([-3.0, 0.25, 1.0, -0.0])
+    for w in (w1, w2, w1, w1.copy()):
+        _assert_fresh_loss(loss, w)
+
+
+def test_sigmoid_loss_memo_gradient_before_value():
+    loss = problems.SigmoidLoss(*_glm_loss())
+    for w in (np.array([0.5, -1.0, 2.0, 0.0]), np.array([1.0, 1.0, 1.0, 1.0])):
+        _assert_fresh_loss(loss, w, order=("gradient", "value", "gradient"))
+
+
+def test_sigmoid_loss_memo_misses_a_point_changed_in_place():
+    loss = problems.SigmoidLoss(*_glm_loss())
+    w = np.array([0.5, -1.0, 2.0, 0.0])
+    loss.value(w)
+    w[0] += 0.5
+    _assert_fresh_loss(loss, w, order=("gradient", "value"))
+    w[3] = -0.0  # only the sign bit changes
+    _assert_fresh_loss(loss, w, order=("value", "gradient"))
+
+
+def test_sigmoid_loss_memo_integer_point():
+    loss = problems.SigmoidLoss(*_glm_loss())
+    w_int = np.array([1, -2, 0, 3])
+    _assert_fresh_loss(loss, w_int)
+    # the float point with the same values is the same key
+    _assert_fresh_loss(loss, w_int.astype(np.float64), order=("gradient", "value"))
+    _assert_fresh_loss(loss, [1, -2, 0, 3])
 
 
 def test_noisy_glm_bound_and_minibatch_mean():
