@@ -13,15 +13,14 @@ from .problems import LOWER_BOUND_SEGMENT
 
 @dataclass(frozen=True)
 class Budget:
-    """Iteration count, step size, and minibatch size from a guarantee formula."""
+    """Iteration count and step size from a guarantee formula."""
 
     T: int
     eta: float
-    b: int = 0
     provenance: str = ""
 
     def to_dict(self) -> dict:
-        return {"T": self.T, "eta": self.eta, "b": self.b, "provenance": self.provenance}
+        return {"T": self.T, "eta": self.eta, "provenance": self.provenance}
 
 
 def ngd_budget(eps: float, kappa: float, dist0: float) -> Budget:
@@ -30,8 +29,8 @@ def ngd_budget(eps: float, kappa: float, dist0: float) -> Budget:
     T = ceil(kappa^2 * dist0^2 / eps^2) normalized steps of length eps/kappa,
     where dist0 = ||x1 - z||.
     """
-    if not (eps > 0 and kappa > 0 and dist0 >= 0):
-        raise ValueError("need eps > 0, kappa > 0, dist0 >= 0")
+    if not (0 < eps < math.inf and 0 < kappa < math.inf and 0 <= dist0 < math.inf):
+        raise ValueError("need finite eps > 0, kappa > 0, dist0 >= 0")
     T = max(1, math.ceil(kappa * kappa * dist0 * dist0 / (eps * eps)))
     return Budget(T=T, eta=eps / kappa, provenance="slqc_iteration_bound")
 
@@ -42,8 +41,8 @@ def ngd_smooth_budget(eps: float, beta: float, dist0: float) -> Budget:
     T = ceil(beta * dist0^2 / (2*eps)) steps of length sqrt(2*eps/beta):
     an O(1/eps) iteration count instead of O(1/eps^2).
     """
-    if not (eps > 0 and beta > 0 and dist0 >= 0):
-        raise ValueError("need eps > 0, beta > 0, dist0 >= 0")
+    if not (0 < eps < math.inf and 0 < beta < math.inf and 0 <= dist0 < math.inf):
+        raise ValueError("need finite eps > 0, beta > 0, dist0 >= 0")
     T = max(1, math.ceil(beta * dist0 * dist0 / (2.0 * eps)))
     return Budget(T=T, eta=math.sqrt(2.0 * eps / beta), provenance="smooth_iteration_bound")
 
@@ -55,8 +54,8 @@ def sngd_minibatch_bound(eps: float, delta: float, T: int, M: float) -> int:
     of its expectation simultaneously over T iterations w.p. >= 1 - delta.
     M = 0 (constant losses) needs no averaging: returns 0.
     """
-    if not (eps > 0 and 0 < delta < 1 and T >= 1 and M >= 0):
-        raise ValueError("need eps > 0, delta in (0,1), T >= 1, M >= 0")
+    if not (0 < eps < math.inf and 0 < delta < 1 and T >= 1 and 0 <= M < math.inf):
+        raise ValueError("need finite eps > 0, delta in (0,1), T >= 1, finite M >= 0")
     if M == 0:
         return 0
     return math.ceil(M * M * math.log(4.0 * T / delta) / (2.0 * eps * eps))
@@ -65,8 +64,8 @@ def sngd_minibatch_bound(eps: float, delta: float, T: int, M: float) -> int:
 def glm_sample_bound(eps: float, delta: float, W: float) -> int:
     """Samples making the noisy sigmoid-regression error SLQC at a fixed point
     w.p. >= 1 - delta: ceil(8 * e^(2W) * (W+1)^2 / eps^2 * log(1/delta))."""
-    if not (eps > 0 and 0 < delta < 1 and W >= 0):
-        raise ValueError("need eps > 0, delta in (0,1), W >= 0")
+    if not (0 < eps < math.inf and 0 < delta < 1 and 0 <= W < math.inf):
+        raise ValueError("need finite eps > 0, delta in (0,1), finite W >= 0")
     return math.ceil(8.0 * math.exp(2.0 * W) * (W + 1.0) ** 2 / (eps * eps)
                      * math.log(1.0 / delta))
 

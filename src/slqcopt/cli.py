@@ -7,6 +7,7 @@ produce byte-identical CSV traces, independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -20,10 +21,17 @@ import jsonschema
 import numpy as np
 
 from . import analysis, optimizers, problems, properties
-from .core import (Ball, Box, Objective, OptTrace, RandomStream, StochasticObjective,
-                   atomic_write, sample_region, seeded_stream)
+from .core import (Ball, Box, Objective, RandomStream, StochasticObjective,
+                   as_point, atomic_write, sample_region, seeded_stream)
 from .properties import box_grid
 
+# a problem or an optimizer: its registry name and its params
+_NAMED = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["name"],
+    "properties": {"name": {"type": "string"}, "params": {"type": "object"}},
+}
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -33,24 +41,8 @@ CONFIG_SCHEMA = {
         "schema_version": {"const": 1},
         "seed": {"type": "integer", "minimum": 0},
         "trials": {"type": "integer", "minimum": 1},
-        "problem": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"type": "string"},
-                "params": {"type": "object"},
-            },
-        },
-        "optimizer": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"type": "string"},
-                "params": {"type": "object"},
-            },
-        },
+        "problem": _NAMED,
+        "optimizer": _NAMED,
         "sweep": {
             "type": "object",
             "additionalProperties": False,
@@ -69,6 +61,16 @@ class ConfigError(Exception):
     pass
 
 
+def _checked(fn, *args, **params):
+    """fn(*args, **params), once a TypeError has named any param that fn does
+    not take, that is missing, or that is `int` but not given an integer."""
+    sig = inspect.signature(fn)
+    for key, value in sig.bind(*args, **params).arguments.items():
+        if sig.parameters[key].annotation in (int, "int") and type(value) is not int:
+            raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return fn(*args, **params)
+
+
 # ---------------------------------------------------------------------------
 # Problem registry
 # ---------------------------------------------------------------------------
@@ -76,8 +78,6 @@ class ConfigError(Exception):
 
 @dataclass(eq=False)
 class BuiltProblem:
-    name: str
-    dim: int
     objective: Objective | None = None
     stochastic: StochasticObjective | None = None
     minimizer: np.ndarray | None = None
@@ -86,72 +86,53 @@ class BuiltProblem:
     sample_region: Ball | Box | None = None
 
 
-def _build_sigmoid_sum(params: dict, stream: RandomStream) -> BuiltProblem:
-    f = problems.make_sigmoid_sum()
+# A builder takes the problem's stream, then its config params by keyword; each
+# default is in the builder's signature or in the problems.make_* it forwards to.
+
+
+def _build_sigmoid_sum(stream: RandomStream) -> BuiltProblem:
     return BuiltProblem(
-        name="sigmoid_sum", dim=2, objective=f,
-        minimizer=problems.SIGMOID_SUM_MINIMIZER, default_kappa=1.0,
-        sublevel_witness=problems.SIGMOID_SUM_SUBLEVEL_WITNESS,
-        sample_region=problems.SIGMOID_SUM_DOMAIN,
-    )
+        objective=problems.make_sigmoid_sum(), minimizer=problems.SIGMOID_SUM_MINIMIZER,
+        default_kappa=1.0, sublevel_witness=problems.SIGMOID_SUM_SUBLEVEL_WITNESS,
+        sample_region=problems.SIGMOID_SUM_DOMAIN)
 
 
-def _build_cliff_plateau(params: dict, stream: RandomStream) -> BuiltProblem:
-    f = problems.make_cliff_plateau(**params)
-    return BuiltProblem(
-        name="cliff_plateau", dim=1, objective=f, minimizer=np.zeros(1),
-        sample_region=Box([-15.0], [15.0]),
-    )
+def _build_cliff_plateau(stream: RandomStream, **shape) -> BuiltProblem:
+    return BuiltProblem(objective=problems.make_cliff_plateau(**shape),
+                        minimizer=np.zeros(1), sample_region=Box([-15.0], [15.0]))
 
 
-def _build_idealized_glm(params: dict, stream: RandomStream) -> BuiltProblem:
-    d = int(params.get("d", 3))
-    m = int(params.get("m", 100))
-    W = float(params.get("W", 2.0))
+def _build_idealized_glm(stream: RandomStream, d: int = 3, m: int = 100,
+                         W: float = 2.0) -> BuiltProblem:
     ds, f = problems.make_idealized_glm(stream, d, m, W)
-    return BuiltProblem(
-        name="idealized_glm", dim=d, objective=f, minimizer=ds.planted,
-        default_kappa=math.exp(W), sample_region=Ball(np.zeros(d), W),
-    )
+    return BuiltProblem(objective=f, minimizer=ds.planted, default_kappa=math.exp(W),
+                        sample_region=Ball(np.zeros(d), W))
 
 
-def _build_counterexample(params: dict, stream: RandomStream) -> BuiltProblem:
+def _build_counterexample(stream: RandomStream) -> BuiltProblem:
     ds, f = problems.make_nonqc_counterexample()
-    return BuiltProblem(
-        name="counterexample", dim=2, objective=f, minimizer=ds.planted,
-        sublevel_witness=problems.NONQC_SUBLEVEL_WITNESS,
-        sample_region=Box([-1.0, -1.0], [5.0, 5.0]),
-    )
+    return BuiltProblem(objective=f, minimizer=ds.planted,
+                        sublevel_witness=problems.NONQC_SUBLEVEL_WITNESS,
+                        sample_region=Box([-1.0, -1.0], [5.0, 5.0]))
 
 
-def _build_noisy_glm(params: dict, stream: RandomStream) -> BuiltProblem:
-    d = int(params.get("d", 5))
-    W = float(params.get("W", 2.0))
-    F = problems.make_noisy_glm(
-        stream, d, W,
-        noise_scale=float(params.get("noise_scale", 0.5)),
-        pool_size=int(params.get("pool_size", 1000)),
-    )
-    return BuiltProblem(name="noisy_glm", dim=d, stochastic=F, minimizer=F.minimizer,
-                        default_kappa=math.exp(W), sample_region=Ball(np.zeros(d), W))
+def _build_noisy_glm(stream: RandomStream, d: int = 5, W: float = 2.0,
+                     **noise) -> BuiltProblem:
+    F = _checked(problems.make_noisy_glm, stream, d, W, **noise)
+    return BuiltProblem(stochastic=F, minimizer=F.minimizer, default_kappa=math.exp(W),
+                        sample_region=Ball(np.zeros(d), W))
 
 
-def _build_lower_bound(params: dict, stream: RandomStream) -> BuiltProblem:
-    eps = float(params.get("eps", 0.1))
+def _build_lower_bound(stream: RandomStream, eps: float = 0.1) -> BuiltProblem:
     F = problems.make_lower_bound_distribution(eps)
-    return BuiltProblem(name="lower_bound", dim=1, stochastic=F, minimizer=F.minimizer,
-                        sample_region=Box([-10.0], [10.0]))
+    return BuiltProblem(stochastic=F, minimizer=F.minimizer, sample_region=Box([-10.0], [10.0]))
 
 
-def _build_perceptron(params: dict, stream: RandomStream) -> BuiltProblem:
-    d = int(params.get("d", 5))
-    m = int(params.get("m", 200))
-    gamma = float(params.get("gamma", 0.2))
+def _build_perceptron(stream: RandomStream, d: int = 5, m: int = 200,
+                      gamma: float = 0.2) -> BuiltProblem:
     ds, f = problems.make_perceptron(stream, d, m, gamma)
-    return BuiltProblem(
-        name="perceptron", dim=d, objective=f, minimizer=ds.planted,
-        default_kappa=2.0 / gamma, sample_region=Ball(np.zeros(d), 2.0),
-    )
+    return BuiltProblem(objective=f, minimizer=ds.planted, default_kappa=2.0 / gamma,
+                        sample_region=Ball(np.zeros(d), 2.0))
 
 
 PROBLEMS = {
@@ -165,11 +146,11 @@ PROBLEMS = {
 }
 
 
-def build_problem(name: str, params: dict, stream: RandomStream) -> BuiltProblem:
+def build_problem(name: str, params: dict | None, stream: RandomStream) -> BuiltProblem:
     if name not in PROBLEMS:
         raise ConfigError(f"unknown problem {name!r}; known: {sorted(PROBLEMS)}")
     try:
-        return PROBLEMS[name](params or {}, stream)
+        return _checked(PROBLEMS[name], stream, **(params or {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for problem {name!r}: {exc}") from exc
 
@@ -179,73 +160,73 @@ def build_problem(name: str, params: dict, stream: RandomStream) -> BuiltProblem
 # ---------------------------------------------------------------------------
 
 
-def _x1(params: dict, dim: int) -> np.ndarray:
-    x1 = params.get("x1", [0.0] * dim)
-    if isinstance(x1, (int, float)):
-        x1 = [float(x1)]
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x1.shape != (dim,):
-        raise ConfigError(f"x1 must have dimension {dim}, got shape {x1.shape}")
-    return x1
+def _schedule(schedule: dict | None) -> optimizers.StepSchedule:
+    return optimizers.StepSchedule(**{"eta0": 0.01, **(schedule or {})})
 
 
-def _schedule(params: dict) -> optimizers.StepSchedule:
-    sch = params.get("schedule", {})
-    try:
-        return optimizers.StepSchedule(
-            eta0=float(sch.get("eta0", 0.01)),
-            gamma=float(sch.get("gamma", 0.0)),
-            exponent=float(sch.get("exponent", 0.75)),
-            momentum=float(sch.get("momentum", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad schedule: {exc}") from exc
+# An entry(name, f, stream, x1, **params) binds the other config params of
+# optimizer `name` by keyword and builds its config objects (ngd's and sngd's
+# params are the fields of NgdConfig and SngdConfig).  The run it returns looks
+# optimizers.<name> up when called, so wrapping a module attribute reaches it.
 
 
-def _ngd_config(f: Objective, p: dict) -> optimizers.NgdConfig:
-    return optimizers.NgdConfig(T=int(p["T"]), eta=float(p["eta"]), x1=_x1(p, f.dim),
-                                region=f.domain)
+def _ngd(name: str, f: Objective, stream, x1, **params):
+    cfg = _checked(optimizers.NgdConfig, x1=x1, region=f.domain, **params)
+    return lambda: getattr(optimizers, name)(f, cfg)
 
 
-# name -> (kind of objective it needs, build(f, params, stream) -> trace).
-# Builders look optimizers.<name> up when called, so wrapping a module
-# attribute (as a profiler does) also reaches runs started here.
+def _sngd(name: str, F: StochasticObjective, stream, x1, **params):
+    # a stochastic problem has no feasible region; a "region" param is an error
+    cfg = _checked(optimizers.SngdConfig, x1=x1, region=None, stream=stream, **params)
+    return lambda: getattr(optimizers, name)(F, cfg)
+
+
+def _gd(name: str, f: Objective, stream, x1, *, T: int, schedule=None):
+    args = (f, _schedule(schedule), T, x1)
+    return lambda: getattr(optimizers, name)(*args)
+
+
+def _sgd(name: str, F: StochasticObjective, stream, x1, *, T: int, schedule=None):
+    args = (F, _schedule(schedule), T, x1, stream)
+    return lambda: getattr(optimizers, name)(*args)
+
+
+def _minibatch(name: str, F: StochasticObjective, stream, x1, *, T: int, b: int = 1,
+               schedule=None):
+    args = (F, _schedule(schedule), T, x1, b, stream)
+    return lambda: getattr(optimizers, name)(*args)
+
+
+# config name -> (kind of objective it needs, optimizers.<name>, entry)
 OPTIMIZERS = {
-    "ngd": ("deterministic", lambda f, p, s: optimizers.ngd(f, _ngd_config(f, p))),
-    "ngd_oracle": ("deterministic",
-                   lambda f, p, s: optimizers.ngd_with_oracle(f, _ngd_config(f, p))),
-    "sngd": ("stochastic", lambda f, p, s: optimizers.sngd(f, optimizers.SngdConfig(
-        T=int(p["T"]), eta=float(p["eta"]), x1=_x1(p, f.dim), b=int(p.get("b", 1)), stream=s))),
-    "gd": ("deterministic",
-           lambda f, p, s: optimizers.gd(f, _schedule(p), int(p["T"]), _x1(p, f.dim))),
-    "sgd": ("stochastic",
-            lambda f, p, s: optimizers.sgd(f, _schedule(p), int(p["T"]), _x1(p, f.dim), s)),
-    "msgd": ("stochastic", lambda f, p, s: optimizers.msgd(
-        f, _schedule(p), int(p["T"]), _x1(p, f.dim), int(p.get("b", 1)), s)),
-    "nesterov": ("stochastic", lambda f, p, s: optimizers.nesterov(
-        f, _schedule(p), int(p["T"]), _x1(p, f.dim), int(p.get("b", 1)), s)),
+    "ngd": ("deterministic", "ngd", _ngd),
+    "ngd_oracle": ("deterministic", "ngd_with_oracle", _ngd),
+    "sngd": ("stochastic", "sngd", _sngd),
+    "gd": ("deterministic", "gd", _gd),
+    "sgd": ("stochastic", "sgd", _sgd),
+    "msgd": ("stochastic", "msgd", _minibatch),
+    "nesterov": ("stochastic", "nesterov", _minibatch),
 }
 
 
-def _optimizer(name: str, prob: BuiltProblem):
-    """A known optimizer's builder and the problem's objective of the kind it needs."""
+def _bound_run(cfg: dict, prob: BuiltProblem, trial: int, sweep_idx: int):
+    """The configured optimizer's run on `prob` for one trial and sweep value,
+    its params bound; a param that does not bind is a usage error naming it."""
+    name, params = cfg["optimizer"]["name"], dict(cfg["optimizer"].get("params") or {})
+    if sweep := cfg.get("sweep"):
+        params[sweep["param"]] = sweep["values"][sweep_idx]
     if name not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {name!r}; known: {sorted(OPTIMIZERS)}")
-    kind, build = OPTIMIZERS[name]
+    kind, run_name, entry = OPTIMIZERS[name]
     f = prob.objective if kind == "deterministic" else prob.stochastic
     if f is None:
         raise ConfigError(f"optimizer {name!r} needs a {kind} problem")
-    return build, f
-
-
-def run_optimizer(name: str, prob: BuiltProblem, params: dict,
-                  stream: RandomStream) -> OptTrace:
-    build, f = _optimizer(name, prob)
+    stream = seeded_stream(cfg["seed"]).substream(1).substream(trial).substream(sweep_idx)
+    x1 = params.pop("x1", None)  # every optimizer starts there, at the origin by default
     try:
-        return build(f, params or {}, stream)
-    except KeyError as exc:
-        raise ConfigError(f"optimizer {name!r} missing parameter {exc}") from exc
-    except ValueError as exc:
+        x1 = np.zeros(f.dim) if x1 is None else as_point(x1, f.dim)
+        return _checked(entry, run_name, f, stream, x1, **params)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for optimizer {name!r}: {exc}") from exc
 
 
@@ -281,19 +262,16 @@ def _run_single(cfg: dict, trial: int, sweep_idx: int, out_dir: str,
                 prob: BuiltProblem | None = None) -> dict:
     """One seeded run; safe to execute in a worker process, which builds the
     problem itself when none is passed."""
-    root = seeded_stream(cfg["seed"])
     if prob is None:
         prob = _build_configured(cfg)
-    opt_params = dict(cfg["optimizer"].get("params") or {})
+    run = _bound_run(cfg, prob, trial, sweep_idx)
     sweep = cfg.get("sweep")
-    tag = ""
-    if sweep is not None:
-        value = sweep["values"][sweep_idx]
-        opt_params[sweep["param"]] = value
-        tag = _sweep_tag(sweep["param"], value)
-    run_stream = root.substream(1).substream(trial).substream(sweep_idx)
+    tag = _sweep_tag(sweep["param"], sweep["values"][sweep_idx]) if sweep else ""
     t0 = time.perf_counter()
-    trace = run_optimizer(cfg["optimizer"]["name"], prob, opt_params, run_stream)
+    try:
+        trace = run()
+    except ValueError as exc:  # the library's own checks, such as gd's on momentum
+        raise ConfigError(f"bad parameters for optimizer {cfg['optimizer']['name']!r}: {exc}")
     wall = time.perf_counter() - t0
     csv_name = f"trace_trial{trial:03d}{tag}.csv"
     trace.write_csv(Path(out_dir) / csv_name)
@@ -345,9 +323,10 @@ def cmd_run(args) -> int:
     if clashes:  # checked before any run: one trace would overwrite another
         raise ConfigError(f"sweep values give the same trace file name: {clashes}")
 
-    # validate problem/optimizer pairing up front for a clean usage error
+    # every sweep value binds before any run starts: a bad param writes nothing
     prob = _build_configured(cfg)
-    _optimizer(cfg["optimizer"]["name"], prob)
+    for s in range(len(tags)):
+        _bound_run(cfg, prob, 0, s)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -415,7 +394,7 @@ def cmd_check(args) -> int:
             raise ConfigError(f"--eps-grid values must be finite and positive, "
                               f"got {args.eps_grid!r}")
         region = prob.sample_region
-        if isinstance(region, Box) and prob.dim == 2 and args.grid:
+        if isinstance(region, Box) and f.dim == 2 and args.grid:
             points = box_grid(region, args.grid)
         elif args.points < 1:
             raise ConfigError("--points must be >= 1")
@@ -446,16 +425,14 @@ def cmd_check(args) -> int:
             raise ConfigError(f"no pair was found in the alpha-sublevel set (alpha={alpha:g}); "
                               "raise --alpha or --trials")
         result.update({"alpha": alpha, **rep.to_dict()})
-    elif args.property in ("lipschitz", "smooth"):
+    else:  # lipschitz or smooth; argparse restricts the choices
         if args.bound is None or args.radius is None:
             raise ConfigError(f"{args.property} check needs --bound and --radius")
-        center = prob.minimizer if prob.minimizer is not None else np.zeros(prob.dim)
+        center = prob.minimizer if prob.minimizer is not None else np.zeros(f.dim)
         checker = (properties.check_local_lipschitz if args.property == "lipschitz"
                    else properties.check_local_smooth)
         rep = checker(f, center, args.radius, args.bound, args.trials, stream.substream(2))
         result.update({"bound": args.bound, "radius": args.radius, **rep.to_dict()})
-    else:  # unreachable: argparse restricts choices
-        raise ConfigError(f"unknown property {args.property!r}")
 
     _report(result, args.out)
     return 0  # also when the property fails: the report says so
@@ -467,8 +444,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    if args.trials < 1:
-        raise ConfigError("--trials must be >= 1")
     try:
         report = analysis.lower_bound_experiment(
             args.eps, args.trials, args.T, seeded_stream(args.seed))
@@ -579,8 +554,8 @@ def _parser() -> argparse.ArgumentParser:
 
     lb = sub.add_parser("lowerbound", help="divergence suite for the too-small minibatch")
     lb.add_argument("--eps", type=float, default=0.1)
-    lb.add_argument("--trials", type=int, default=100_000)
-    lb.add_argument("--T", type=int, default=10_000)
+    lb.add_argument("--trials", type=_int_at_least(1), default=100_000)
+    lb.add_argument("--T", type=_int_at_least(1), default=10_000)
     lb.add_argument("--seed", type=_int_at_least(0), default=0)
     lb.add_argument("--out", default=None)
     lb.set_defaults(fn=cmd_lowerbound)

@@ -30,7 +30,7 @@ from slqcopt import (
 
 def test_ngd_budget_values():
     b = ngd_budget(0.1, 1.0, 1.0)
-    assert b.T == 100 and b.eta == pytest.approx(0.1) and b.b == 0
+    assert b.T == 100 and b.eta == pytest.approx(0.1)
     b2 = ngd_budget(0.1, math.e ** 2, 2.0)
     assert b2.T == 21840  # ceil(400 * e^4)
     assert b2.eta == pytest.approx(0.013533528323661270, rel=1e-15)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from slqcopt import cli, core, seeded_stream
+from slqcopt import cli, core, optimizers, seeded_stream
 from slqcopt.cli import build_problem, cap_workers, main
 
 
@@ -231,6 +231,8 @@ def test_run_rejects_sweep_values_sharing_a_file_name(tmp_path, values, capsys):
     ["run", "--jobs", "-5"],
     ["check", "sigmoid_sum", "slqc", "--seed", "-1"],
     ["lowerbound", "--seed", "-1"],
+    ["lowerbound", "--trials", "0"],
+    ["lowerbound", "--T", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_flag_is_a_usage_error(tmp_path, argv, capsys):
     flag, out = argv[-2], tmp_path / "o"
@@ -281,6 +283,45 @@ def test_run_serial_builds_the_problem_once(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out), "--jobs", "1"]) == 0
     assert len(list(out.glob("trace_*.csv"))) == 6
     assert len(calls) == 1
+
+
+_SNGD = {"name": "sngd", "params": {"T": 20, "eta": 0.1}}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("key, overrides", [
+    ("pool", {"problem": {"name": "noisy_glm", "params": {"pool": 10}}, "optimizer": _SNGD}),
+    ("gammma", {"problem": {"name": "perceptron", "params": {"gammma": 0.5}}}),
+    ("W", {"problem": {"name": "sigmoid_sum", "params": {"W": 9}}}),
+    ("b", {"problem": {"name": "lower_bound", "params": {"b": 3}}, "optimizer": _SNGD}),
+    ("d", {"problem": {"name": "idealized_glm", "params": {"d": 3.7}}}),
+    ("bb", {"problem": {"name": "noisy_glm"},
+            "optimizer": {"name": "sngd", "params": {"T": 20, "eta": 0.1, "bb": 3}}}),
+    ("eta0", {"problem": {"name": "noisy_glm"},
+              "optimizer": {"name": "msgd", "params": {"T": 20, "eta0": 0.5}}}),
+    ("bb", {"problem": {"name": "noisy_glm"}, "optimizer": _SNGD,
+            "sweep": {"param": "bb", "values": [1, 100]}}),
+], ids=["noisy_glm-pool", "perceptron-gammma", "sigmoid_sum-W", "lower_bound-b",
+        "idealized_glm-d-3.7", "sngd-bb", "msgd-top-level-eta0", "sweep-bb"])
+def test_run_rejects_a_param_that_does_not_bind(tmp_path, key, overrides, jobs, capsys):
+    # a dropped key would run at its default instead, and d=3.7 would run at d=3
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, trials=2, **overrides)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out), "--jobs", jobs]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
+
+
+def test_run_type_error_inside_an_optimizer_is_a_runtime_failure(tmp_path, monkeypatch, capsys):
+    def broken_ngd(f, cfg):
+        raise TypeError("broken inside ngd")
+
+    monkeypatch.setattr(optimizers, "ngd", broken_ngd)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 1
+    assert "runtime failure: broken inside ngd" in capsys.readouterr().err
 
 
 def test_run_rejects_bad_x1_dimension(tmp_path):
@@ -424,7 +465,13 @@ def test_budgets_requires_kappa_or_beta():
 @pytest.mark.parametrize("argv", [
     ["--kappa", "0"],
     ["--kappa", "1", "--delta", "2", "--M", "1"],
-], ids=["kappa", "delta"])
+    ["--kappa", "inf"],
+    ["--kappa", "1", "--dist0", "inf"],
+    ["--kappa", "1", "--eps", "inf"],
+    ["--beta", "inf"],
+    ["--kappa", "1", "--delta", "0.1", "--M", "inf"],
+    ["--kappa", "1", "--delta", "0.1", "--M", "1", "--W", "inf"],
+], ids=["kappa", "delta", "kappa-inf", "dist0-inf", "eps-inf", "beta-inf", "M-inf", "W-inf"])
 def test_budgets_out_of_range_constant_is_a_usage_error(argv, capsys):
     assert main(["budgets", "--eps", "0.1", "--dist0", "1", *argv]) == 2
     captured = capsys.readouterr()
