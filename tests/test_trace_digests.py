@@ -37,6 +37,17 @@ CASES = {
         "optimizer": {"name": "sngd", "params": {"T": 300, "eta": 0.05, "x1": X1_GLM}},
         "sweep": {"param": "b", "values": [1, 10]},
     },
+    # an odd b: the unused half of a 64-bit draw is carried across iterations
+    "sngd_odd_b": {
+        "problem": GLM,
+        "optimizer": {"name": "sngd", "params": {"T": 300, "eta": 0.05, "x1": X1_GLM, "b": 7}},
+    },
+    # draws large enough to span several random_raw blocks per run
+    "sngd_many_blocks": {
+        "problem": GLM,
+        "optimizer": {"name": "sngd",
+                      "params": {"T": 300, "eta": 0.05, "x1": X1_GLM, "b": 646}},
+    },
     "sngd_lower_bound": {
         "problem": {"name": "lower_bound", "params": {"eps": 0.1}},
         "optimizer": {"name": "sngd", "params": {"T": 300, "eta": 0.1, "x1": [0.0], "b": 2}},
@@ -127,6 +138,18 @@ DIGESTS = {
             "a27eb923902688e26cfa7afede41307f702656c59fa5239cf018d11d6b30ee24",
         "trace_trial001_b-10.csv":
             "a0de318798ba39a346d60540960bbade9101f17a36f0b506e5b5394e054b807f",
+    },
+    "sngd_many_blocks": {
+        "trace_trial000.csv":
+            "a2ce90ea3888178eb1ee83d8a62cdc22bb0ab2c84180c2c3bad8f9d1af999234",
+        "trace_trial001.csv":
+            "aecb00922c51dd998fa672bf18b4675f96080d4cba78bb6401eec8871ae6e7dd",
+    },
+    "sngd_odd_b": {
+        "trace_trial000.csv":
+            "3b80d661db5482036bdfcc429f0806836c2ad47c3ec7c3bcb62cb087d3477b50",
+        "trace_trial001.csv":
+            "9363af9a94aa2eb0739ac07b52c01a7f373c156de17b90ba5f526c66b836a050",
     },
     "sngd_lower_bound": {
         "trace_trial000.csv":
