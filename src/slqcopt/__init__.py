@@ -15,9 +15,7 @@ from .core import (
     RandomStream,
     StochasticObjective,
     as_point,
-    project,
     sample_in_ball,
-    scaled,
     seeded_stream,
 )
 from .optimizers import (

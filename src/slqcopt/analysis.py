@@ -23,6 +23,13 @@ class Budget:
         return {"T": self.T, "eta": self.eta, "provenance": self.provenance}
 
 
+def _fits(name: str, value: float) -> float:
+    """value, if it fits a float; a budget that overflows is a ValueError naming it."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} does not fit a float")
+    return value
+
+
 def ngd_budget(eps: float, kappa: float, dist0: float) -> Budget:
     """Budget certifying min_t f(x_t) - f(z) <= eps for (eps, kappa, z)-SLQC f.
 
@@ -31,7 +38,8 @@ def ngd_budget(eps: float, kappa: float, dist0: float) -> Budget:
     """
     if not (0 < eps < math.inf and 0 < kappa < math.inf and 0 <= dist0 < math.inf):
         raise ValueError("need finite eps > 0, kappa > 0, dist0 >= 0")
-    T = max(1, math.ceil(kappa * kappa * dist0 * dist0 / (eps * eps)))
+    r = kappa * dist0 / eps  # squared last, so no factor underflows
+    T = max(1, math.ceil(_fits("ngd iteration budget T", r * r)))
     return Budget(T=T, eta=eps / kappa, provenance="slqc_iteration_bound")
 
 
@@ -43,7 +51,7 @@ def ngd_smooth_budget(eps: float, beta: float, dist0: float) -> Budget:
     """
     if not (0 < eps < math.inf and 0 < beta < math.inf and 0 <= dist0 < math.inf):
         raise ValueError("need finite eps > 0, beta > 0, dist0 >= 0")
-    T = max(1, math.ceil(beta * dist0 * dist0 / (2.0 * eps)))
+    T = max(1, math.ceil(_fits("smooth iteration budget T", beta * dist0 * dist0 / (2.0 * eps))))
     return Budget(T=T, eta=math.sqrt(2.0 * eps / beta), provenance="smooth_iteration_bound")
 
 
@@ -58,7 +66,8 @@ def sngd_minibatch_bound(eps: float, delta: float, T: int, M: float) -> int:
         raise ValueError("need finite eps > 0, delta in (0,1), T >= 1, finite M >= 0")
     if M == 0:
         return 0
-    return math.ceil(M * M * math.log(4.0 * T / delta) / (2.0 * eps * eps))
+    r = M / eps
+    return math.ceil(_fits("minibatch size b", r * r * math.log(4.0 * T / delta) / 2.0))
 
 
 def glm_sample_bound(eps: float, delta: float, W: float) -> int:
@@ -66,8 +75,12 @@ def glm_sample_bound(eps: float, delta: float, W: float) -> int:
     w.p. >= 1 - delta: ceil(8 * e^(2W) * (W+1)^2 / eps^2 * log(1/delta))."""
     if not (0 < eps < math.inf and 0 < delta < 1 and 0 <= W < math.inf):
         raise ValueError("need finite eps > 0, delta in (0,1), finite W >= 0")
-    return math.ceil(8.0 * math.exp(2.0 * W) * (W + 1.0) ** 2 / (eps * eps)
-                     * math.log(1.0 / delta))
+    r = (W + 1.0) / eps
+    try:
+        growth = math.exp(2.0 * W)
+    except OverflowError:
+        growth = math.inf
+    return math.ceil(_fits("glm sample bound", 8.0 * growth * r * r * math.log(1.0 / delta)))
 
 
 def glm_minibatch_b0(eps: float, delta: float, T: int, W: float) -> int:

@@ -63,11 +63,16 @@ class ConfigError(Exception):
 
 def _checked(fn, *args, **params):
     """fn(*args, **params), once a TypeError has named any param that fn does
-    not take, that is missing, or that is `int` but not given an integer."""
+    not take, that is missing, or whose value does not fit its `int` or `float`
+    annotation: a float takes any JSON number, an int only an integer, and
+    neither a bool."""
     sig = inspect.signature(fn)
     for key, value in sig.bind(*args, **params).arguments.items():
-        if sig.parameters[key].annotation in (int, "int") and type(value) is not int:
+        kind = sig.parameters[key].annotation
+        if kind in (int, "int") and type(value) is not int:
             raise TypeError(f"{key!r} must be an integer, got {value!r}")
+        if kind in (float, "float") and type(value) not in (int, float):
+            raise TypeError(f"{key!r} must be a number, got {value!r}")
     return fn(*args, **params)
 
 
@@ -98,7 +103,7 @@ def _build_sigmoid_sum(stream: RandomStream) -> BuiltProblem:
 
 
 def _build_cliff_plateau(stream: RandomStream, **shape) -> BuiltProblem:
-    return BuiltProblem(objective=problems.make_cliff_plateau(**shape),
+    return BuiltProblem(objective=_checked(problems.make_cliff_plateau, **shape),
                         minimizer=np.zeros(1), sample_region=Box([-15.0], [15.0]))
 
 
@@ -161,7 +166,9 @@ def build_problem(name: str, params: dict | None, stream: RandomStream) -> Built
 
 
 def _schedule(schedule: dict | None) -> optimizers.StepSchedule:
-    return optimizers.StepSchedule(**{"eta0": 0.01, **(schedule or {})})
+    if not isinstance(schedule, dict | None):
+        raise TypeError(f"'schedule' must be an object, got {schedule!r}")
+    return _checked(optimizers.StepSchedule, **{"eta0": 0.01, **(schedule or {})})
 
 
 # An entry(name, f, stream, x1, **params) binds the other config params of

@@ -61,6 +61,186 @@ def seeded_stream(seed: int) -> RandomStream:
     return RandomStream(int(seed))
 
 
+_BLOCK_WORDS = 1 << 15  # raw 64-bit words in one block at most (256 KB)
+_HALF = 1 << 32
+
+
+def _index(positions: list[int]) -> slice | np.ndarray:
+    """positions as a slice when consecutive (indexing gives a view), else an array."""
+    start = positions[0] if positions else 0
+    if positions == list(range(start, start + len(positions))):
+        return slice(start, start + len(positions))
+    return np.array(positions, dtype=np.intp)
+
+
+class BlockDraws:
+    """A run's PCG64 Generator, answering its minibatch draws from raw blocks.
+
+    draws lists in order the requests that one minibatch makes, each of size
+    b: ("integers", low, high), ("uniform", low, high) or ("random",).  Every
+    answer is byte-equal to what gen returns for the same call, by numpy's
+    documented algorithms:
+    - integers is Lemire's method over 32-bit halves, low half first; a half
+      x is rejected when (x*n) mod 2^32 < (2^32 - n) mod n, n = high - low.
+      An unused high half is carried to the next integers request, and the
+      64-bit draws in between do not touch it.  With n = 1 nothing is drawn.
+    - uniform is low + (high - low) * ((raw >> 11) * 2^-53), and random is
+      the same double without the shift and scale.
+    A block covers whole iterations, at most _BLOCK_WORDS raw words and never
+    past iteration T.  A block that holds a rejected half falls back: the
+    state saved before it is restored with the carried half, gen itself
+    answers the block's iterations, and the carry is then read back from the
+    state.  A call that is not the next declared request raises.
+    """
+
+    def __init__(self, gen: np.random.Generator, draws: tuple, b: int, T: int):
+        bitgen = gen.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError("block draws reproduce PCG64 only")
+        for name, *args in draws:
+            if name not in ("integers", "uniform", "random"):
+                raise ValueError(f"cannot draw {name!r} from blocks")
+            if name == "integers" and not 1 <= args[1] - args[0] <= _HALF:
+                raise ValueError(f"integers range [{args[0]}, {args[1]}) must hold "
+                                 f"between 1 and 2^32 values")
+            if name == "uniform" and not 0 <= float(args[1]) - float(args[0]) < math.inf:
+                raise ValueError(f"uniform range [{args[0]}, {args[1]}) must be finite, "
+                                 f"with low <= high")
+        self._gen, self._bitgen, self._draws, self._b, self._T = gen, bitgen, tuple(draws), b, T
+        self._halves = b * sum(name == "integers" and args[1] - args[0] > 1
+                               for name, *args in draws)  # per iteration
+        # an odd count of halves alternates the carry, so the words of two
+        # iterations make up the repeating unit of a block
+        self._period = 1 + self._halves % 2
+        width = (self._period * b * sum(name != "integers" for name, *_ in draws)
+                 + self._period * self._halves // 2)  # words per period
+        self._per_block = _BLOCK_WORDS // width * self._period if width else T
+        self._templates = {}
+        state = bitgen.state
+        self._carry = (state["has_uint32"], state["uinteger"])  # the pending half
+        self._k = 0                   # next request within the minibatch
+        self._i = 0                   # iteration of the next minibatch
+        self._start = self._stop = 0  # the current block's iterations
+        self._rows = None             # per request, (iterations, b) answers; None: per call
+
+    def _template(self, carry: int, iterations: int):
+        """Word count and word positions of `iterations` consecutive iterations
+        that start with `carry` halves pending: per request, then the shared
+        words of the integers requests last."""
+        key = (carry, iterations)
+        if key not in self._templates:
+            b, where, w = self._b, [[] for _ in range(len(self._draws) + 1)], 0
+            for _ in range(iterations):
+                for r, (name, *args) in enumerate(self._draws):
+                    if name != "integers":
+                        count = b
+                    elif args[1] - args[0] > 1:
+                        count, r = (b - carry + 1) // 2, -1
+                        carry = (carry + b) % 2
+                    else:
+                        continue
+                    where[r].extend(range(w, w + count))
+                    w += count
+            self._templates[key] = (w, [_index(p) for p in where])
+        return self._templates[key]
+
+    def _fill(self, raw: np.ndarray, where: list, K: int):
+        """Each request's (K, b) answers from a block and the carry after it,
+        or None if the block holds a rejected half."""
+        b = self._b
+        has, value = self._carry
+        halves = raw[:, where[-1]].ravel().astype("<u8", copy=False).view("<u4")
+        if has:
+            halves = np.concatenate([np.array([value], dtype=np.uint32), halves])
+        used = K * self._halves
+        carry = (1, int(halves[-1])) if halves.size > used else (0, value)
+        halves = halves[:used].reshape(K, self._halves)
+        rows, h = [], 0
+        for r, (name, *args) in enumerate(self._draws):
+            if name != "integers":
+                d = raw[:, where[r]].reshape(K, b)
+                d >>= 11
+                d = d.view(np.int64).astype(np.float64)  # below 2^53: exact
+                d *= 2.0 ** -53
+                if name == "uniform":
+                    lo, hi = float(args[0]), float(args[1])
+                    d *= hi - lo
+                    d += lo
+                rows.append(d)
+                continue
+            low, n = args[0], args[1] - args[0]
+            if n == 1:
+                rows.append(np.full((K, b), low, dtype=np.int64))
+                continue
+            x = halves[:, h:h + b]
+            h += b
+            reject = (_HALF - n) % n
+            if reject and (x * np.uint32(n) < reject).any():  # x*n wraps mod 2^32
+                return None
+            m = x.astype(np.uint64)
+            m *= np.uint64(n)
+            m >>= 32
+            m = m.view(np.int64)
+            if low:
+                m += low
+            rows.append(m)
+        return rows, carry
+
+    def _set_carry(self, state: dict) -> None:
+        state["has_uint32"], state["uinteger"] = self._carry
+        self._bitgen.state = state
+
+    def _next_block(self) -> None:
+        bitgen, i = self._bitgen, self._i
+        if self._rows is None and self._stop:  # gen answered the last block
+            state = bitgen.state
+            self._carry = (state["has_uint32"], state["uinteger"])
+        K = min(self._per_block, self._T - i)
+        if K < 1:  # past T, or one period outgrows a block: gen answers from here on
+            self._set_carry(bitgen.state)
+            self._rows, self._start, self._stop = None, i, math.inf
+            return
+        per_row = self._period if K > 1 else 1
+        K -= K % per_row
+        width, where = self._template(self._carry[0], per_row)
+        saved = bitgen.state
+        raw = bitgen.random_raw(K // per_row * width).reshape(K // per_row, width)
+        filled = self._fill(raw, where, K)
+        if filled is None:
+            self._rows = None
+            self._set_carry(saved)
+        else:
+            self._rows, self._carry = filled
+        self._start, self._stop = i, i + K
+
+    def _answer(self, request: tuple, size):
+        k = self._k
+        if request != self._draws[k] or size != self._b:
+            raise ValueError(f"draw {request} of size {size} is not the declared next "
+                             f"draw {self._draws[k]} of size {self._b}")
+        if k == 0 and self._i == self._stop:
+            self._next_block()
+        row = self._i - self._start
+        if k + 1 < len(self._draws):
+            self._k = k + 1
+        else:
+            self._k = 0
+            self._i += 1
+        if self._rows is None:
+            name, *args = request
+            return getattr(self._gen, name)(*args, size=size)
+        return self._rows[k][row]
+
+    def integers(self, low, high, size):
+        return self._answer(("integers", low, high), size)
+
+    def uniform(self, low, high, size):
+        return self._answer(("uniform", low, high), size)
+
+    def random(self, size):
+        return self._answer(("random",), size)
+
+
 def sample_in_ball(gen: np.random.Generator, dim: int, radius: float = 1.0,
                    center: Point | None = None, n: int | None = None) -> np.ndarray:
     """Draw uniformly from a Euclidean ball; returns (dim,) or (n, dim)."""
@@ -145,12 +325,6 @@ class Box:
 FeasibleRegion = Ball | Box
 
 
-def project(region: FeasibleRegion, x: Point) -> Point:
-    """Euclidean projection onto a ball or box; identity on feasible points."""
-    x = as_point(x, region.dim)
-    return region.project(x)
-
-
 # ---------------------------------------------------------------------------
 # Objectives
 # ---------------------------------------------------------------------------
@@ -181,6 +355,11 @@ class StochasticObjective:
     family's own loss over the drawn rows.
     expected, when known in closed form, is the population objective;
     bound_M is a uniform bound on |component value| (inf if unbounded).
+    draws, when not empty, lists in order the generator requests that
+    sample_minibatch makes for one minibatch, each of size b:
+    ("integers", low, high), ("uniform", low, high) or ("random",).  The
+    optimizers then answer them from BlockDraws, byte for byte the same
+    draws; a sampler that makes any other request must leave draws empty.
     """
 
     dim: int
@@ -188,17 +367,7 @@ class StochasticObjective:
     expected: Objective | None = None
     bound_M: float = math.inf
     minimizer: Point | None = None
-
-
-def scaled(f: Objective, c: float) -> Objective:
-    """The objective c*f (same minimizers for c > 0)."""
-    return Objective(
-        dim=f.dim,
-        value=lambda x: c * f.value(x),
-        gradient=lambda x: c * f.gradient(x),
-        direction_oracle=(lambda x: c * f.direction_oracle(x)) if f.direction_oracle else None,
-        domain=f.domain,
-    )
+    draws: tuple = ()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 
 from .core import (
     GRAD_TOL,
+    BlockDraws,
     FeasibleRegion,
     Objective,
     OptTrace,
@@ -121,11 +122,17 @@ def _descent(x: Point, T: int, query, step, lookahead=None) -> OptTrace:
     return build_trace(iterates[:steps], values[:steps], grad_norms[:steps], aborted=aborted)
 
 
-def _minibatches(F: StochasticObjective, b: int, stream: RandomStream):
-    """query drawing one fresh size-b minibatch per iteration from stream."""
+def _minibatches(F: StochasticObjective, b: int, stream: RandomStream, T: int):
+    """query drawing one fresh size-b minibatch per iteration from stream.
+
+    A family that declares its draws gets them from BlockDraws over the T
+    iterations: the same bytes as the stream's generator, with fewer calls.
+    """
     if b < 1:
         raise ValueError("minibatch size b must be >= 1")
     gen = stream.generator()
+    if F.draws:
+        gen = BlockDraws(gen, F.draws, b, T)
 
     def query(t: int):
         fb = F.sample_minibatch(gen, b)
@@ -189,7 +196,7 @@ def sngd(F: StochasticObjective, cfg: SngdConfig) -> OptTrace:
     vanished minibatch gradient the iterate stays put but the next iteration
     still draws a fresh minibatch.
     """
-    return _run_normalized(F.dim, cfg, _minibatches(F, cfg.b, cfg.stream))
+    return _run_normalized(F.dim, cfg, _minibatches(F, cfg.b, cfg.stream, cfg.T))
 
 
 def evaluate_iterates(trace: OptTrace, f: Objective) -> np.ndarray:
@@ -237,7 +244,7 @@ def msgd(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,
          stream: RandomStream) -> OptTrace:
     """Minibatch stochastic gradient descent (no normalization, no momentum)."""
     _reject_momentum(schedule)
-    return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream))
+    return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream, T))
 
 
 def sgd(F: StochasticObjective, schedule: StepSchedule, T: int, x1,
@@ -254,4 +261,4 @@ def nesterov(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,
     the schedule's momentum field.  One minibatch per iteration scores the
     current iterate and supplies the look-ahead gradient.
     """
-    return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream))
+    return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream, T))

@@ -292,7 +292,8 @@ def make_noisy_glm(stream: RandomStream, d: int, W: float, noise_scale: float = 
         return SigmoidLoss(X.take(idx, axis=0), sig_star.take(idx) + xi)
 
     return StochasticObjective(dim=d, sample_minibatch=sample, expected=expected,
-                               bound_M=1.0, minimizer=w_star)
+                               bound_M=1.0, minimizer=w_star,
+                               draws=(("integers", 0, pool_size), ("uniform", -1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,7 @@ def make_lower_bound_distribution(eps: float) -> StochasticObjective:
         return _TwoComponentLoss(eps, b - k, k, b)
 
     return StochasticObjective(dim=1, sample_minibatch=sample, expected=expected,
-                               minimizer=np.array([LOWER_BOUND_MINIMIZER]))
+                               minimizer=np.array([LOWER_BOUND_MINIMIZER]), draws=(("random",),))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slqcopt import Objective, StochasticObjective, as_point
+from slqcopt import FeasibleRegion, Objective, Point, StochasticObjective, as_point
 
 
 def make_cone(dim: int = 2) -> Objective:
@@ -22,6 +22,22 @@ def make_cone(dim: int = 2) -> Objective:
 def make_quadratic(dim: int = 2) -> Objective:
     """f(x) = ||x||^2: 2-smooth, strictly quasi-convex."""
     return Objective(dim=dim, value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x)
+
+
+def project(region: FeasibleRegion, x: Point) -> Point:
+    """Euclidean projection onto a ball or box; identity on feasible points."""
+    return region.project(as_point(x, region.dim))
+
+
+def scaled(f: Objective, c: float) -> Objective:
+    """The objective c*f (same minimizers for c > 0)."""
+    return Objective(
+        dim=f.dim,
+        value=lambda x: c * f.value(x),
+        gradient=lambda x: c * f.gradient(x),
+        direction_oracle=(lambda x: c * f.direction_oracle(x)) if f.direction_oracle else None,
+        domain=f.domain,
+    )
 
 
 def constant_distribution(f: Objective) -> StochasticObjective:

@@ -39,7 +39,6 @@ from slqcopt import (
     ngd_budget,
     ngd_smooth_budget,
     sample_in_ball,
-    scaled,
     seeded_stream,
     sngd,
     sngd_minibatch_bound,
@@ -58,6 +57,7 @@ from conftest import (
     line_restriction,
     make_cone,
     make_quadratic,
+    scaled,
 )
 
 

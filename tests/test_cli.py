@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -301,8 +302,19 @@ _SNGD = {"name": "sngd", "params": {"T": 20, "eta": 0.1}}
               "optimizer": {"name": "msgd", "params": {"T": 20, "eta0": 0.5}}}),
     ("bb", {"problem": {"name": "noisy_glm"}, "optimizer": _SNGD,
             "sweep": {"param": "bb", "values": [1, 100]}}),
+    ("W", {"problem": {"name": "noisy_glm", "params": {"W": "2"}}, "optimizer": _SNGD}),
+    ("eta", {"problem": {"name": "noisy_glm"},
+             "optimizer": {"name": "sngd", "params": {"T": 20, "eta": "0.1"}}}),
+    ("valley_width", {"problem": {"name": "cliff_plateau", "params": {"valley_width": True}},
+                      "optimizer": {"name": "gd", "params": {"T": 20}}}),
+    ("schedule", {"problem": {"name": "noisy_glm"},
+                  "optimizer": {"name": "msgd", "params": {"T": 20, "schedule": 3}}}),
+    ("gamma", {"problem": {"name": "noisy_glm"},
+               "optimizer": {"name": "msgd", "params": {"T": 20, "schedule": {"gamma": "0"}}}}),
 ], ids=["noisy_glm-pool", "perceptron-gammma", "sigmoid_sum-W", "lower_bound-b",
-        "idealized_glm-d-3.7", "sngd-bb", "msgd-top-level-eta0", "sweep-bb"])
+        "idealized_glm-d-3.7", "sngd-bb", "msgd-top-level-eta0", "sweep-bb",
+        "noisy_glm-W-string", "sngd-eta-string", "cliff_plateau-valley_width-bool",
+        "msgd-schedule-not-object", "msgd-schedule-gamma-string"])
 def test_run_rejects_a_param_that_does_not_bind(tmp_path, key, overrides, jobs, capsys):
     # a dropped key would run at its default instead, and d=3.7 would run at d=3
     cfg_path = tmp_path / "cfg.json"
@@ -311,6 +323,13 @@ def test_run_rejects_a_param_that_does_not_bind(tmp_path, key, overrides, jobs, 
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out), "--jobs", jobs]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
+
+
+def test_run_float_params_take_any_json_number(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, problem={"name": "noisy_glm", "params": {"d": 2, "W": 2}},
+                 optimizer={"name": "msgd", "params": {"T": 5, "schedule": {"eta0": 1}}})
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 0
 
 
 def test_run_type_error_inside_an_optimizer_is_a_runtime_failure(tmp_path, monkeypatch, capsys):
@@ -477,6 +496,29 @@ def test_budgets_out_of_range_constant_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: need")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["--kappa", "1", "--delta", "0.1", "--M", "1", "--W", "1000"], "glm sample bound"),
+    (["--kappa", "1", "--eps", "1e-300"], "ngd iteration budget T"),
+    (["--kappa", "1", "--eps", "1e-200"], "ngd iteration budget T"),
+    (["--kappa", "1", "--eps", "1e-150", "--dist0", "1e150"], "ngd iteration budget T"),
+    (["--beta", "1e300", "--eps", "1e-300"], "smooth iteration budget T"),
+], ids=["W-1000", "eps-1e-300", "eps-1e-200", "dist0-1e150", "beta-1e300"])
+def test_budgets_that_overflow_a_float_are_a_usage_error(argv, budget, capsys):
+    assert main(["budgets", "--eps", "0.1", "--dist0", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {budget} does not fit a float\n"
+    assert captured.out == ""
+
+
+def test_budgets_at_tiny_eps_square_the_ratio(capsys):
+    # eps * eps underflows to 0 at eps = 1e-200; (kappa * dist0 / eps)^2 does not
+    assert main(["budgets", "--eps", "1e-200", "--dist0", "1e-100", "--kappa", "1",
+                 "--delta", "0.1", "--M", "1e-150"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ngd"]["T"] == math.ceil((1e-100 / 1e-200) ** 2)
+    assert math.isfinite(float(doc["minibatch_b"]))
 
 
 def test_budgets_smooth(capsys):

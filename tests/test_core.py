@@ -1,5 +1,6 @@
 import itertools
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -11,14 +12,22 @@ from slqcopt import (
     Ball,
     Box,
     as_point,
+    make_lower_bound_distribution,
+    make_noisy_glm,
     make_sigmoid_sum,
-    project,
-    scaled,
     seeded_stream,
 )
-from slqcopt.core import _CSV_CHUNK, build_trace
+from slqcopt import core
+from slqcopt.core import _BLOCK_WORDS, _CSV_CHUNK, BlockDraws, build_trace
 
-from conftest import constant_distribution, finite_diff_gradient, line_restriction, make_quadratic
+from conftest import (
+    constant_distribution,
+    finite_diff_gradient,
+    line_restriction,
+    make_quadratic,
+    project,
+    scaled,
+)
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -60,6 +69,163 @@ def test_substream_path_nesting():
     a = s.substream(1).substream(2).generator().uniform()
     b = s.substream(1).substream(2).generator().uniform()
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# block draws
+# ---------------------------------------------------------------------------
+
+
+class _RecordingPCG64(np.random.PCG64):
+    """PCG64 that records the size of every random_raw block."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.SeedSequence(seed))
+        self.blocks = []
+
+    def random_raw(self, size=None, output=True):
+        self.blocks.append(size)
+        return super().random_raw(size, output)
+
+
+class _CountingGenerator:
+    """A Generator that counts the draws it answers itself (the fallback path)."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.bit_generator = gen.bit_generator
+        self.calls = 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self._gen, name)
+
+
+def _compare_block_draws(draws, b, T, seed=11, pending=False):
+    """Draw T minibatches from BlockDraws and from a Generator on the same
+    seed; every answer must be byte-equal.  With pending, both generators
+    first draw one 32-bit half, so the run starts with the other one pending.
+    Returns the recorded block sizes and the answers counted by each path."""
+    reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    bitgen = _RecordingPCG64(seed)
+    counting = _CountingGenerator(np.random.Generator(bitgen))
+    if pending:
+        reference.integers(0, 10, size=1)
+        counting.integers(0, 10, size=1)
+        counting.calls = 0
+    blocks = BlockDraws(counting, draws, b, T)
+
+    def answers(gen):
+        return [getattr(gen, name)(*args, size=b) for _ in range(T) for name, *args in draws]
+
+    want, got = answers(reference), answers(blocks)
+    assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
+    assert b"".join(a.tobytes() for a in got) == b"".join(a.tobytes() for a in want)
+    return bitgen.blocks, len(got) - counting.calls, counting.calls
+
+
+GLM_DRAWS = lambda n: (("integers", 0, n), ("uniform", -1.0, 1.0))  # noqa: E731
+
+
+@pytest.mark.parametrize("b", [1, 2, 7, 646])
+@pytest.mark.parametrize("draws", [GLM_DRAWS(1), GLM_DRAWS(1000), GLM_DRAWS(2**32 - 2**22),
+                                   (("integers", 0, 2**31 + 1), ("uniform", -0.3, 1.7)),
+                                   (("random",),)],
+                         ids=["n1", "n1000", "n2^32-2^22", "n2^31+1", "random"])
+def test_block_draws_equal_generator_across_block_ends(draws, b):
+    # a few iterations more than one block holds, so the run crosses a block end
+    halves = sum(b for name, *args in draws if name == "integers" and args[1] - args[0] > 1)
+    words = b * sum(name != "integers" for name, *_ in draws) + halves / 2
+    blocks, _, _ = _compare_block_draws(draws, b, int(_BLOCK_WORDS / words) + 3)
+    assert len(blocks) >= 2 and max(blocks) <= _BLOCK_WORDS
+
+
+def test_block_draws_take_both_paths_in_one_run():
+    # n = 2^32 - 2^22 rejects a half with probability 2^-10: a full block of
+    # 21 840 halves (b=7, 21 words per two iterations) falls back, and the
+    # 10-iteration tail block after it holds 70 halves and is clean at this seed
+    per_block = _BLOCK_WORDS // 21 * 2
+    blocks, from_blocks, from_gen = _compare_block_draws(GLM_DRAWS(2**32 - 2**22), 7,
+                                                         per_block + 10, seed=1)
+    assert len(blocks) == 2 and max(blocks) <= _BLOCK_WORDS
+    assert from_gen == 2 * per_block and from_blocks == 2 * 10
+
+
+def test_block_draws_answer_per_call_past_T():
+    # T = 1 at an odd b: the generator takes over with a half pending
+    gen = seeded_stream(2).generator()
+    counting = _CountingGenerator(seeded_stream(2).generator())
+    blocks = BlockDraws(counting, GLM_DRAWS(1000), 3, 1)
+    for _ in range(4):
+        assert (blocks.integers(0, 1000, size=3).tobytes()
+                == gen.integers(0, 1000, size=3).tobytes())
+        assert (blocks.uniform(-1.0, 1.0, size=3).tobytes()
+                == gen.uniform(-1.0, 1.0, size=3).tobytes())
+    assert counting.calls == 2 * 3
+
+
+@given(st.lists(st.sampled_from(["integers", "uniform", "random"]), min_size=1, max_size=3),
+       st.sampled_from([1, 2, 5, 1000, 2**31 + 1, 2**32 - 2**22, 2**32]),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=60),
+       st.integers(min_value=8, max_value=400), st.integers(min_value=0, max_value=2**32),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_block_draws_equal_generator_for_any_request_list(names, n, b, T, cap, seed, pending):
+    # a small word cap puts many block ends, and periods that outgrow a
+    # block, into a short run
+    args = {"integers": (-3, n - 3), "uniform": (0.1, 0.4), "random": ()}
+    draws = tuple((name, *args[name]) for name in names)
+    with unittest.mock.patch.object(core, "_BLOCK_WORDS", cap):
+        blocks, _, _ = _compare_block_draws(draws, b, T, seed, pending)
+    assert all(size <= cap for size in blocks)
+
+
+def test_block_draws_start_from_a_half_the_generator_left_pending():
+    # an even count of halves per block keeps a half pending at every block
+    # start; at n = 2^31 + 1 and one iteration per block, about a quarter of
+    # the blocks are clean, so a fallback must restore the half a clean block
+    # left, not the one the generator's state last held
+    draws = (("integers", 0, 2**31 + 1), ("uniform", -0.3, 1.7))
+    with unittest.mock.patch.object(core, "_BLOCK_WORDS", 3):
+        blocks, from_blocks, from_gen = _compare_block_draws(draws, 2, 60, pending=True)
+    assert from_blocks > 0 and from_gen > 0 and max(blocks) <= 3
+
+
+def test_block_draws_reject_an_undeclared_request():
+    blocks = BlockDraws(seeded_stream(1).generator(), GLM_DRAWS(1000), 4, 10)
+    with pytest.raises(ValueError, match="not the declared next draw"):
+        blocks.uniform(-1.0, 1.0, size=4)  # integers come first
+    with pytest.raises(ValueError, match="not the declared next draw"):
+        blocks.integers(0, 999, size=4)
+    with pytest.raises(ValueError, match="not the declared next draw"):
+        blocks.integers(0, 1000, size=5)
+    blocks.integers(0, 1000, size=4)
+    with pytest.raises(ValueError, match="not the declared next draw"):
+        blocks.random(4)
+    with pytest.raises(AttributeError):
+        blocks.standard_normal(4)
+    with pytest.raises(ValueError, match="2\\^32"):
+        BlockDraws(seeded_stream(1).generator(), (("integers", 0, 2**32 + 1),), 4, 10)
+    with pytest.raises(ValueError, match="low <= high"):
+        BlockDraws(seeded_stream(1).generator(), (("uniform", 1.0, -1.0),), 4, 10)
+    with pytest.raises(ValueError, match="cannot draw"):
+        BlockDraws(seeded_stream(1).generator(), (("standard_normal",),), 4, 10)
+
+
+def test_minibatch_draws_are_declared_for_block_draws():
+    # the samplers stay the definition of the draws: a run that draws from
+    # blocks replays under the plain generator
+    F = make_noisy_glm(seeded_stream(5), 3, 2.0, pool_size=50)
+    assert F.draws == GLM_DRAWS(50)
+    assert make_lower_bound_distribution(0.1).draws == (("random",),)
+    for D in (F, make_lower_bound_distribution(0.1)):
+        x = np.full(D.dim, -2.5)
+        blocks = BlockDraws(seeded_stream(6).generator(), D.draws, 9, 40)
+        gen = seeded_stream(6).generator()
+        for _ in range(40):
+            want, got = D.sample_minibatch(gen, 9), D.sample_minibatch(blocks, 9)
+            assert got.value(x) == want.value(x)
+            assert got.gradient(x).tobytes() == want.gradient(x).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +505,6 @@ def test_public_surface_is_pinned():
         "make_idealized_glm", "make_lower_bound_distribution", "make_noisy_glm",
         "make_nonqc_counterexample", "make_perceptron", "make_sigmoid_sum", "msgd", "nesterov",
         "ngd", "ngd_budget", "ngd_smooth_budget", "ngd_with_oracle", "optimizers",
-        "perceptron_objective", "problems", "project", "properties", "sample_in_ball",
-        "scaled", "seeded_stream", "sgd", "sigmoid", "sngd", "sngd_minibatch_bound",
+        "perceptron_objective", "problems", "properties", "sample_in_ball",
+        "seeded_stream", "sgd", "sigmoid", "sngd", "sngd_minibatch_bound",
     ]

@@ -20,13 +20,12 @@ from slqcopt import (
     ngd,
     ngd_budget,
     ngd_with_oracle,
-    scaled,
     seeded_stream,
     sgd,
     sngd,
 )
 
-from conftest import constant_distribution, make_cone, make_quadratic
+from conftest import constant_distribution, make_cone, make_quadratic, scaled
 
 
 # ---------------------------------------------------------------------------
