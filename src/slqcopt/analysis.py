@@ -30,6 +30,13 @@ def _fits(name: str, value: float) -> float:
     return value
 
 
+def _step(name: str, eta: float) -> float:
+    """eta, if it did not underflow to a zero step; else a ValueError naming it."""
+    if eta == 0.0:
+        raise ValueError(f"{name} underflows to 0")
+    return eta
+
+
 def ngd_budget(eps: float, kappa: float, dist0: float) -> Budget:
     """Budget certifying min_t f(x_t) - f(z) <= eps for (eps, kappa, z)-SLQC f.
 
@@ -40,7 +47,7 @@ def ngd_budget(eps: float, kappa: float, dist0: float) -> Budget:
         raise ValueError("need finite eps > 0, kappa > 0, dist0 >= 0")
     r = kappa * dist0 / eps  # squared last, so no factor underflows
     T = max(1, math.ceil(_fits("ngd iteration budget T", r * r)))
-    return Budget(T=T, eta=eps / kappa, provenance="slqc_iteration_bound")
+    return Budget(T=T, eta=_step("ngd step eta", eps / kappa), provenance="slqc_iteration_bound")
 
 
 def ngd_smooth_budget(eps: float, beta: float, dist0: float) -> Budget:
@@ -52,7 +59,8 @@ def ngd_smooth_budget(eps: float, beta: float, dist0: float) -> Budget:
     if not (0 < eps < math.inf and 0 < beta < math.inf and 0 <= dist0 < math.inf):
         raise ValueError("need finite eps > 0, beta > 0, dist0 >= 0")
     T = max(1, math.ceil(_fits("smooth iteration budget T", beta * dist0 * dist0 / (2.0 * eps))))
-    return Budget(T=T, eta=math.sqrt(2.0 * eps / beta), provenance="smooth_iteration_bound")
+    return Budget(T=T, eta=_step("smooth step eta", math.sqrt(2.0 * eps / beta)),
+                  provenance="smooth_iteration_bound")
 
 
 def sngd_minibatch_bound(eps: float, delta: float, T: int, M: float) -> int:
@@ -66,8 +74,8 @@ def sngd_minibatch_bound(eps: float, delta: float, T: int, M: float) -> int:
         raise ValueError("need finite eps > 0, delta in (0,1), T >= 1, finite M >= 0")
     if M == 0:
         return 0
-    r = M / eps
-    return math.ceil(_fits("minibatch size b", r * r * math.log(4.0 * T / delta) / 2.0))
+    r = M / eps  # a positive bound is at least 1, also where r * r underflows
+    return max(1, math.ceil(_fits("minibatch size b", r * r * math.log(4.0 * T / delta) / 2.0)))
 
 
 def glm_sample_bound(eps: float, delta: float, W: float) -> int:
@@ -80,7 +88,8 @@ def glm_sample_bound(eps: float, delta: float, W: float) -> int:
         growth = math.exp(2.0 * W)
     except OverflowError:
         growth = math.inf
-    return math.ceil(_fits("glm sample bound", 8.0 * growth * r * r * math.log(1.0 / delta)))
+    return max(1, math.ceil(_fits("glm sample bound",
+                                  8.0 * growth * r * r * math.log(1.0 / delta))))
 
 
 def glm_minibatch_b0(eps: float, delta: float, T: int, W: float) -> int:

@@ -504,11 +504,15 @@ def test_budgets_out_of_range_constant_is_a_usage_error(argv, capsys):
     (["--kappa", "1", "--eps", "1e-200"], "ngd iteration budget T"),
     (["--kappa", "1", "--eps", "1e-150", "--dist0", "1e150"], "ngd iteration budget T"),
     (["--beta", "1e300", "--eps", "1e-300"], "smooth iteration budget T"),
-], ids=["W-1000", "eps-1e-300", "eps-1e-200", "dist0-1e150", "beta-1e300"])
-def test_budgets_that_overflow_a_float_are_a_usage_error(argv, budget, capsys):
+    (["--kappa", "1e300", "--eps", "1e-300", "--dist0", "0"], "ngd step eta"),
+    (["--beta", "1e300", "--eps", "1e-300", "--dist0", "0"], "smooth step eta"),
+], ids=["W-1000", "eps-1e-300", "eps-1e-200", "dist0-1e150", "beta-1e300", "eta-underflow",
+        "smooth-eta-underflow"])
+def test_budgets_that_do_not_fit_a_float_are_a_usage_error(argv, budget, capsys):
     assert main(["budgets", "--eps", "0.1", "--dist0", "1", *argv]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {budget} does not fit a float\n"
+    assert re.fullmatch(f"error: {budget} (does not fit a float|underflows to 0)\n",
+                        captured.err)
     assert captured.out == ""
 
 
@@ -519,6 +523,14 @@ def test_budgets_at_tiny_eps_square_the_ratio(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ngd"]["T"] == math.ceil((1e-100 / 1e-200) ** 2)
     assert math.isfinite(float(doc["minibatch_b"]))
+
+
+def test_budgets_from_a_tiny_ratio_are_at_least_one(capsys):
+    # (M / eps)^2 and ((W + 1) / eps)^2 underflow to 0; the bounds are positive
+    assert main(["budgets", "--eps", "1e300", "--dist0", "1", "--kappa", "1",
+                 "--delta", "0.5", "--M", "1", "--W", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["minibatch_b"] == doc["glm_samples"] == doc["glm_minibatch_b0"] == 1
 
 
 def test_budgets_smooth(capsys):
