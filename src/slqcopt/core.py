@@ -65,14 +65,6 @@ _BLOCK_WORDS = 1 << 15  # raw 64-bit words in one block at most (256 KB)
 _HALF = 1 << 32
 
 
-def _index(positions: list[int]) -> slice | np.ndarray:
-    """positions as a slice when consecutive (indexing gives a view), else an array."""
-    start = positions[0] if positions else 0
-    if positions == list(range(start, start + len(positions))):
-        return slice(start, start + len(positions))
-    return np.array(positions, dtype=np.intp)
-
-
 class BlockDraws:
     """A run's PCG64 Generator, answering its minibatch draws from raw blocks.
 
@@ -109,13 +101,11 @@ class BlockDraws:
         self._gen, self._bitgen, self._draws, self._b, self._T = gen, bitgen, tuple(draws), b, T
         self._halves = b * sum(name == "integers" and args[1] - args[0] > 1
                                for name, *args in draws)  # per iteration
-        # an odd count of halves alternates the carry, so the words of two
-        # iterations make up the repeating unit of a block
+        # a block row holds the iterations that leave the pending half as it
+        # was: one, or two when an iteration draws an odd count of halves
         self._period = 1 + self._halves % 2
-        width = (self._period * b * sum(name != "integers" for name, *_ in draws)
-                 + self._period * self._halves // 2)  # words per period
-        self._per_block = _BLOCK_WORDS // width * self._period if width else T
-        self._templates = {}
+        self._row_words = self._period * (2 * b * sum(name != "integers" for name, *_ in draws)
+                                          + self._halves) // 2
         state = bitgen.state
         self._carry = (state["has_uint32"], state["uinteger"])  # the pending half
         self._k = 0                   # next request within the minibatch
@@ -123,33 +113,38 @@ class BlockDraws:
         self._start = self._stop = 0  # the current block's iterations
         self._rows = None             # per request, (iterations, b) answers; None: per call
 
-    def _template(self, carry: int, iterations: int):
-        """Word count and word positions of `iterations` consecutive iterations
-        that start with `carry` halves pending: per request, then the shared
-        words of the integers requests last."""
-        key = (carry, iterations)
-        if key not in self._templates:
-            b, where, w = self._b, [[] for _ in range(len(self._draws) + 1)], 0
-            for _ in range(iterations):
-                for r, (name, *args) in enumerate(self._draws):
-                    if name != "integers":
-                        count = b
-                    elif args[1] - args[0] > 1:
-                        count, r = (b - carry + 1) // 2, -1
-                        carry = (carry + b) % 2
-                    else:
-                        continue
-                    where[r].extend(range(w, w + count))
-                    w += count
-            self._templates[key] = (w, [_index(p) for p in where])
-        return self._templates[key]
+    def _runs(self, iterations: int) -> tuple[list, int]:
+        """The words of the next `iterations` iterations as runs (request,
+        start, stop) in draw order, and their count; request len(draws)
+        stands for the words split into halves for the integers."""
+        b, pending, runs, w = self._b, self._carry[0], [], 0
+        for _ in range(iterations):
+            for r, (name, *args) in enumerate(self._draws):
+                if name != "integers":
+                    count = b
+                elif args[1] - args[0] > 1:  # a pending half takes no new word
+                    r, count = len(self._draws), (b - pending + 1) // 2
+                    pending = (pending + b) % 2
+                else:
+                    continue
+                runs.append((r, w, w + count))
+                w += count
+        return runs, w
 
-    def _fill(self, raw: np.ndarray, where: list, K: int):
-        """Each request's (K, b) answers from a block and the carry after it,
-        or None if the block holds a rejected half."""
+    def _fill(self, K: int):
+        """Each request's (K, b) answers from the block of the next K
+        iterations and the carry after it, or None if it holds a rejected half."""
         b = self._b
         has, value = self._carry
-        halves = raw[:, where[-1]].ravel().astype("<u8", copy=False).view("<u4")
+        per_row = self._period if K > 1 else 1
+        runs, width = self._runs(per_row)
+        raw = self._bitgen.random_raw(K // per_row * width).reshape(K // per_row, width)
+
+        def words(r: int) -> np.ndarray:  # request r's words, a row per block row
+            return np.concatenate([raw[:, start:stop] for q, start, stop in runs if q == r]
+                                  or [raw[:, :0]], axis=1)
+
+        halves = words(len(self._draws)).ravel().astype("<u8", copy=False).view("<u4")
         if has:
             halves = np.concatenate([np.array([value], dtype=np.uint32), halves])
         used = K * self._halves
@@ -158,7 +153,7 @@ class BlockDraws:
         rows, h = [], 0
         for r, (name, *args) in enumerate(self._draws):
             if name != "integers":
-                d = raw[:, where[r]].reshape(K, b)
+                d = words(r).reshape(K, b)
                 d >>= 11
                 d = d.view(np.int64).astype(np.float64)  # below 2^53: exact
                 d *= 2.0 ** -53
@@ -195,17 +190,17 @@ class BlockDraws:
         if self._rows is None and self._stop:  # gen answered the last block
             state = bitgen.state
             self._carry = (state["has_uint32"], state["uinteger"])
-        K = min(self._per_block, self._T - i)
-        if K < 1:  # past T, or one period outgrows a block: gen answers from here on
+        K = self._T - i
+        if self._row_words:
+            K = min(K, _BLOCK_WORDS // self._row_words * self._period)
+        if K > 1:
+            K -= K % self._period
+        if K < 1:  # past T, or one row outgrows a block: gen answers from here on
             self._set_carry(bitgen.state)
             self._rows, self._start, self._stop = None, i, math.inf
             return
-        per_row = self._period if K > 1 else 1
-        K -= K % per_row
-        width, where = self._template(self._carry[0], per_row)
         saved = bitgen.state
-        raw = bitgen.random_raw(K // per_row * width).reshape(K // per_row, width)
-        filled = self._fill(raw, where, K)
+        filled = self._fill(K)
         if filled is None:
             self._rows = None
             self._set_carry(saved)

@@ -133,11 +133,14 @@ GLM_DRAWS = lambda n: (("integers", 0, n), ("uniform", -1.0, 1.0))  # noqa: E731
                                    (("random",),)],
                          ids=["n1", "n1000", "n2^32-2^22", "n2^31+1", "random"])
 def test_block_draws_equal_generator_across_block_ends(draws, b):
-    # a few iterations more than one block holds, so the run crosses a block end
+    # a few iterations more than one block holds, so the run crosses a block
+    # end; a small word cap keeps the per-call reference short at small b
+    cap = 2048
     halves = sum(b for name, *args in draws if name == "integers" and args[1] - args[0] > 1)
     words = b * sum(name != "integers" for name, *_ in draws) + halves / 2
-    blocks, _, _ = _compare_block_draws(draws, b, int(_BLOCK_WORDS / words) + 3)
-    assert len(blocks) >= 2 and max(blocks) <= _BLOCK_WORDS
+    with unittest.mock.patch.object(core, "_BLOCK_WORDS", cap):
+        blocks, _, _ = _compare_block_draws(draws, b, int(cap / words) + 3)
+    assert len(blocks) >= 2 and max(blocks) <= cap
 
 
 def test_block_draws_take_both_paths_in_one_run():
