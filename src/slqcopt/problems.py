@@ -355,7 +355,7 @@ def make_lower_bound_distribution(eps: float) -> StochasticObjective:
         return _TwoComponentLoss(eps, b - k, k, b)
 
     return StochasticObjective(dim=1, sample_minibatch=sample, expected=expected,
-                               minimizer=np.array([LOWER_BOUND_MINIMIZER]), draws=(("random",),))
+                               minimizer=np.array([LOWER_BOUND_MINIMIZER]))
 
 
 # ---------------------------------------------------------------------------
