@@ -48,6 +48,12 @@ CASES = {
         "optimizer": {"name": "sngd",
                       "params": {"T": 300, "eta": 0.05, "x1": X1_GLM, "b": 646}},
     },
+    # an odd b over about ten full 2^15-word blocks, each of two-iteration rows
+    "sngd_odd_b_many_blocks": {
+        "problem": GLM,
+        "optimizer": {"name": "sngd",
+                      "params": {"T": 300, "eta": 0.05, "x1": X1_GLM, "b": 645}},
+    },
     "sngd_lower_bound": {
         "problem": {"name": "lower_bound", "params": {"eps": 0.1}},
         "optimizer": {"name": "sngd", "params": {"T": 300, "eta": 0.1, "x1": [0.0], "b": 2}},
@@ -144,6 +150,12 @@ DIGESTS = {
             "a2ce90ea3888178eb1ee83d8a62cdc22bb0ab2c84180c2c3bad8f9d1af999234",
         "trace_trial001.csv":
             "aecb00922c51dd998fa672bf18b4675f96080d4cba78bb6401eec8871ae6e7dd",
+    },
+    "sngd_odd_b_many_blocks": {
+        "trace_trial000.csv":
+            "c9c7e4d96976f119fb6c8e261178052d1b52130e68bf6dc288ce8480c0805e5a",
+        "trace_trial001.csv":
+            "b8865d97451952d0a03ac5b88085e4037d94e98426ded00f3b1ddeceec78381e",
     },
     "sngd_odd_b": {
         "trace_trial000.csv":
