@@ -165,10 +165,14 @@ def build_problem(name: str, params: dict | None, stream: RandomStream) -> Built
 # ---------------------------------------------------------------------------
 
 
-def _schedule(schedule: dict | None) -> optimizers.StepSchedule:
+def _schedule(name: str, schedule: dict | None, T: int, b: int = 1) -> optimizers.StepSchedule:
+    """Baseline `name`'s schedule, once it, T and b pass the checks the run
+    makes when it starts, so a bad value fails while the params bind."""
     if not isinstance(schedule, dict | None):
         raise TypeError(f"'schedule' must be an object, got {schedule!r}")
-    return _checked(optimizers.StepSchedule, **{"eta0": 0.01, **(schedule or {})})
+    schedule = _checked(optimizers.StepSchedule, **{"eta0": 0.01, **(schedule or {})})
+    optimizers._check_baseline(T, b, schedule, momentum=name == "nesterov")
+    return schedule
 
 
 # An entry(name, f, stream, x1, **params) binds the other config params of
@@ -189,18 +193,18 @@ def _sngd(name: str, F: StochasticObjective, stream, x1, **params):
 
 
 def _gd(name: str, f: Objective, stream, x1, *, T: int, schedule=None):
-    args = (f, _schedule(schedule), T, x1)
+    args = (f, _schedule(name, schedule, T), T, x1)
     return lambda: getattr(optimizers, name)(*args)
 
 
 def _sgd(name: str, F: StochasticObjective, stream, x1, *, T: int, schedule=None):
-    args = (F, _schedule(schedule), T, x1, stream)
+    args = (F, _schedule(name, schedule, T), T, x1, stream)
     return lambda: getattr(optimizers, name)(*args)
 
 
 def _minibatch(name: str, F: StochasticObjective, stream, x1, *, T: int, b: int = 1,
                schedule=None):
-    args = (F, _schedule(schedule), T, x1, b, stream)
+    args = (F, _schedule(name, schedule, T, b), T, x1, b, stream)
     return lambda: getattr(optimizers, name)(*args)
 
 
@@ -230,11 +234,15 @@ def _bound_run(cfg: dict, prob: BuiltProblem, trial: int, sweep_idx: int):
         raise ConfigError(f"optimizer {name!r} needs a {kind} problem")
     stream = seeded_stream(cfg["seed"]).substream(1).substream(trial).substream(sweep_idx)
     x1 = params.pop("x1", None)  # every optimizer starts there, at the origin by default
+    bad = f"bad parameters for optimizer {name!r}"
     try:
         x1 = np.zeros(f.dim) if x1 is None else as_point(x1, f.dim)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{bad}: 'x1': {exc}") from exc
+    try:
         return _checked(entry, run_name, f, stream, x1, **params)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad parameters for optimizer {name!r}: {exc}") from exc
+        raise ConfigError(f"{bad}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +251,8 @@ def _bound_run(cfg: dict, prob: BuiltProblem, trial: int, sweep_idx: int):
 
 
 def _tag_value(value) -> str:
+    if isinstance(value, dict):
+        return "_".join(f"{key}-{_tag_value(v)}" for key, v in value.items())
     if isinstance(value, list):
         return "_".join(_tag_value(v) for v in value)
     return f"{value:g}" if isinstance(value, float) else str(value)
@@ -277,7 +287,7 @@ def _run_single(cfg: dict, trial: int, sweep_idx: int, out_dir: str,
     t0 = time.perf_counter()
     try:
         trace = run()
-    except ValueError as exc:  # the library's own checks, such as gd's on momentum
+    except ValueError as exc:  # the library's own checks, such as ngd_oracle's
         raise ConfigError(f"bad parameters for optimizer {cfg['optimizer']['name']!r}: {exc}")
     wall = time.perf_counter() - t0
     csv_name = f"trace_trial{trial:03d}{tag}.csv"

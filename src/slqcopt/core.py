@@ -68,16 +68,15 @@ _HALF = 1 << 32
 class BlockDraws:
     """A run's PCG64 Generator, answering its minibatch draws from raw blocks.
 
-    draws lists in order the requests that one minibatch makes, each of size
-    b: ("integers", low, high), ("uniform", low, high) or ("random",).  Every
-    answer is byte-equal to what gen returns for the same call, by numpy's
-    documented algorithms:
+    draws is the one request list served, (("integers", low, high),
+    ("uniform", lo, hi)): each minibatch calls integers(low, high, size=b),
+    then uniform(lo, hi, size=b).  Every answer is byte-equal to what gen
+    returns for the same call, by numpy's documented algorithms:
     - integers is Lemire's method over 32-bit halves, low half first; a half
       x is rejected when (x*n) mod 2^32 < (2^32 - n) mod n, n = high - low.
-      An unused high half is carried to the next integers request, and the
-      64-bit draws in between do not touch it.  With n = 1 nothing is drawn.
-    - uniform is low + (high - low) * ((raw >> 11) * 2^-53), and random is
-      the same double without the shift and scale.
+      An unused high half is carried to the next integers call, and the
+      uniform words in between do not touch it.  With n = 1 nothing is drawn.
+    - uniform is lo + (hi - lo) * ((raw >> 11) * 2^-53).
     A block covers whole iterations, at most _BLOCK_WORDS raw words and never
     past iteration T.  A block that holds a rejected half falls back: the
     state saved before it is restored with the carried half, gen itself
@@ -89,124 +88,87 @@ class BlockDraws:
         bitgen = gen.bit_generator
         if not isinstance(bitgen, np.random.PCG64):
             raise TypeError("block draws reproduce PCG64 only")
-        for name, *args in draws:
-            if name not in ("integers", "uniform", "random"):
-                raise ValueError(f"cannot draw {name!r} from blocks")
-            if name == "integers" and not 1 <= args[1] - args[0] <= _HALF:
-                raise ValueError(f"integers range [{args[0]}, {args[1]}) must hold "
-                                 f"between 1 and 2^32 values")
-            if name == "uniform" and not 0 <= float(args[1]) - float(args[0]) < math.inf:
-                raise ValueError(f"uniform range [{args[0]}, {args[1]}) must be finite, "
-                                 f"with low <= high")
-        self._gen, self._bitgen, self._draws, self._b, self._T = gen, bitgen, tuple(draws), b, T
-        self._halves = b * sum(name == "integers" and args[1] - args[0] > 1
-                               for name, *args in draws)  # per iteration
+        match draws:
+            case (("integers", low, high), ("uniform", lo, hi)):
+                pass
+            case _:
+                raise ValueError(f"cannot draw {draws!r} from blocks: they serve "
+                                 f"(('integers', low, high), ('uniform', lo, hi))")
+        if not 1 <= high - low <= _HALF:
+            raise ValueError(f"integers range [{low}, {high}) must hold "
+                             f"between 1 and 2^32 values")
+        if not 0 <= float(hi) - float(lo) < math.inf:
+            raise ValueError(f"uniform range [{lo}, {hi}) must be finite, with low <= high")
+        self._gen, self._bitgen, self._b, self._T = gen, bitgen, b, T
+        self._draws = (("integers", low, high), ("uniform", lo, hi))
+        self._low, self._n, self._lo, self._hi = low, high - low, float(lo), float(hi)
+        self._halves = b if self._n > 1 else 0  # per iteration
         # a block row holds the iterations that leave the pending half as it
         # was: one, or two when an iteration draws an odd count of halves
         self._period = 1 + self._halves % 2
-        self._row_words = self._period * (2 * b * sum(name != "integers" for name, *_ in draws)
-                                          + self._halves) // 2
+        self._row_words = self._period * (2 * b + self._halves) // 2
         state = bitgen.state
         self._carry = (state["has_uint32"], state["uinteger"])  # the pending half
         self._k = 0                   # next request within the minibatch
         self._i = 0                   # iteration of the next minibatch
         self._start = self._stop = 0  # the current block's iterations
-        self._rows = None             # per request, (iterations, b) answers; None: per call
-
-    def _runs(self, iterations: int) -> tuple[list, int]:
-        """The words of the next `iterations` iterations as runs (request,
-        start, stop) in draw order, and their count; request len(draws)
-        stands for the words split into halves for the integers."""
-        b, pending, runs, w = self._b, self._carry[0], [], 0
-        for _ in range(iterations):
-            for r, (name, *args) in enumerate(self._draws):
-                if name != "integers":
-                    count = b
-                elif args[1] - args[0] > 1:  # a pending half takes no new word
-                    r, count = len(self._draws), (b - pending + 1) // 2
-                    pending = (pending + b) % 2
-                else:
-                    continue
-                runs.append((r, w, w + count))
-                w += count
-        return runs, w
+        self._rows = None             # (indices, doubles), each (iterations, b); None: per call
 
     def _fill(self, K: int):
-        """Each request's (K, b) answers from the block of the next K
-        iterations and the carry after it, or None if it holds a rejected half."""
-        b = self._b
+        """The (K, b) indices and doubles of the next K iterations from one
+        block and the carry after it, or None if it holds a rejected half."""
+        b, h = self._b, self._halves
         has, value = self._carry
         per_row = self._period if K > 1 else 1
-        runs, width = self._runs(per_row)
+        # a block row's words, per iteration: those split into halves for the
+        # integers (a pending half takes no new word), then b for uniform
+        runs, width, pending = [], 0, has
+        for _ in range(per_row):
+            count = (h - pending + 1) // 2
+            runs.append((width, width + count))
+            width += count + b
+            pending = (pending + h) % 2
         raw = self._bitgen.random_raw(K // per_row * width).reshape(K // per_row, width)
-
-        def words(r: int) -> np.ndarray:  # request r's words, a row per block row
-            return np.concatenate([raw[:, start:stop] for q, start, stop in runs if q == r]
-                                  or [raw[:, :0]], axis=1)
-
-        halves = words(len(self._draws)).ravel().astype("<u8", copy=False).view("<u4")
+        u = np.concatenate([raw[:, stop:stop + b] for _, stop in runs], axis=1).reshape(K, b)
+        u >>= 11
+        u = u.view(np.int64).astype(np.float64)  # below 2^53: exact
+        u *= 2.0 ** -53
+        u *= self._hi - self._lo
+        u += self._lo
+        if not h:
+            return (np.full((K, b), self._low, dtype=np.int64), u), self._carry
+        halves = np.concatenate([raw[:, start:stop] for start, stop in runs], axis=1)
+        halves = halves.ravel().astype("<u8", copy=False).view("<u4")
         if has:
             halves = np.concatenate([np.array([value], dtype=np.uint32), halves])
-        used = K * self._halves
-        carry = (1, int(halves[-1])) if halves.size > used else (0, value)
-        halves = halves[:used].reshape(K, self._halves)
-        rows, h = [], 0
-        for r, (name, *args) in enumerate(self._draws):
-            if name != "integers":
-                d = words(r).reshape(K, b)
-                d >>= 11
-                d = d.view(np.int64).astype(np.float64)  # below 2^53: exact
-                d *= 2.0 ** -53
-                if name == "uniform":
-                    lo, hi = float(args[0]), float(args[1])
-                    d *= hi - lo
-                    d += lo
-                rows.append(d)
-                continue
-            low, n = args[0], args[1] - args[0]
-            if n == 1:
-                rows.append(np.full((K, b), low, dtype=np.int64))
-                continue
-            x = halves[:, h:h + b]
-            h += b
-            reject = (_HALF - n) % n
-            if reject and (x * np.uint32(n) < reject).any():  # x*n wraps mod 2^32
-                return None
-            m = x.astype(np.uint64)
-            m *= np.uint64(n)
-            m >>= 32
-            m = m.view(np.int64)
-            if low:
-                m += low
-            rows.append(m)
-        return rows, carry
-
-    def _set_carry(self, state: dict) -> None:
-        state["has_uint32"], state["uinteger"] = self._carry
-        self._bitgen.state = state
+        carry = (1, int(halves[-1])) if halves.size > K * h else (0, value)
+        x, n = halves[:K * h].reshape(K, h), self._n
+        reject = (_HALF - n) % n
+        if reject and (x * np.uint32(n) < reject).any():  # x*n wraps mod 2^32
+            return None
+        m = x.astype(np.uint64)
+        m *= np.uint64(n)
+        m >>= 32
+        m = m.view(np.int64)
+        m += self._low
+        return (m, u), carry
 
     def _next_block(self) -> None:
         bitgen, i = self._bitgen, self._i
         if self._rows is None and self._stop:  # gen answered the last block
             state = bitgen.state
             self._carry = (state["has_uint32"], state["uinteger"])
-        K = self._T - i
-        if self._row_words:
-            K = min(K, _BLOCK_WORDS // self._row_words * self._period)
+        K = min(self._T - i, _BLOCK_WORDS // self._row_words * self._period)
         if K > 1:
             K -= K % self._period
-        if K < 1:  # past T, or one row outgrows a block: gen answers from here on
-            self._set_carry(bitgen.state)
-            self._rows, self._start, self._stop = None, i, math.inf
-            return
         saved = bitgen.state
-        filled = self._fill(K)
-        if filled is None:
-            self._rows = None
-            self._set_carry(saved)
-        else:
-            self._rows, self._carry = filled
-        self._start, self._stop = i, i + K
+        filled = self._fill(K) if K > 0 else None
+        self._rows, self._carry = filled or (None, self._carry)
+        if filled is None:  # gen answers, with the carry as its pending half
+            saved["has_uint32"], saved["uinteger"] = self._carry
+            bitgen.state = saved
+        # K < 1: past T, or one row outgrows a block; gen answers from here on
+        self._start, self._stop = i, (i + K if K > 0 else math.inf)
 
     def _answer(self, request: tuple, size):
         k = self._k
@@ -216,11 +178,7 @@ class BlockDraws:
         if k == 0 and self._i == self._stop:
             self._next_block()
         row = self._i - self._start
-        if k + 1 < len(self._draws):
-            self._k = k + 1
-        else:
-            self._k = 0
-            self._i += 1
+        self._k, self._i = 1 - k, self._i + k
         if self._rows is None:
             name, *args = request
             return getattr(self._gen, name)(*args, size=size)
@@ -231,9 +189,6 @@ class BlockDraws:
 
     def uniform(self, low, high, size):
         return self._answer(("uniform", low, high), size)
-
-    def random(self, size):
-        return self._answer(("random",), size)
 
 
 def sample_in_ball(gen: np.random.Generator, dim: int, radius: float = 1.0,
@@ -277,8 +232,8 @@ class Ball:
     def dim(self) -> int:
         return self.center.size
 
-    def contains(self, x: Point, tol: float = 0.0) -> bool:
-        return float(np.linalg.norm(x - self.center)) <= self.radius + tol
+    def contains(self, x: Point) -> bool:
+        return float(np.linalg.norm(x - self.center)) <= self.radius
 
     def project(self, x: Point) -> Point:
         d = x - self.center
@@ -303,11 +258,11 @@ class Box:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, x: Point, tol: float = 0.0) -> bool:
+    def contains(self, x: Point) -> bool:
         # a loop over Python floats: at small dim, numpy's temporaries cost
         # more than the comparisons (projection runs once per NGD step)
         for lo, c, hi in zip(self.lower.tolist(), x.tolist(), self.upper.tolist()):
-            if not lo - tol <= c <= hi + tol:
+            if not lo <= c <= hi:
                 return False
         return True
 
@@ -351,10 +306,10 @@ class StochasticObjective:
     expected, when known in closed form, is the population objective;
     bound_M is a uniform bound on |component value| (inf if unbounded).
     draws, when not empty, lists in order the generator requests that
-    sample_minibatch makes for one minibatch, each of size b:
-    ("integers", low, high), ("uniform", low, high) or ("random",).  The
-    optimizers then answer them from BlockDraws, byte for byte the same
-    draws; a sampler that makes any other request must leave draws empty.
+    sample_minibatch makes for one minibatch, each of size b.  The one list
+    accepted is (("integers", low, high), ("uniform", lo, hi)), which the
+    optimizers then answer from BlockDraws, byte for byte the same draws; a
+    sampler that makes any other requests must leave draws empty.
     """
 
     dim: int

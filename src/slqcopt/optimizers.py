@@ -212,8 +212,6 @@ def evaluate_iterates(trace: OptTrace, f: Objective) -> np.ndarray:
 def _run_scheduled(dim: int, x1, T: int, schedule: StepSchedule, query) -> OptTrace:
     """Step rule x <- x - eta_t * g; with momentum mu > 0 the look-ahead form
     v <- mu*v - eta_t * g(x + mu*v); x <- x + v."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
     eta, mu = schedule.step_size, schedule.momentum
     x = as_point(x1, dim)
     if mu == 0.0:
@@ -228,22 +226,28 @@ def _run_scheduled(dim: int, x1, T: int, schedule: StepSchedule, query) -> OptTr
     return _descent(x, T, query, step, lookahead=lambda x: x + mu * v)
 
 
-def _reject_momentum(schedule: StepSchedule) -> None:
-    if schedule.momentum != 0.0:
+def _check_baseline(T: int, b: int, schedule: StepSchedule, momentum: bool) -> None:
+    """The checks a baseline makes before its first step; momentum tells
+    whether the method uses schedule.momentum (only nesterov does)."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if b < 1:
+        raise ValueError("minibatch size b must be >= 1")
+    if not momentum and schedule.momentum != 0.0:
         raise ValueError(f"momentum {schedule.momentum:g} is only used by nesterov; "
                          "this baseline needs schedule.momentum = 0")
 
 
 def gd(f: Objective, schedule: StepSchedule, T: int, x1) -> OptTrace:
     """Plain gradient descent with a step schedule (no momentum)."""
-    _reject_momentum(schedule)
+    _check_baseline(T, 1, schedule, momentum=False)
     return _run_scheduled(f.dim, x1, T, schedule, lambda t: (f.value, f.gradient))
 
 
 def msgd(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,
          stream: RandomStream) -> OptTrace:
     """Minibatch stochastic gradient descent (no normalization, no momentum)."""
-    _reject_momentum(schedule)
+    _check_baseline(T, b, schedule, momentum=False)
     return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream, T))
 
 
@@ -261,4 +265,5 @@ def nesterov(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,
     the schedule's momentum field.  One minibatch per iteration scores the
     current iterate and supplies the look-ahead gradient.
     """
+    _check_baseline(T, b, schedule, momentum=True)
     return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream, T))

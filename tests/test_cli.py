@@ -265,6 +265,39 @@ def test_run_list_sweep_values_give_plain_file_names(tmp_path):
     assert all(re.fullmatch(r"[\w.+-]+", name) for name in names)
 
 
+def test_run_object_sweep_values_give_plain_file_names(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, problem={"name": "cliff_plateau"},
+                 optimizer={"name": "gd", "params": {"T": 5, "x1": [1.0]}},
+                 sweep={"param": "schedule",
+                        "values": [{"eta0": 0.1}, {"eta0": 0.2, "gamma": 1e-3}]})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    names = sorted(p.name for p in out.glob("trace_*.csv"))
+    assert names == ["trace_trial000_schedule-eta0-0.1.csv",
+                     "trace_trial000_schedule-eta0-0.2_gamma-0.001.csv"]
+    assert all(re.fullmatch(r"[\w.+-]+", name) for name in names)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("problem, optimizer, sweep", [
+    ("noisy_glm", {"name": "msgd", "params": {"b": 2}}, {"param": "T", "values": [5, 0]}),
+    ("noisy_glm", {"name": "nesterov", "params": {"T": 5}}, {"param": "b", "values": [2, 0]}),
+    ("cliff_plateau", {"name": "gd", "params": {"T": 5}},
+     {"param": "schedule", "values": [{"eta0": 0.1}, {"eta0": 0.1, "momentum": 0.5}]}),
+], ids=["msgd-T-0", "nesterov-b-0", "gd-momentum"])
+def test_run_bad_baseline_sweep_value_writes_nothing(tmp_path, problem, optimizer, sweep,
+                                                     jobs, capsys):
+    # the runs' own checks on T, b and momentum happen while every value binds
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, problem={"name": problem}, optimizer=optimizer, sweep=sweep)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out), "--jobs", jobs]) == 2
+    assert "bad parameters for optimizer" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_run_serial_builds_the_problem_once(tmp_path, monkeypatch):
     calls = []
 
@@ -311,10 +344,11 @@ _SNGD = {"name": "sngd", "params": {"T": 20, "eta": 0.1}}
                   "optimizer": {"name": "msgd", "params": {"T": 20, "schedule": 3}}}),
     ("gamma", {"problem": {"name": "noisy_glm"},
                "optimizer": {"name": "msgd", "params": {"T": 20, "schedule": {"gamma": "0"}}}}),
+    ("x1", {"optimizer": {"name": "ngd", "params": {"T": 20, "eta": 0.1, "x1": ["a", 1]}}}),
 ], ids=["noisy_glm-pool", "perceptron-gammma", "sigmoid_sum-W", "lower_bound-b",
         "idealized_glm-d-3.7", "sngd-bb", "msgd-top-level-eta0", "sweep-bb",
         "noisy_glm-W-string", "sngd-eta-string", "cliff_plateau-valley_width-bool",
-        "msgd-schedule-not-object", "msgd-schedule-gamma-string"])
+        "msgd-schedule-not-object", "msgd-schedule-gamma-string", "ngd-x1-string"])
 def test_run_rejects_a_param_that_does_not_bind(tmp_path, key, overrides, jobs, capsys):
     # a dropped key would run at its default instead, and d=3.7 would run at d=3
     cfg_path = tmp_path / "cfg.json"
