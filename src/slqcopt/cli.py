@@ -287,7 +287,7 @@ def _run_single(cfg: dict, trial: int, sweep_idx: int, out_dir: str,
     t0 = time.perf_counter()
     try:
         trace = run()
-    except ValueError as exc:  # the library's own checks, such as ngd_oracle's
+    except ValueError as exc:  # the library's own checks: ngd_oracle needs an oracle
         raise ConfigError(f"bad parameters for optimizer {cfg['optimizer']['name']!r}: {exc}")
     wall = time.perf_counter() - t0
     csv_name = f"trace_trial{trial:03d}{tag}.csv"
