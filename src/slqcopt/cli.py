@@ -1,7 +1,8 @@
 """Command-line harness: seeded runs and sweeps, property checks, divergence suite, budgets.
 
-Config files are versioned JSON (schema below); identical config and seed
-produce byte-identical CSV traces, independent of the worker count.
+Config files are versioned JSON whose keys are checked as params are (see
+_config_keys): an unknown, missing, mistyped or out-of-range key is a usage
+error naming it.  Identical config and seed give byte-identical CSV traces.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import analysis, optimizers, problems, properties
@@ -25,55 +25,57 @@ from .core import (Ball, Box, Objective, RandomStream, StochasticObjective,
                    as_point, atomic_write, sample_region, seeded_stream)
 from .properties import box_grid
 
-# a problem or an optimizer: its registry name and its params
-_NAMED = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name"],
-    "properties": {"name": {"type": "string"}, "params": {"type": "object"}},
-}
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema_version", "seed", "problem", "optimizer"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "trials": {"type": "integer", "minimum": 1},
-        "problem": _NAMED,
-        "optimizer": _NAMED,
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["param", "values"],
-            "properties": {
-                "param": {"type": "string"},
-                "values": {"type": "array", "minItems": 1},
-            },
-        },
-        "target_value": {"type": "number"},
-    },
-}
-
 
 class ConfigError(Exception):
     pass
 
 
-def _checked(fn, *args, **params):
+# annotation -> the JSON values a param so annotated takes, and their name
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "str": ((str,), "a string"), "dict": ((dict,), "an object"),
+               "list": ((list,), "an array")}
+
+
+def _checked(fn, /, *args, **params):
     """fn(*args, **params), once a TypeError has named any param that fn does
-    not take, that is missing, or whose value does not fit its `int` or `float`
-    annotation: a float takes any JSON number, an int only an integer, and
-    neither a bool."""
+    not take, that is missing, or whose value does not fit its annotation in
+    _JSON_TYPES (a float takes any JSON number; none takes a bool or null)."""
     sig = inspect.signature(fn)
     for key, value in sig.bind(*args, **params).arguments.items():
-        kind = sig.parameters[key].annotation
-        if kind in (int, "int") and type(value) is not int:
-            raise TypeError(f"{key!r} must be an integer, got {value!r}")
-        if kind in (float, "float") and type(value) not in (int, float):
-            raise TypeError(f"{key!r} must be a number, got {value!r}")
+        annotation = sig.parameters[key].annotation
+        kind = _JSON_TYPES.get(getattr(annotation, "__name__", annotation))
+        if kind and type(value) not in kind[0]:
+            raise TypeError(f"{key!r} must be {kind[1]}, got {value!r}")
     return fn(*args, **params)
+
+
+def _config_keys(*, schema_version: int, seed: int, problem: dict, optimizer: dict,
+                 trials: int = 1, sweep: dict = None, target_value: float = None) -> None:
+    """The config's keys, bound by load_config with _checked; a default of None
+    only marks a key optional (null is not taken).  The objects at "problem",
+    "optimizer" and "sweep" bind in turn to _named_keys and _sweep_keys."""
+    if schema_version != 1:
+        raise ValueError(f"'schema_version' must be 1, got {schema_version}")
+    if seed < 0:
+        raise ValueError(f"'seed' must be >= 0, got {seed}")
+    if trials < 1:
+        raise ValueError(f"'trials' must be >= 1, got {trials}")
+    for key, keys, value in [("problem", _named_keys, problem),
+                             ("optimizer", _named_keys, optimizer), ("sweep", _sweep_keys, sweep)]:
+        try:
+            if value is not None:
+                _checked(keys, **value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key!r}: {exc}") from None
+
+
+def _named_keys(*, name: str, params: dict = None) -> None:
+    """A problem or an optimizer: its registry name and its params."""
+
+
+def _sweep_keys(*, param: str, values: list) -> None:
+    if not values:
+        raise ValueError("'values' must not be empty")
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +170,6 @@ def build_problem(name: str, params: dict | None, stream: RandomStream) -> Built
 def _schedule(name: str, schedule: dict | None, T: int, b: int = 1) -> optimizers.StepSchedule:
     """Baseline `name`'s schedule, once it, T and b pass the checks the run
     makes when it starts, so a bad value fails while the params bind."""
-    if not isinstance(schedule, dict | None):
-        raise TypeError(f"'schedule' must be an object, got {schedule!r}")
     schedule = _checked(optimizers.StepSchedule, **{"eta0": 0.01, **(schedule or {})})
     optimizers._check_baseline(T, b, schedule, momentum=name == "nesterov")
     return schedule
@@ -192,18 +192,18 @@ def _sngd(name: str, F: StochasticObjective, stream, x1, **params):
     return lambda: getattr(optimizers, name)(F, cfg)
 
 
-def _gd(name: str, f: Objective, stream, x1, *, T: int, schedule=None):
+def _gd(name: str, f: Objective, stream, x1, *, T: int, schedule: dict = None):
     args = (f, _schedule(name, schedule, T), T, x1)
     return lambda: getattr(optimizers, name)(*args)
 
 
-def _sgd(name: str, F: StochasticObjective, stream, x1, *, T: int, schedule=None):
+def _sgd(name: str, F: StochasticObjective, stream, x1, *, T: int, schedule: dict = None):
     args = (F, _schedule(name, schedule, T), T, x1, stream)
     return lambda: getattr(optimizers, name)(*args)
 
 
 def _minibatch(name: str, F: StochasticObjective, stream, x1, *, T: int, b: int = 1,
-               schedule=None):
+               schedule: dict = None):
     args = (F, _schedule(name, schedule, T, b), T, x1, b, stream)
     return lambda: getattr(optimizers, name)(*args)
 
@@ -211,7 +211,7 @@ def _minibatch(name: str, F: StochasticObjective, stream, x1, *, T: int, b: int 
 # config name -> (kind of objective it needs, optimizers.<name>, entry)
 OPTIMIZERS = {
     "ngd": ("deterministic", "ngd", _ngd),
-    "ngd_oracle": ("deterministic", "ngd_with_oracle", _ngd),
+    "ngd_oracle": ("direction-oracle", "ngd_with_oracle", _ngd),
     "sngd": ("stochastic", "sngd", _sngd),
     "gd": ("deterministic", "gd", _gd),
     "sgd": ("stochastic", "sgd", _sgd),
@@ -229,8 +229,8 @@ def _bound_run(cfg: dict, prob: BuiltProblem, trial: int, sweep_idx: int):
     if name not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {name!r}; known: {sorted(OPTIMIZERS)}")
     kind, run_name, entry = OPTIMIZERS[name]
-    f = prob.objective if kind == "deterministic" else prob.stochastic
-    if f is None:
+    f = prob.stochastic if kind == "stochastic" else prob.objective
+    if f is None or kind == "direction-oracle" and f.direction_oracle is None:
         raise ConfigError(f"optimizer {name!r} needs a {kind} problem")
     stream = seeded_stream(cfg["seed"]).substream(1).substream(trial).substream(sweep_idx)
     x1 = params.pop("x1", None)  # every optimizer starts there, at the origin by default
@@ -285,10 +285,7 @@ def _run_single(cfg: dict, trial: int, sweep_idx: int, out_dir: str,
     sweep = cfg.get("sweep")
     tag = _sweep_tag(sweep["param"], sweep["values"][sweep_idx]) if sweep else ""
     t0 = time.perf_counter()
-    try:
-        trace = run()
-    except ValueError as exc:  # the library's own checks: ngd_oracle needs an oracle
-        raise ConfigError(f"bad parameters for optimizer {cfg['optimizer']['name']!r}: {exc}")
+    trace = run()
     wall = time.perf_counter() - t0
     csv_name = f"trace_trial{trial:03d}{tag}.csv"
     trace.write_csv(Path(out_dir) / csv_name)
@@ -318,12 +315,13 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise TypeError(f"a config must be a JSON object, got {type(cfg).__name__}")
+        _checked(_config_keys, **cfg)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config does not match schema: {exc.message}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config {path}: {exc}") from exc
     return cfg
 
 

@@ -232,9 +232,6 @@ class Ball:
     def dim(self) -> int:
         return self.center.size
 
-    def contains(self, x: Point) -> bool:
-        return float(np.linalg.norm(x - self.center)) <= self.radius
-
     def project(self, x: Point) -> Point:
         d = x - self.center
         r = math.sqrt(float(d @ d))  # what np.linalg.norm computes for a vector

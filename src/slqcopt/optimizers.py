@@ -128,8 +128,6 @@ def _minibatches(F: StochasticObjective, b: int, stream: RandomStream, T: int):
     A family that declares its draws gets them from BlockDraws over the T
     iterations: the same bytes as the stream's generator, with fewer calls.
     """
-    if b < 1:
-        raise ValueError("minibatch size b must be >= 1")
     gen = stream.generator()
     if F.draws:
         gen = BlockDraws(gen, F.draws, b, T)

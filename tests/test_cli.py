@@ -2,6 +2,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,8 +254,57 @@ def test_run_rejects_negative_config_seed(tmp_path, capsys):
                  optimizer={"name": "sngd", "params": {"T": 10, "eta": 0.1}})
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
-    assert "does not match schema" in capsys.readouterr().err
+    assert "'seed' must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("make, words", [
+    (lambda cfg: {**cfg, "trials": 2.0}, ["'trials' must be an integer"]),
+    (lambda cfg: {**cfg, "seed": 1.0}, ["'seed' must be an integer"]),
+    (lambda cfg: {**cfg, "schema_version": 1.0}, ["'schema_version' must be an integer"]),
+    (lambda cfg: {**cfg, "seed": True}, ["'seed' must be an integer"]),
+    (lambda cfg: {**cfg, "target_value": "0.1"}, ["'target_value' must be a number"]),
+    (lambda cfg: {**cfg, "optimizer": {**cfg["optimizer"], "params": None}},
+     ["'optimizer'", "'params' must be an object"]),
+    (lambda cfg: {**cfg, "problem": {"name": "sigmoid_sum", "param": {}}},
+     ["'problem'", "'param'"]),
+    (lambda cfg: {**cfg, "problem": {"params": {}}}, ["'problem'", "'name'"]),
+    (lambda cfg: {**cfg, "sweep": {"param": "eta", "values": []}},
+     ["'sweep'", "'values' must not be empty"]),
+    (lambda cfg: {**cfg, "sweep": {"param": "eta"}}, ["'sweep'", "'values'"]),
+    (lambda cfg: [cfg], ["must be a JSON object"]),
+], ids=["trials-float", "seed-float", "schema_version-float", "seed-bool",
+        "target_value-string", "params-null", "problem-unknown-key", "problem-no-name",
+        "sweep-empty-values", "sweep-no-values", "top-level-array"])
+def test_run_rejects_a_config_key_that_does_not_bind(tmp_path, make, words, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make(write_config(cfg_path))))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in words), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_ngd_oracle_without_an_oracle_writes_nothing(tmp_path, jobs, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, trials=2,
+                 optimizer={"name": "ngd_oracle", "params": {"T": 10, "eta": 0.1}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out), "--jobs", jobs]) == 2
+    assert "needs a direction-oracle problem" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_does_not_load_jsonschema():
+    # the config's keys are checked without it; importing it again would undo
+    # the CLI's set-up time and memory savings unnoticed
+    code = "import sys, slqcopt.cli; print(sorted(m for m in sys.modules if 'jsonschema' in m))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_list_sweep_values_give_plain_file_names(tmp_path):
