@@ -83,11 +83,11 @@ def _sweep_keys(*, param: str, values: list) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class BuiltProblem:
     objective: Objective | None = None
     stochastic: StochasticObjective | None = None
-    minimizer: np.ndarray | None = None
+    minimizer: np.ndarray
     default_kappa: float | None = None
     sublevel_witness: tuple | None = None
     sample_region: Ball | Box | None = None
@@ -126,13 +126,12 @@ def _build_counterexample(stream: RandomStream) -> BuiltProblem:
 def _build_noisy_glm(stream: RandomStream, d: int = 5, W: float = 2.0,
                      **noise) -> BuiltProblem:
     F = _checked(problems.make_noisy_glm, stream, d, W, **noise)
-    return BuiltProblem(stochastic=F, minimizer=F.minimizer, default_kappa=math.exp(W),
-                        sample_region=Ball(np.zeros(d), W))
+    return BuiltProblem(stochastic=F, minimizer=F.minimizer)
 
 
 def _build_lower_bound(stream: RandomStream, eps: float = 0.1) -> BuiltProblem:
     F = problems.make_lower_bound_distribution(eps)
-    return BuiltProblem(stochastic=F, minimizer=F.minimizer, sample_region=Box([-10.0], [10.0]))
+    return BuiltProblem(stochastic=F, minimizer=F.minimizer)
 
 
 def _build_perceptron(stream: RandomStream, d: int = 5, m: int = 200,
@@ -345,6 +344,16 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # A summary of another config would describe traces this run replaces, so it
+    # goes before the first trace is written; one of this config describes the
+    # same bytes this run writes, so it stays true if the run fails.
+    summary_path = out_dir / "summary.json"
+    try:
+        old_cfg = json.loads(summary_path.read_text())["config"]
+    except (OSError, ValueError, KeyError, TypeError):  # none, or not one cmd_run wrote
+        old_cfg = None
+    if old_cfg != cfg:
+        summary_path.unlink(missing_ok=True)
     work = [(trial, s) for trial in range(trials) for s in range(len(tags))]
     jobs = cap_workers(args.jobs, len(work))
     if jobs > 1:
@@ -354,7 +363,7 @@ def cmd_run(args) -> int:
     else:
         runs = [_run_single(cfg, t, s, str(out_dir), prob) for t, s in work]
     summary = {"schema_version": 1, "config": cfg, "runs": runs}
-    with atomic_write(out_dir / "summary.json") as fh:
+    with atomic_write(summary_path) as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     if any(r["aborted"] for r in runs):
@@ -390,49 +399,31 @@ def cmd_check(args) -> int:
     f = prob.objective
     if f is None:
         raise ConfigError(f"problem {args.problem!r} has no deterministic objective to check")
-    if args.property != "slqc" and args.trials < 1:  # a pass over no pairs certifies nothing
-        raise ConfigError("--trials must be >= 1")
-    gen = stream.substream(1).generator()
     result: dict = {"problem": args.problem, "property": args.property, "seed": args.seed}
 
     if args.property == "slqc":
-        if prob.minimizer is None:
-            raise ConfigError("slqc check needs a problem with a known minimizer")
         kappa = args.kappa if args.kappa is not None else prob.default_kappa
         if kappa is None:
             raise ConfigError("no default kappa for this problem; pass --kappa")
-        try:
-            eps_values = [float(s) for s in args.eps_grid.split(",")]
-        except ValueError:
-            raise ConfigError(f"--eps-grid must be comma-separated numbers, got {args.eps_grid!r}")
-        if not all(math.isfinite(eps) and eps > 0 for eps in eps_values):
-            raise ConfigError(f"--eps-grid values must be finite and positive, "
-                              f"got {args.eps_grid!r}")
         region = prob.sample_region
         if isinstance(region, Box) and f.dim == 2 and args.grid:
             points = box_grid(region, args.grid)
-        elif args.points < 1:
-            raise ConfigError("--points must be >= 1")
         else:
-            points = sample_region(gen, region, n=args.points)
+            points = sample_region(stream.substream(1).generator(), region, n=args.points)
         batch = properties.check_slqc_batch(
-            f, prob.minimizer, kappa, eps_values, points,
+            f, prob.minimizer, kappa, args.eps_grid, points,
             use_oracle=f.direction_oracle is not None,
         )
-        result.update({"kappa": kappa, "eps_grid": eps_values,
+        result.update({"kappa": kappa, "eps_grid": args.eps_grid,
                        "n_points": len(points), "passed": batch.all_hold,
                        "failures": [r for r in batch.reports if not r["holds"]]})
     elif args.property == "sublevel":
-        if args.alpha == "auto":
+        alpha = args.alpha
+        if alpha == "auto":
             if prob.sublevel_witness is None:
                 raise ConfigError("--alpha auto needs a problem with a known witness pair")
             wa, wb = prob.sublevel_witness
             alpha = max(f.value(wa), f.value(wb))
-        else:
-            try:
-                alpha = float(args.alpha)
-            except ValueError:
-                raise ConfigError(f"--alpha must be a number or 'auto', got {args.alpha!r}")
         rep = properties.check_sublevel_convex(
             f, alpha, args.trials, stream.substream(2),
             region=prob.sample_region, pairs=[prob.sublevel_witness] if prob.sublevel_witness else None)
@@ -443,10 +434,9 @@ def cmd_check(args) -> int:
     else:  # lipschitz or smooth; argparse restricts the choices
         if args.bound is None or args.radius is None:
             raise ConfigError(f"{args.property} check needs --bound and --radius")
-        center = prob.minimizer if prob.minimizer is not None else np.zeros(f.dim)
         checker = (properties.check_local_lipschitz if args.property == "lipschitz"
                    else properties.check_local_smooth)
-        rep = checker(f, center, args.radius, args.bound, args.trials, stream.substream(2))
+        rep = checker(f, prob.minimizer, args.radius, args.bound, args.trials, stream.substream(2))
         result.update({"bound": args.bound, "radius": args.radius, **rep.to_dict()})
 
     _report(result, args.out)
@@ -554,15 +544,18 @@ def _parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run a property checker over a grid/sample")
     chk.add_argument("problem", choices=sorted(PROBLEMS))
     chk.add_argument("property", choices=["slqc", "sublevel", "lipschitz", "smooth"])
-    chk.add_argument("--eps-grid", default="0.1,0.5,1")
+    chk.add_argument("--eps-grid", default="0.1,0.5,1",
+                     type=lambda text: [_positive_float(eps) for eps in text.split(",")])
     chk.add_argument("--kappa", type=_positive_float, default=None)
-    chk.add_argument("--alpha", default="auto")
+    chk.add_argument("--alpha", default="auto",
+                     type=lambda text: text if text == "auto" else _positive_float(text))
     chk.add_argument("--bound", type=_positive_float, default=None)
     chk.add_argument("--radius", type=_positive_float, default=None)
     chk.add_argument("--grid", type=_int_at_least(0), default=10,
                      help="grid points per axis (2-D box problems); 0 samples --points")
-    chk.add_argument("--points", type=int, default=100, help="sampled points (other problems)")
-    chk.add_argument("--trials", type=int, default=10_000)
+    chk.add_argument("--points", type=_int_at_least(1), default=100,
+                     help="sampled points (other problems)")
+    chk.add_argument("--trials", type=_int_at_least(1), default=10_000)
     chk.add_argument("--seed", type=_int_at_least(0), default=0)
     chk.add_argument("--out", default=None)
     chk.set_defaults(fn=cmd_check)

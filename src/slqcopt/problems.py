@@ -124,13 +124,6 @@ def make_cliff_plateau(valley_width: float = 0.5, cliff_height: float = 1.0,
     return Objective(dim=1, value=value, gradient=gradient)
 
 
-def cliff_plateau_kinks(valley_width: float = 0.5, cliff_height: float = 1.0,
-                        cliff_slope: float = 1e3) -> tuple[float, float]:
-    """Positive kink locations (valley edge, cliff top) of the landscape above."""
-    a = valley_width / 2.0
-    return a, a + cliff_height / cliff_slope
-
-
 # ---------------------------------------------------------------------------
 # Sigmoid regression (GLM) datasets and empirical error
 # ---------------------------------------------------------------------------

@@ -40,6 +40,13 @@ def scaled(f: Objective, c: float) -> Objective:
     )
 
 
+def cliff_plateau_kinks(valley_width: float = 0.5, cliff_height: float = 1.0,
+                        cliff_slope: float = 1e3) -> tuple[float, float]:
+    """Positive kink locations (valley edge, cliff top) of make_cliff_plateau."""
+    a = valley_width / 2.0
+    return a, a + cliff_height / cliff_slope
+
+
 def constant_distribution(f: Objective) -> StochasticObjective:
     """Zero-variance distribution: every minibatch is f itself."""
     return StochasticObjective(dim=f.dim, sample_minibatch=lambda gen, b: f, expected=f)

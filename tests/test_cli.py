@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -112,6 +113,43 @@ def test_run_failing_trace_write_keeps_previous_trace(tmp_path, monkeypatch):
                                            torn_format_rows)
     assert chunks == [core._CSV_CHUNK, 400 - core._CSV_CHUNK]  # T = 400 rows, two chunks
     assert after == before
+
+
+def test_run_failing_rerun_of_another_config_leaves_no_summary(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, trials=2, problem={"name": "idealized_glm"},
+                 optimizer={"name": "ngd", "params": {"T": 50, "eta": 0.1}})
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(cfg_path), "--out-dir", str(out)]
+    assert main([*argv, "--seed", "1"]) == 0
+    seed1_trace = (out / "trace_trial000.csv").read_bytes()
+    ngd, calls = optimizers.ngd, []
+
+    def ngd_failing_second_run(f, cfg):
+        calls.append(cfg)
+        if len(calls) > 1:
+            raise RuntimeError("second run failed")
+        return ngd(f, cfg)
+
+    monkeypatch.setattr(optimizers, "ngd", ngd_failing_second_run)
+    assert main([*argv, "--seed", "2"]) == 1
+    # trial 0 of seed 2 replaced seed 1's trace; no summary is left to say seed 1
+    assert sorted(p.name for p in out.iterdir()) == ["trace_trial000.csv", "trace_trial001.csv"]
+    assert (out / "trace_trial000.csv").read_bytes() != seed1_trace
+
+
+def test_run_aborted_run_exits_1_and_is_flagged(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    # the plateau's gradient norm overflows at x1, so the run aborts at t = 0
+    write_config(cfg_path, problem={"name": "cliff_plateau", "params": {"plateau_slope": 1e300}},
+                 optimizer={"name": "gd", "params": {"T": 50, "x1": [3.0],
+                                                     "schedule": {"eta0": 1e10}}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert "warning: at least one run aborted" in capsys.readouterr().err
+    [run] = json.loads((out / "summary.json").read_text())["runs"]
+    assert run["aborted"] is True
+    assert len((out / run["csv"]).read_text().splitlines()) == 2  # the header and one row
 
 
 def test_run_byte_identical_across_repeats(tmp_path):
@@ -518,6 +556,31 @@ def test_check_out_of_range_constant_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert f"argument {argv[-2]}:" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    *[[problem, "sublevel", "--trials", "50", "--alpha", alpha]
+      for problem in ("counterexample", "sigmoid_sum") for alpha in ("nan", "inf", "0", "-1", "x")],
+    # a flag out of range is an error even where the property does not read it
+    ["sigmoid_sum", "slqc", "--trials", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_check_out_of_range_flag_is_a_usage_error(argv, capsys):
+    assert main(["check", *argv]) == 2  # no vacuous pass over NaN, no "alpha": NaN
+    captured = capsys.readouterr()
+    assert f"argument {argv[-2]}:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("problem, alpha, digest", [
+    ("counterexample", "auto", "37f5fa2665091e34026275c99d36f03f4c7ac75dd3d92b81d1a52d9e6a12acce"),
+    ("counterexample", "0.5", "025d048528d67b0fa899144b196662fd7fa8d8ed1224d7a1d69bcea86a7556b4"),
+    ("sigmoid_sum", "auto", "df23a97c8f5df8812b0101bc89a441d4b4aaa493d6999a8340302a5aff8b7361"),
+    ("sigmoid_sum", "0.5", "f030a5245b9671b6e3e187968e4816b96c4ca22edd957b567ca9f01dc4915505"),
+])
+def test_check_sublevel_alpha_reports_are_pinned(problem, alpha, digest, capsys):
+    # digests recorded with Python 3.11 and numpy 2.4 on x86-64, as in test_check_digests
+    assert main(["check", problem, "sublevel", "--alpha", alpha, "--trials", "500"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_check_grid_zero_samples_points(capsys):

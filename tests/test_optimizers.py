@@ -101,6 +101,15 @@ def test_ngd_aborts_on_non_finite():
     assert len(tr) < 100
 
 
+def test_ngd_with_no_finite_value_returns_x1():
+    x1 = np.array([3.0, -4.0])
+    tr = ngd(scaled(make_cone(2), math.nan), NgdConfig(T=50, eta=0.1, x1=x1))
+    assert tr.aborted
+    assert len(tr) == 1
+    assert tr.returned_index == 0
+    np.testing.assert_array_equal(tr.returned, x1)
+
+
 def test_ngd_config_validation():
     with pytest.raises(ValueError):
         NgdConfig(T=0, eta=0.1, x1=np.zeros(1))

@@ -25,10 +25,9 @@ from slqcopt.problems import (
     PerceptronDataset,
     SIGMOID_SUM_MINIMIZER,
     SIGMOID_SUM_SUBLEVEL_WITNESS,
-    cliff_plateau_kinks,
 )
 
-from conftest import finite_diff_gradient, make_cone
+from conftest import cliff_plateau_kinks, finite_diff_gradient, make_cone
 
 LOG4 = math.log(4.0)
 LOG16 = math.log(16.0)

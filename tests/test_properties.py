@@ -32,11 +32,10 @@ from slqcopt.problems import (
     NONQC_SUBLEVEL_WITNESS,
     SIGMOID_SUM_MINIMIZER,
     SIGMOID_SUM_SUBLEVEL_WITNESS,
-    cliff_plateau_kinks,
 )
 from slqcopt.properties import box_grid
 
-from conftest import line_restriction, make_cone, make_quadratic
+from conftest import cliff_plateau_kinks, line_restriction, make_cone, make_quadratic
 
 
 # ---------------------------------------------------------------------------
