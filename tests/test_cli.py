@@ -138,6 +138,7 @@ def test_run_failing_rerun_of_another_config_leaves_no_summary(tmp_path, monkeyp
     assert (out / "trace_trial000.csv").read_bytes() != seed1_trace
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 def test_run_aborted_run_exits_1_and_is_flagged(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     # the plateau's gradient norm overflows at x1, so the run aborts at t = 0
