@@ -19,9 +19,6 @@ class Budget:
     eta: float
     provenance: str = ""
 
-    def to_dict(self) -> dict:
-        return {"T": self.T, "eta": self.eta, "provenance": self.provenance}
-
 
 def _fits(name: str, value: float) -> float:
     """value, if it fits a float; a budget that overflows is a ValueError naming it."""
@@ -128,8 +125,6 @@ def absorb_probability(spec: ChainSpec) -> float:
     For p >= 1/2 the walk is recurrent toward the origin and absorbs almost
     surely; the closed form only applies to the transient regime.
     """
-    if spec.start_state == 0:
-        return 1.0
     if spec.p >= 0.5:
         return 1.0
     return (spec.p / (1.0 - spec.p)) ** spec.start_state
@@ -241,11 +236,6 @@ class LowerBoundReport:
     hit_ceiling: float
     passed: bool
     segment: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["segment"] = list(self.segment)
-        return d
 
 
 _CHUNK = 10_000  # trials per substream; fixed so results are scheduler-independent

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,36 +174,31 @@ def _schedule(name: str, schedule: dict | None, T: int, b: int = 1) -> optimizer
 
 
 # An entry(name, f, stream, x1, **params) binds the other config params of
-# optimizer `name` by keyword and builds its config objects (ngd's and sngd's
-# params are the fields of NgdConfig and SngdConfig).  The run it returns looks
-# optimizers.<name> up when called, so wrapping a module attribute reaches it.
+# optimizer `name` by keyword, builds its config objects (ngd's and sngd's
+# params are the fields of NgdConfig and SngdConfig) and returns the arguments
+# of optimizers.<name>.
 
 
 def _ngd(name: str, f: Objective, stream, x1, **params):
-    cfg = _checked(optimizers.NgdConfig, x1=x1, region=f.domain, **params)
-    return lambda: getattr(optimizers, name)(f, cfg)
+    return f, _checked(optimizers.NgdConfig, x1=x1, region=f.domain, **params)
 
 
 def _sngd(name: str, F: StochasticObjective, stream, x1, **params):
     # a stochastic problem has no feasible region; a "region" param is an error
-    cfg = _checked(optimizers.SngdConfig, x1=x1, region=None, stream=stream, **params)
-    return lambda: getattr(optimizers, name)(F, cfg)
+    return F, _checked(optimizers.SngdConfig, x1=x1, region=None, stream=stream, **params)
 
 
 def _gd(name: str, f: Objective, stream, x1, *, T: int, schedule: dict = None):
-    args = (f, _schedule(name, schedule, T), T, x1)
-    return lambda: getattr(optimizers, name)(*args)
+    return f, _schedule(name, schedule, T), T, x1
 
 
 def _sgd(name: str, F: StochasticObjective, stream, x1, *, T: int, schedule: dict = None):
-    args = (F, _schedule(name, schedule, T), T, x1, stream)
-    return lambda: getattr(optimizers, name)(*args)
+    return F, _schedule(name, schedule, T), T, x1, stream
 
 
 def _minibatch(name: str, F: StochasticObjective, stream, x1, *, T: int, b: int = 1,
                schedule: dict = None):
-    args = (F, _schedule(name, schedule, T, b), T, x1, b, stream)
-    return lambda: getattr(optimizers, name)(*args)
+    return F, _schedule(name, schedule, T, b), T, x1, b, stream
 
 
 # config name -> (kind of objective it needs, optimizers.<name>, entry)
@@ -239,9 +233,12 @@ def _bound_run(cfg: dict, prob: BuiltProblem, trial: int, sweep_idx: int):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{bad}: 'x1': {exc}") from exc
     try:
-        return _checked(entry, run_name, f, stream, x1, **params)
+        args = _checked(entry, run_name, f, stream, x1, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{bad}: {exc}") from exc
+    # optimizers.<name> is looked up when the run is called, not here, so a
+    # wrapper put on the module attribute (the perfbench tracer) reaches it
+    return lambda: getattr(optimizers, run_name)(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +307,18 @@ def _run_single(cfg: dict, trial: int, sweep_idx: int, out_dir: str,
     }
 
 
+def _finite(text: str) -> float:
+    """A config number; json.load would also read NaN, Infinity and 1e400 (inf)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
         if not isinstance(cfg, dict):
             raise TypeError(f"a config must be a JSON object, got {type(cfg).__name__}")
         _checked(_config_keys, **cfg)
@@ -357,6 +362,9 @@ def cmd_run(args) -> int:
     work = [(trial, s) for trial in range(trials) for s in range(len(tags))]
     jobs = cap_workers(args.jobs, len(work))
     if jobs > 1:
+        # imported here: it loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_single, cfg, t, s, str(out_dir)) for t, s in work]
             runs = [f.result() for f in futures]
@@ -430,14 +438,14 @@ def cmd_check(args) -> int:
         if rep.trials == 0:
             raise ConfigError(f"no pair was found in the alpha-sublevel set (alpha={alpha:g}); "
                               "raise --alpha or --trials")
-        result.update({"alpha": alpha, **rep.to_dict()})
+        result.update({"alpha": alpha, **vars(rep)})
     else:  # lipschitz or smooth; argparse restricts the choices
         if args.bound is None or args.radius is None:
             raise ConfigError(f"{args.property} check needs --bound and --radius")
         checker = (properties.check_local_lipschitz if args.property == "lipschitz"
                    else properties.check_local_smooth)
         rep = checker(f, prob.minimizer, args.radius, args.bound, args.trials, stream.substream(2))
-        result.update({"bound": args.bound, "radius": args.radius, **rep.to_dict()})
+        result.update({"bound": args.bound, "radius": args.radius, **vars(rep)})
 
     _report(result, args.out)
     return 0  # also when the property fails: the report says so
@@ -454,7 +462,7 @@ def cmd_lowerbound(args) -> int:
             args.eps, args.trials, args.T, seeded_stream(args.seed))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    _report(report.to_dict(), args.out)
+    _report(vars(report), args.out)
     if not report.passed:
         print("FAIL: empirical hit fraction exceeds the declared ceiling", file=sys.stderr)
         return 1
@@ -477,11 +485,11 @@ def cmd_budgets(args) -> int:
         if args.kappa is not None:
             budget = analysis.ngd_budget(args.eps, args.kappa, args.dist0)
             T = budget.T
-            out["ngd"] = budget.to_dict()
+            out["ngd"] = vars(budget)
         if args.beta is not None:
             sb = analysis.ngd_smooth_budget(args.eps, args.beta, args.dist0)
             T = T or sb.T
-            out["ngd_smooth"] = sb.to_dict()
+            out["ngd_smooth"] = vars(sb)
         if args.delta is not None:
             out["minibatch_b"] = analysis.sngd_minibatch_bound(args.eps, args.delta, T, args.M)
             if args.W is not None:

@@ -391,18 +391,12 @@ class OptTrace:
 
 
 def build_trace(iterates, values, grad_norms, aborted=False) -> OptTrace:
-    """Assemble a trace; picks the returned iterate by the first-argmin rule."""
+    """Assemble a trace; the returned iterate is the first with the smallest
+    finite value, or the first iterate when no value is finite."""
     values = np.asarray(values, dtype=np.float64)
     iterates = np.asarray(iterates, dtype=np.float64)
     grad_norms = np.asarray(grad_norms, dtype=np.float64)
-    finite = np.isfinite(values)
-    if finite.all():
-        idx = int(np.argmin(values))
-    elif finite.any():
-        masked = np.where(finite, values, np.inf)
-        idx = int(np.argmin(masked))
-    else:
-        idx = 0
+    idx = int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
     return OptTrace(
         iterates=iterates,
         values=values,

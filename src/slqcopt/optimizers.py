@@ -76,14 +76,12 @@ class StepSchedule:
     def __post_init__(self):
         if not self.eta0 > 0:
             raise ValueError("eta0 must be positive")
-        if self.gamma < 0 or self.exponent < 0:
-            raise ValueError("gamma and exponent must be >= 0")
+        if not (0 <= self.gamma < math.inf and 0 <= self.exponent < math.inf):
+            raise ValueError("gamma and exponent must be finite and >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
 
     def step_size(self, t: int) -> float:
-        if self.gamma == 0.0:
-            return self.eta0
         return self.eta0 * (1.0 + self.gamma * t) ** (-self.exponent)
 
 
@@ -106,19 +104,21 @@ def _descent(x: Point, T: int, query, step, lookahead=None) -> OptTrace:
     grad_norms = np.empty(T)
     aborted = False
     steps = 0
-    for t in range(T):
-        value_at, direction_at = query(t)
-        value = value_at(x)
-        g = direction_at(x if lookahead is None else lookahead(x))
-        gn = math.sqrt(float(np.dot(g, g)))
-        iterates[t] = x
-        values[t] = value
-        grad_norms[t] = gn
-        steps = t + 1
-        if not (math.isfinite(value) and math.isfinite(gn)):
-            aborted = True
-            break
-        x = step(t, x, g, gn)
+    # an overflow is the abort below, not a numpy warning; entered once per run
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            value_at, direction_at = query(t)
+            value = value_at(x)
+            g = direction_at(x if lookahead is None else lookahead(x))
+            gn = math.sqrt(float(np.dot(g, g)))
+            iterates[t] = x
+            values[t] = value
+            grad_norms[t] = gn
+            steps = t + 1
+            if not (math.isfinite(value) and math.isfinite(gn)):
+                aborted = True
+                break
+            x = step(t, x, g, gn)
     return build_trace(iterates[:steps], values[:steps], grad_norms[:steps], aborted=aborted)
 
 

@@ -64,10 +64,6 @@ class SlqcReport:
     margin: float
     grad_norm: float
 
-    def to_dict(self) -> dict:
-        return {"holds": self.holds, "clause": self.clause,
-                "margin": self.margin, "grad_norm": self.grad_norm}
-
 
 def _direction(f: Objective, use_oracle: bool):
     if use_oracle and f.direction_oracle is None:
@@ -123,7 +119,7 @@ def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
         g = direction(xp)
         per_point.append((xp, f.value(xp) - fz, g, float(np.linalg.norm(g)), z - xp))
     reports = [{"eps": eps, "x": xp.tolist(),
-                **_slqc_verdict(gap, g, gn, zx, eps, kappa).to_dict()}
+                **vars(_slqc_verdict(gap, g, gn, zx, eps, kappa))}
                for eps in eps_values for xp, gap, g, gn, zx in per_point]
     return BatchSlqcResult(all_hold=all(r["holds"] for r in reports), reports=reports)
 
@@ -152,10 +148,6 @@ class SampleCheckReport:
     passed: bool
     trials: int
     counterexample: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "trials": self.trials,
-                "counterexample": self.counterexample}
 
 
 def check_sublevel_convex(f: Objective, alpha: float, trials: int,

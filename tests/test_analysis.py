@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -214,8 +215,8 @@ def test_lower_bound_experiment_small():
     assert rep.p_within_bound
     assert rep.hits == 0 and rep.passed
     assert rep.ceiling_analytic == pytest.approx(0.25 ** 9)
-    d = rep.to_dict()
-    assert d["segment"] == [-5.0, -1.0]
+    d = vars(rep)
+    assert json.dumps(d["segment"]) == "[-5.0, -1.0]"
 
 
 def test_lower_bound_experiment_eps_general():

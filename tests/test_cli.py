@@ -138,7 +138,7 @@ def test_run_failing_rerun_of_another_config_leaves_no_summary(tmp_path, monkeyp
     assert (out / "trace_trial000.csv").read_bytes() != seed1_trace
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_aborted_run_exits_1_and_is_flagged(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     # the plateau's gradient norm overflows at x1, so the run aborts at t = 0
@@ -269,6 +269,7 @@ def test_run_rejects_sweep_values_sharing_a_file_name(tmp_path, values, capsys):
 @pytest.mark.parametrize("argv", [
     ["run", "--trials", "0"],
     ["run", "--trials", "-2"],
+    ["run", "--trials", "x"],
     ["run", "--seed", "-1"],
     ["run", "--jobs", "0"],
     ["run", "--jobs", "-5"],
@@ -312,12 +313,32 @@ def test_run_rejects_negative_config_seed(tmp_path, capsys):
      ["'sweep'", "'values' must not be empty"]),
     (lambda cfg: {**cfg, "sweep": {"param": "eta"}}, ["'sweep'", "'values'"]),
     (lambda cfg: [cfg], ["must be a JSON object"]),
+    (lambda cfg: {**cfg, "trials": 0}, ["'trials' must be >= 1"]),
+    (lambda cfg: {**cfg, "problem": {"name": "nosuch"}}, ["unknown problem 'nosuch'"]),
+    (lambda cfg: {**cfg, "optimizer": {"name": "nosuch"}}, ["unknown optimizer 'nosuch'"]),
+    # json.dumps writes NaN and Infinity, which json.load would read back
+    (lambda cfg: {**cfg, "problem": {"name": "noisy_glm"}, "optimizer": {"name": "msgd", "params": {
+        "T": 20, "schedule": {"eta0": 0.1, "gamma": 1e-4, "exponent": math.inf}}}},
+     ["must be finite", "Infinity"]),
+    (lambda cfg: {**cfg, "problem": {"name": "noisy_glm"}, "optimizer": {"name": "msgd", "params": {
+        "T": 20, "schedule": {"eta0": 0.1, "gamma": math.nan}}}}, ["must be finite", "NaN"]),
+    (lambda cfg: {**cfg, "problem": {"name": "noisy_glm", "params": {"noise_scale": math.nan}},
+                  "optimizer": _SNGD}, ["must be finite", "NaN"]),
+    (lambda cfg: {**cfg, "problem": {"name": "cliff_plateau", "params": {"valley_slope": math.nan}},
+                  "optimizer": {"name": "gd", "params": {"T": 20}}}, ["must be finite", "NaN"]),
+    (lambda cfg: {**cfg, "target_value": math.nan}, ["must be finite", "NaN"]),
+    # raw text: no float prints as 1e400, which json.load reads as inf
+    (lambda cfg: json.dumps({**cfg, "problem": {"name": "noisy_glm"}, "optimizer": _SNGD})
+     .replace('"eta": 0.1', '"eta": 1e400'), ["must be finite", "1e400"]),
 ], ids=["trials-float", "seed-float", "schema_version-float", "seed-bool",
         "target_value-string", "params-null", "problem-unknown-key", "problem-no-name",
-        "sweep-empty-values", "sweep-no-values", "top-level-array"])
+        "sweep-empty-values", "sweep-no-values", "top-level-array", "trials-0",
+        "unknown-problem", "unknown-optimizer", "exponent-Infinity", "gamma-NaN",
+        "noise_scale-NaN", "valley_slope-NaN", "target_value-NaN", "eta-1e400"])
 def test_run_rejects_a_config_key_that_does_not_bind(tmp_path, make, words, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(make(write_config(cfg_path))))
+    doc = make(write_config(cfg_path))
+    cfg_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
@@ -337,9 +358,11 @@ def test_run_ngd_oracle_without_an_oracle_writes_nothing(tmp_path, jobs, capsys)
 
 
 def test_cli_import_does_not_load_jsonschema():
-    # the config's keys are checked without it; importing it again would undo
-    # the CLI's set-up time and memory savings unnoticed
-    code = "import sys, slqcopt.cli; print(sorted(m for m in sys.modules if 'jsonschema' in m))"
+    # the config's keys are checked without it, and only --jobs > 1 needs the
+    # process pool; importing either again would undo the CLI's set-up time and
+    # memory savings unnoticed
+    code = ("import sys, slqcopt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('jsonschema', 'multiprocessing') or m.startswith('concurrent.futures')))")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
@@ -436,10 +459,13 @@ _SNGD = {"name": "sngd", "params": {"T": 20, "eta": 0.1}}
     ("gamma", {"problem": {"name": "noisy_glm"},
                "optimizer": {"name": "msgd", "params": {"T": 20, "schedule": {"gamma": "0"}}}}),
     ("x1", {"optimizer": {"name": "ngd", "params": {"T": 20, "eta": 0.1, "x1": ["a", 1]}}}),
+    ("x1", {"problem": {"name": "cliff_plateau"},
+            "optimizer": {"name": "gd", "params": {"T": 20, "x1": [[3.0]]}}}),
 ], ids=["noisy_glm-pool", "perceptron-gammma", "sigmoid_sum-W", "lower_bound-b",
         "idealized_glm-d-3.7", "sngd-bb", "msgd-top-level-eta0", "sweep-bb",
         "noisy_glm-W-string", "sngd-eta-string", "cliff_plateau-valley_width-bool",
-        "msgd-schedule-not-object", "msgd-schedule-gamma-string", "ngd-x1-string"])
+        "msgd-schedule-not-object", "msgd-schedule-gamma-string", "ngd-x1-string",
+        "gd-x1-nested"])
 def test_run_rejects_a_param_that_does_not_bind(tmp_path, key, overrides, jobs, capsys):
     # a dropped key would run at its default instead, and d=3.7 would run at d=3
     cfg_path = tmp_path / "cfg.json"
@@ -448,6 +474,17 @@ def test_run_rejects_a_param_that_does_not_bind(tmp_path, key, overrides, jobs, 
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out), "--jobs", jobs]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
+
+
+def test_run_scalar_x1_is_a_one_coordinate_point(tmp_path):
+    traces = []
+    for x1 in (3.0, [3.0]):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / f"o{len(traces)}"
+        write_config(cfg_path, problem={"name": "cliff_plateau"},
+                     optimizer={"name": "gd", "params": {"T": 20, "x1": x1}})
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        traces.append((out / "trace_trial000.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_run_float_params_take_any_json_number(tmp_path):
@@ -582,6 +619,22 @@ def test_check_sublevel_alpha_reports_are_pinned(problem, alpha, digest, capsys)
     # digests recorded with Python 3.11 and numpy 2.4 on x86-64, as in test_check_digests
     assert main(["check", problem, "sublevel", "--alpha", alpha, "--trials", "500"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["check", "noisy_glm", "slqc"], ["'noisy_glm' has no deterministic objective"]),
+    (["check", "cliff_plateau", "slqc"], ["no default kappa", "--kappa"]),
+    (["check", "idealized_glm", "sublevel"], ["--alpha auto", "witness"]),
+    (["budgets", "--eps", "0.1", "--dist0", "1", "--kappa", "1", "--delta", "0.1"],
+     ["--delta needs --M"]),
+], ids=["check-noisy_glm-slqc", "check-cliff_plateau-slqc-no-kappa",
+        "check-idealized_glm-sublevel-auto", "budgets-delta-no-M"])
+def test_command_without_what_it_needs_exits_2(argv, words, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)] if argv[0] == "check" else argv) == 2
+    captured = capsys.readouterr()
+    assert all(word in captured.err for word in words), captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_check_grid_zero_samples_points(capsys):

@@ -469,8 +469,8 @@ def test_batch_slqc_equals_per_query_checks(use_oracle):
     eps_values, kappa = [0.05, 0.3], 0.1
     batch = check_slqc_batch(f, ds.planted, kappa, eps_values, points, use_oracle=use_oracle)
     expected = [
-        {"eps": eps, "x": x.tolist(), **check_slqc(f, SlqcQuery(
-            eps=eps, kappa=kappa, z=ds.planted, x=x, use_oracle=use_oracle)).to_dict()}
+        {"eps": eps, "x": x.tolist(), **vars(check_slqc(f, SlqcQuery(
+            eps=eps, kappa=kappa, z=ds.planted, x=x, use_oracle=use_oracle)))}
         for eps in eps_values for x in points
     ]
     assert batch.reports == expected
