@@ -244,12 +244,6 @@ def test_gd_quadratic_closed_form():
     np.testing.assert_allclose(tr.iterates[:, 0], 0.8 ** np.arange(30), rtol=1e-12)
 
 
-@pytest.mark.parametrize("exponent", [0.0, 0.75, 2.5])
-def test_step_schedule_without_decay_is_constant(exponent):
-    sch = StepSchedule(eta0=0.3, exponent=exponent)
-    assert all(sch.step_size(t) == 0.3 for t in (1, 2, 10**6, 10**300))
-
-
 @pytest.mark.parametrize("gamma, exponent", [
     (math.nan, 0.75), (math.inf, 0.75), (-1e-4, 0.75), (0.0, math.nan), (0.0, math.inf),
     (1e-4, -0.5),
