@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomStream
+from .core import RandomStream, in_range
 from .problems import LOWER_BOUND_SEGMENT
 
 
@@ -40,8 +40,9 @@ def ngd_budget(eps: float, kappa: float, dist0: float) -> Budget:
     T = ceil(kappa^2 * dist0^2 / eps^2) normalized steps of length eps/kappa,
     where dist0 = ||x1 - z||.
     """
-    if not (0 < eps < math.inf and 0 < kappa < math.inf and 0 <= dist0 < math.inf):
-        raise ValueError("need finite eps > 0, kappa > 0, dist0 >= 0")
+    in_range("eps", eps, 0, ends="()")
+    in_range("kappa", kappa, 0, ends="()")
+    in_range("dist0", dist0, 0)
     r = kappa * dist0 / eps  # squared last, so no factor underflows
     T = max(1, math.ceil(_fits("ngd iteration budget T", r * r)))
     return Budget(T=T, eta=_step("ngd step eta", eps / kappa), provenance="slqc_iteration_bound")
@@ -53,8 +54,9 @@ def ngd_smooth_budget(eps: float, beta: float, dist0: float) -> Budget:
     T = ceil(beta * dist0^2 / (2*eps)) steps of length sqrt(2*eps/beta):
     an O(1/eps) iteration count instead of O(1/eps^2).
     """
-    if not (0 < eps < math.inf and 0 < beta < math.inf and 0 <= dist0 < math.inf):
-        raise ValueError("need finite eps > 0, beta > 0, dist0 >= 0")
+    in_range("eps", eps, 0, ends="()")
+    in_range("beta", beta, 0, ends="()")
+    in_range("dist0", dist0, 0)
     T = max(1, math.ceil(_fits("smooth iteration budget T", beta * dist0 * dist0 / (2.0 * eps))))
     return Budget(T=T, eta=_step("smooth step eta", math.sqrt(2.0 * eps / beta)),
                   provenance="smooth_iteration_bound")
@@ -67,8 +69,10 @@ def sngd_minibatch_bound(eps: float, delta: float, T: int, M: float) -> int:
     of its expectation simultaneously over T iterations w.p. >= 1 - delta.
     M = 0 (constant losses) needs no averaging: returns 0.
     """
-    if not (0 < eps < math.inf and 0 < delta < 1 and T >= 1 and 0 <= M < math.inf):
-        raise ValueError("need finite eps > 0, delta in (0,1), T >= 1, finite M >= 0")
+    in_range("eps", eps, 0, ends="()")
+    in_range("delta", delta, 0, 1, "()")
+    in_range("T", T, 1)
+    in_range("M", M, 0)
     if M == 0:
         return 0
     r = M / eps  # a positive bound is at least 1, also where r * r underflows
@@ -78,8 +82,9 @@ def sngd_minibatch_bound(eps: float, delta: float, T: int, M: float) -> int:
 def glm_sample_bound(eps: float, delta: float, W: float) -> int:
     """Samples making the noisy sigmoid-regression error SLQC at a fixed point
     w.p. >= 1 - delta: ceil(8 * e^(2W) * (W+1)^2 / eps^2 * log(1/delta))."""
-    if not (0 < eps < math.inf and 0 < delta < 1 and 0 <= W < math.inf):
-        raise ValueError("need finite eps > 0, delta in (0,1), finite W >= 0")
+    in_range("eps", eps, 0, ends="()")
+    in_range("delta", delta, 0, 1, "()")
+    in_range("W", W, 0)
     r = (W + 1.0) / eps
     try:
         growth = math.exp(2.0 * W)
@@ -92,8 +97,8 @@ def glm_sample_bound(eps: float, delta: float, W: float) -> int:
 def glm_minibatch_b0(eps: float, delta: float, T: int, W: float) -> int:
     """Union-bound instantiation of the minibatch SLQC threshold for noisy
     sigmoid regression: the single-point bound at confidence delta/T."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    in_range("delta", delta, 0, 1, "()")
+    in_range("T", T, 1)
     return glm_sample_bound(eps, delta / T, W)
 
 
@@ -111,12 +116,9 @@ class ChainSpec:
     max_steps: int = 10_000
 
     def __post_init__(self):
-        if not (0.0 < self.p < 1.0):
-            raise ValueError("p must lie in (0, 1)")
-        if self.start_state < 0:
-            raise ValueError("start_state must be >= 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        in_range("p", self.p, 0, 1, "()")
+        in_range("start_state", self.start_state, 0)
+        in_range("max_steps", self.max_steps, 1)
 
 
 def absorb_probability(spec: ChainSpec) -> float:
@@ -175,8 +177,7 @@ def absorb_probability_mc(spec: ChainSpec, trials: int,
     A walk at state s is advanced s steps (or the steps it has left) with a
     single binomial draw, which is exact: it cannot absorb sooner.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    in_range("trials", trials, 1)
     if spec.start_state == 0:
         return 1.0, 0.0
     start = np.full(trials, spec.start_state, dtype=np.int64)
@@ -194,9 +195,8 @@ def all_linear_prob(eps: float, b: int | None = None) -> float:
     which decreases in eps and still exceeds 0.8 at eps = 0.1.  Pass an
     integer b to evaluate the realized batch instead.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    exponent = (0.2 / eps) if b is None else b
+    in_range("eps", eps, 0, 1, "()")
+    exponent = 0.2 / eps if b is None else in_range("b", b, 1)
     return (1.0 - eps) ** exponent
 
 
@@ -252,12 +252,10 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
     processed in fixed chunks of 10^4 with one substream each, so results do
     not depend on scheduling.
     """
-    if not (0.0 < eps <= 0.1):
-        raise ValueError("eps must lie in (0, 0.1]")
-    if trials < 1 or T < 1:
-        raise ValueError("trials and T must be >= 1")
-    if b is None:
-        b = math.ceil(0.2 / eps)
+    in_range("eps", eps, 0, 0.1, "(]")
+    in_range("trials", trials, 1)
+    in_range("T", T, 1)
+    b = math.ceil(0.2 / eps) if b is None else in_range("b", b, 1)
     if not (0.0 < 0.5 * eps * b < 1.0):
         raise ValueError("batch size outside the supported sign regime "
                          "(need 0 < eps*b/2 < 1)")
@@ -281,10 +279,7 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
     hit_fraction = hits / trials
     states = max(1, round(1.0 / eta) - 1)
     ceiling_analytic = absorb_probability(ChainSpec(p=p_bound, start_state=states))
-    if 0.0 < p_hat < 0.5:
-        ceiling_empirical = (p_hat / (1.0 - p_hat)) ** states
-    else:
-        ceiling_empirical = 1.0 if p_hat >= 0.5 else 0.0
+    ceiling_empirical = (p_hat / (1.0 - p_hat)) ** states if p_hat < 0.5 else 1.0
     hit_ceiling = ceiling_analytic + 3.0 * math.sqrt(ceiling_analytic / trials) + 3.0 / trials
     return LowerBoundReport(
         eps=eps, b=b, eta=eta, T=T, trials=trials,
@@ -315,4 +310,4 @@ def _simulate_walks(gen: np.random.Generator, n: int, T: int, eps: float,
     """
     h = math.ceil(-LOWER_BOUND_SEGMENT[1] / eta - 1e-9)
     return _first_passage(gen, np.full(n, h, dtype=np.int64), T - 1,
-                          1.0 - (1.0 - eps) ** b)
+                          1.0 - all_linear_prob(eps, b))

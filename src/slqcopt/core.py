@@ -16,6 +16,18 @@ Point = np.ndarray  # dense 1-D float64 vector
 GRAD_TOL = 1e-12  # a gradient norm at or below this counts as vanished
 
 
+def in_range(name: str, value, low: float, high: float = math.inf, ends: str = "[)"):
+    """value, if it is finite and lies between low and high, each end closed
+    ("[", "]") or open ("(", ")") as ends says; else a ValueError naming the
+    parameter and its value.  NaN and +-inf never pass."""
+    above = low <= value if ends[0] == "[" else low < value
+    below = value <= high if ends[1] == "]" else value < high
+    if not (above and below and -math.inf < value < math.inf):
+        raise ValueError(f"{name} must be finite and in {ends[0]}{low:g}, {high:g}{ends[1]}, "
+                         f"got {value}")
+    return value
+
+
 def as_point(coords, dim: int | None = None) -> Point:
     """Validate and convert to a float64 vector with finite entries."""
     x = np.asarray(coords, dtype=np.float64)
@@ -225,8 +237,7 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+        in_range("radius", self.radius, 0, ends="()")
 
     @property
     def dim(self) -> int:

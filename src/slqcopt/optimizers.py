@@ -18,6 +18,7 @@ from .core import (
     StochasticObjective,
     as_point,
     build_trace,
+    in_range,
 )
 
 
@@ -38,10 +39,8 @@ class NgdConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x1", as_point(self.x1))
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        in_range("T", self.T, 1)
+        in_range("eta", self.eta, 0, ends="()")
 
 
 @dataclass(frozen=True, kw_only=True, eq=False)
@@ -56,8 +55,7 @@ class SngdConfig(NgdConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.b < 1:
-            raise ValueError("minibatch size b must be >= 1")
+        in_range("b", self.b, 1)
 
 
 @dataclass(frozen=True)
@@ -74,12 +72,10 @@ class StepSchedule:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if not self.eta0 > 0:
-            raise ValueError("eta0 must be positive")
-        if not (0 <= self.gamma < math.inf and 0 <= self.exponent < math.inf):
-            raise ValueError("gamma and exponent must be finite and >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
+        in_range("eta0", self.eta0, 0, ends="()")
+        in_range("gamma", self.gamma, 0)
+        in_range("exponent", self.exponent, 0)
+        in_range("momentum", self.momentum, 0, 1)
 
     def step_size(self, t: int) -> float:
         return self.eta0 * (1.0 + self.gamma * t) ** (-self.exponent)
@@ -227,10 +223,8 @@ def _run_scheduled(dim: int, x1, T: int, schedule: StepSchedule, query) -> OptTr
 def _check_baseline(T: int, b: int, schedule: StepSchedule, momentum: bool) -> None:
     """The checks a baseline makes before its first step; momentum tells
     whether the method uses schedule.momentum (only nesterov does)."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if b < 1:
-        raise ValueError("minibatch size b must be >= 1")
+    in_range("T", T, 1)
+    in_range("b", b, 1)
     if not momentum and schedule.momentum != 0.0:
         raise ValueError(f"momentum {schedule.momentum:g} is only used by nesterov; "
                          "this baseline needs schedule.momentum = 0")

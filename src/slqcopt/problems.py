@@ -15,6 +15,7 @@ from .core import (
     RandomStream,
     StochasticObjective,
     as_point,
+    in_range,
     sample_in_ball,
 )
 
@@ -91,12 +92,11 @@ def make_cliff_plateau(valley_width: float = 0.5, cliff_height: float = 1.0,
     failure modes do not depend on the exact constants.  Subgradients at the
     kinks take the inner branch.
     """
-    if not valley_width > 0:
-        raise ValueError("valley_width must be positive")
-    if not cliff_height > 0 or not cliff_slope > 0:
-        raise ValueError("cliff_height and cliff_slope must be positive")
-    if plateau_slope < 0 or valley_slope <= 0:
-        raise ValueError("need plateau_slope >= 0 and valley_slope > 0")
+    in_range("valley_width", valley_width, 0, ends="()")
+    in_range("cliff_height", cliff_height, 0, ends="()")
+    in_range("cliff_slope", cliff_slope, 0, ends="()")
+    in_range("plateau_slope", plateau_slope, 0)
+    in_range("valley_slope", valley_slope, 0, ends="()")
     a = valley_width / 2.0
     delta = cliff_height / cliff_slope
 
@@ -131,7 +131,7 @@ def make_cliff_plateau(valley_width: float = 0.5, cliff_height: float = 1.0,
 
 @dataclass(eq=False)
 class GlmDataset:
-    """Regression samples (x_i, y_i) with y in [0, 1] and a weight-norm bound W.
+    """Regression samples (x_i, y_i) with y in [0, 1].
 
     Generated datasets keep ||x_i|| <= 1; the type itself only enforces the
     label range so that hand-built instances (e.g. the non-quasi-convexity
@@ -140,7 +140,6 @@ class GlmDataset:
 
     X: np.ndarray               # (m, d)
     y: np.ndarray               # (m,)
-    W: float
     planted: Point | None = None
 
     def __post_init__(self):
@@ -150,8 +149,6 @@ class GlmDataset:
             raise ValueError("X must be (m, d) with matching y of length m")
         if np.any(self.y < 0) or np.any(self.y > 1):
             raise ValueError("labels must lie in [0, 1]")
-        if not self.W > 0:
-            raise ValueError("W must be positive")
         if self.planted is not None:
             self.planted = as_point(self.planted, self.X.shape[1])
 
@@ -218,13 +215,14 @@ def make_idealized_glm(stream: RandomStream, d: int, m: int, W: float,
     in the ball of radius W, then sets y_i = sig(<w*, x_i>), so the empirical
     error vanishes at w*.
     """
-    if d < 1 or m < 1 or not W > 0:
-        raise ValueError("need d >= 1, m >= 1, W > 0")
+    in_range("d", d, 1)
+    in_range("m", m, 1)
+    in_range("W", W, 0, ends="()")
     gen = stream.generator()
     X = sample_in_ball(gen, d, 1.0, n=m)
     w_star = sample_in_ball(gen, d, W)
     y = sigmoid(X @ w_star)
-    ds = GlmDataset(X=X, y=y, W=float(W), planted=w_star)
+    ds = GlmDataset(X=X, y=y, planted=w_star)
     return ds, glm_objective(ds)
 
 
@@ -244,7 +242,7 @@ def make_nonqc_counterexample() -> tuple[GlmDataset, Objective]:
     log4 = math.log(4.0)
     X = np.array([[0.0, -log4], [-log4, 0.0]])
     y = np.array([0.2, 0.2])
-    ds = GlmDataset(X=X, y=y, W=math.sqrt(2.0), planted=np.array([1.0, 1.0]))
+    ds = GlmDataset(X=X, y=y, planted=np.array([1.0, 1.0]))
     return ds, glm_objective(ds)
 
 
@@ -265,10 +263,10 @@ def make_noisy_glm(stream: RandomStream, d: int, W: float, noise_scale: float = 
     loss in closed form: population error term plus the constant mean noise
     variance.  Every component value lies in [0, 1], so bound_M = 1.
     """
-    if d < 1 or not W > 0:
-        raise ValueError("need d >= 1 and W > 0")
-    if noise_scale < 0 or pool_size < 1:
-        raise ValueError("need noise_scale >= 0 and pool_size >= 1")
+    in_range("d", d, 1)
+    in_range("W", W, 0, ends="()")
+    in_range("noise_scale", noise_scale, 0)
+    in_range("pool_size", pool_size, 1)
     gen = stream.generator()
     X = sample_in_ball(gen, d, 1.0, n=pool_size)
     w_star = sample_in_ball(gen, d, W)
@@ -338,8 +336,7 @@ def make_lower_bound_distribution(eps: float) -> StochasticObjective:
     move away from the minimum.  The hinge kink at x = -3 takes subgradient
     0 (the left branch).
     """
-    if not (0.0 < eps <= 0.1):
-        raise ValueError("eps must lie in (0, 0.1]")
+    in_range("eps", eps, 0, 0.1, "(]")
     pop = _TwoComponentLoss(eps, 1.0 - eps, eps, 1.0)
     expected = Objective(dim=1, value=pop.value, gradient=pop.gradient)
 
@@ -373,8 +370,7 @@ class PerceptronDataset:
         self.X = np.asarray(self.X, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.float64)
         self.planted = as_point(self.planted, self.X.shape[1])
-        if not 0 < self.gamma:
-            raise ValueError("gamma must be positive")
+        in_range("gamma", self.gamma, 0, ends="()")
         if not set(np.unique(self.y)) <= {0.0, 1.0}:
             raise ValueError("labels must be 0/1")
         signed = (2.0 * self.y - 1.0) * (self.X @ self.planted)
@@ -422,10 +418,9 @@ def make_perceptron(stream: RandomStream, d: int, m: int, gamma: float,
     |<w*, x>| >= gamma; labels are the side of the hyperplane.  Raises if the
     rejection loop exceeds its retry budget.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
-    if d < 1 or m < 1:
-        raise ValueError("need d >= 1 and m >= 1")
+    in_range("gamma", gamma, 0, 1, "()")
+    in_range("d", d, 1)
+    in_range("m", m, 1)
     gen = stream.generator()
     w_star = gen.standard_normal(d)
     w_star /= np.linalg.norm(w_star)

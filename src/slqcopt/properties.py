@@ -21,15 +21,10 @@ from .core import (
     Point,
     RandomStream,
     as_point,
+    in_range,
     sample_in_ball,
     sample_region,
 )
-
-
-def _require_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +41,8 @@ class SlqcQuery:
     def __post_init__(self):
         object.__setattr__(self, "z", as_point(self.z))
         object.__setattr__(self, "x", as_point(self.x, self.z.size))
-        _require_positive(eps=self.eps, kappa=self.kappa)
+        in_range("eps", self.eps, 0, ends="()")
+        in_range("kappa", self.kappa, 0, ends="()")
 
 
 @dataclass(frozen=True)
@@ -107,10 +103,8 @@ def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
     """`check_slqc` on each (eps, x) pair, eps-major.  No evaluation depends on
     eps, so f(z) is evaluated once and f(x) and the direction once per point."""
     z = as_point(z, f.dim)
-    _require_positive(kappa=kappa)
-    eps_values = [float(eps) for eps in eps_values]
-    for eps in eps_values:
-        _require_positive(eps=eps)
+    in_range("kappa", kappa, 0, ends="()")
+    eps_values = [float(in_range("eps", eps, 0, ends="()")) for eps in eps_values]
     direction = _direction(f, use_oracle)
     fz = f.value(z)
     per_point = []
@@ -159,6 +153,7 @@ def check_sublevel_convex(f: Objective, alpha: float, trials: int,
     then `trials` random pairs drawn from `region` (default: f.domain).
     Returns the first violating triple (x, y, combination) if any.
     """
+    in_range("alpha", alpha, -math.inf, ends="()")
     region = region or f.domain
     if region is None:
         raise ValueError("no sampling region: pass region= or set f.domain")
@@ -199,6 +194,7 @@ def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
     (lhs, rhs) = sides(x, y), up to relative slack PAIR_SLACK; the first
     violating pair is the counterexample."""
     z = as_point(z, f.dim)
+    in_range("eps_ball", eps_ball, 0, ends="()")
     gen = stream.generator()
     for _ in range(trials):
         x = sample_in_ball(gen, f.dim, eps_ball, center=z)
@@ -213,6 +209,7 @@ def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
 def check_local_lipschitz(f: Objective, z, eps_ball: float, G: float, trials: int,
                           stream: RandomStream) -> SampleCheckReport:
     """Sampled pairs x, y in B(z, eps_ball) must satisfy |f(x)-f(y)| <= G*||x-y||."""
+    in_range("G", G, 0)
     return _check_sampled_pairs(
         f, z, eps_ball, trials, stream,
         lambda x, y: (abs(f.value(x) - f.value(y)), G * float(np.linalg.norm(x - y))))
@@ -222,6 +219,7 @@ def check_local_smooth(f: Objective, z, eps_ball: float, beta: float, trials: in
                        stream: RandomStream) -> SampleCheckReport:
     """Sampled pairs in B(z, eps_ball) must satisfy the quadratic Taylor bound
     |f(x) - f(y) - <grad f(y), x - y>| <= (beta/2)*||x - y||^2."""
+    in_range("beta", beta, 0)
     return _check_sampled_pairs(
         f, z, eps_ball, trials, stream,
         lambda x, y: (abs(f.value(x) - f.value(y) - float(np.dot(f.gradient(y), x - y))),
@@ -241,8 +239,8 @@ def derive_slqc_from_lipschitz(G: float, eps: float) -> SlqcParams:
     (eps, G, x*)-SLQC everywhere: the ball B(x*, eps/G) sits inside every
     sublevel set S_f(x) with f(x) - f(x*) > eps.
     """
-    if not G > 0 or not eps > 0:
-        raise ValueError("G and eps must be positive")
+    in_range("G", G, 0, ends="()")
+    in_range("eps", eps, 0, ends="()")
     return SlqcParams(kappa=G, ball_radius=eps / G)
 
 

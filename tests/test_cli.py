@@ -684,20 +684,20 @@ def test_budgets_requires_kappa_or_beta():
     assert main(["budgets", "--eps", "0.1", "--dist0", "1"]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["--kappa", "0"],
-    ["--kappa", "1", "--delta", "2", "--M", "1"],
-    ["--kappa", "inf"],
-    ["--kappa", "1", "--dist0", "inf"],
-    ["--kappa", "1", "--eps", "inf"],
-    ["--beta", "inf"],
-    ["--kappa", "1", "--delta", "0.1", "--M", "inf"],
-    ["--kappa", "1", "--delta", "0.1", "--M", "1", "--W", "inf"],
+@pytest.mark.parametrize("argv, name", [
+    (["--kappa", "0"], "kappa"),
+    (["--kappa", "1", "--delta", "2", "--M", "1"], "delta"),
+    (["--kappa", "inf"], "kappa"),
+    (["--kappa", "1", "--dist0", "inf"], "dist0"),
+    (["--kappa", "1", "--eps", "inf"], "eps"),
+    (["--beta", "inf"], "beta"),
+    (["--kappa", "1", "--delta", "0.1", "--M", "inf"], "M"),
+    (["--kappa", "1", "--delta", "0.1", "--M", "1", "--W", "inf"], "W"),
 ], ids=["kappa", "delta", "kappa-inf", "dist0-inf", "eps-inf", "beta-inf", "M-inf", "W-inf"])
-def test_budgets_out_of_range_constant_is_a_usage_error(argv, capsys):
+def test_budgets_out_of_range_constant_is_a_usage_error(argv, name, capsys):
     assert main(["budgets", "--eps", "0.1", "--dist0", "1", *argv]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: need")
+    assert captured.err.startswith(f"error: {name} must be finite and in ")
     assert captured.out == ""
 
 

@@ -12,14 +12,27 @@ import slqcopt
 from slqcopt import (
     Ball,
     Box,
+    ChainSpec,
+    NgdConfig,
+    StepSchedule,
+    all_linear_prob,
     as_point,
+    check_local_lipschitz,
+    check_local_smooth,
+    check_sublevel_convex,
+    derive_slqc_from_lipschitz,
+    glm_sample_bound,
+    lower_bound_experiment,
+    make_cliff_plateau,
     make_lower_bound_distribution,
     make_noisy_glm,
     make_sigmoid_sum,
+    ngd_budget,
     seeded_stream,
+    sngd_minibatch_bound,
 )
 from slqcopt import core
-from slqcopt.core import _BLOCK_WORDS, _CSV_CHUNK, BlockDraws, build_trace
+from slqcopt.core import _BLOCK_WORDS, _CSV_CHUNK, BlockDraws, build_trace, in_range
 
 from conftest import (
     constant_distribution,
@@ -337,6 +350,78 @@ def test_region_validation():
         Ball([0.0], 0.0)
     with pytest.raises(ValueError):
         Box([1.0], [0.0])
+
+
+# ---------------------------------------------------------------------------
+# numeric ranges
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value, low, high, ends, ok", [
+    (0.0, 0, math.inf, "[)", True), (0.0, 0, math.inf, "()", False),
+    (1.0, 0, 1, "[]", True), (1.0, 0, 1, "[)", False), (1e308, 0, math.inf, "[)", True),
+    (math.inf, 0, math.inf, "[]", False), (-math.inf, -math.inf, 0, "[]", False),
+    (math.nan, -math.inf, math.inf, "[]", False), (10 ** 400, 1, math.inf, "[)", True),
+])
+def test_in_range_closes_and_opens_each_end_and_refuses_non_finite(value, low, high, ends, ok):
+    if ok:
+        assert in_range("x", value, low, high, ends) is value
+    else:
+        with pytest.raises(ValueError, match=f"^x must be finite and in {re.escape(ends[0])}"):
+            in_range("x", value, low, high, ends)
+
+
+def _cliff():
+    return make_cliff_plateau()
+
+
+# one row per library call that took a NaN or infinite number before the
+# range rule had one home; each must name the parameter and its value
+@pytest.mark.parametrize("name, value, call", [
+    ("eta", math.inf, lambda v: NgdConfig(T=5, eta=v, x1=[0.0, 0.0])),
+    ("eta0", math.inf, lambda v: StepSchedule(eta0=v)),
+    ("radius", math.inf, lambda v: Ball([0.0], v)),
+    ("valley_slope", math.nan, lambda v: make_cliff_plateau(valley_slope=v)),
+    ("plateau_slope", math.nan, lambda v: make_cliff_plateau(plateau_slope=v)),
+    ("valley_width", math.inf, lambda v: make_cliff_plateau(valley_width=v)),
+    ("cliff_height", math.inf, lambda v: make_cliff_plateau(cliff_height=v)),
+    ("cliff_slope", math.inf, lambda v: make_cliff_plateau(cliff_slope=v)),
+    ("noise_scale", math.nan, lambda v: make_noisy_glm(seeded_stream(0), 3, 2.0, noise_scale=v)),
+    ("W", math.inf, lambda v: make_noisy_glm(seeded_stream(0), 3, v)),
+    ("G", math.inf, lambda v: derive_slqc_from_lipschitz(v, 0.1)),
+    ("eps", math.inf, lambda v: derive_slqc_from_lipschitz(1.0, v)),
+    ("b", math.nan, lambda v: all_linear_prob(0.1, b=v)),
+    ("G", math.nan,
+     lambda v: check_local_lipschitz(_cliff(), [0.0], 1.0, v, 200, seeded_stream(0))),
+    ("eps_ball", math.nan,
+     lambda v: check_local_lipschitz(_cliff(), [0.0], v, 1.0, 200, seeded_stream(0))),
+    ("beta", math.nan,
+     lambda v: check_local_smooth(_cliff(), [0.0], 1.0, v, 200, seeded_stream(0))),
+    ("alpha", math.nan,
+     lambda v: check_sublevel_convex(make_sigmoid_sum(), v, 100, seeded_stream(0))),
+], ids=["NgdConfig-eta", "StepSchedule-eta0", "Ball-radius", "cliff-valley_slope",
+        "cliff-plateau_slope", "cliff-valley_width", "cliff-cliff_height", "cliff-cliff_slope",
+        "noisy_glm-noise_scale", "noisy_glm-W", "derive-G", "derive-eps", "all_linear-b",
+        "lipschitz-G", "lipschitz-radius", "smooth-beta", "sublevel-alpha"])
+def test_library_numbers_must_be_finite_and_in_range(name, value, call):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and in .*, got {value}$"):
+        call(value)
+
+
+# the closed ends: each value sits on its range's boundary and is accepted
+@pytest.mark.parametrize("call", [
+    lambda: make_cliff_plateau(plateau_slope=0.0),
+    lambda: StepSchedule(eta0=0.1, momentum=0.0),
+    lambda: ChainSpec(p=0.3, start_state=0),
+    lambda: make_lower_bound_distribution(0.1),
+    lambda: lower_bound_experiment(0.1, 10, 10, seeded_stream(0)),
+    lambda: ngd_budget(0.1, 1.0, 0.0),
+    lambda: sngd_minibatch_bound(0.1, 0.1, 10, 0.0),
+    lambda: glm_sample_bound(0.1, 0.1, 0.0),
+], ids=["plateau_slope-0", "momentum-0", "start_state-0", "lower_bound-eps-0.1",
+        "lower_bound_experiment-eps-0.1", "dist0-0", "M-0", "glm-W-0"])
+def test_library_numbers_on_a_closed_end_are_accepted(call):
+    call()
 
 
 # ---------------------------------------------------------------------------

@@ -469,7 +469,7 @@ def test_perceptron_gamma_validation():
 
 def test_glm_dataset_label_validation():
     with pytest.raises(ValueError):
-        GlmDataset(X=np.zeros((2, 2)), y=np.array([0.5, 1.5]), W=1.0)
+        GlmDataset(X=np.zeros((2, 2)), y=np.array([0.5, 1.5]))
 
 
 # ---------------------------------------------------------------------------
