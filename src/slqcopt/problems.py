@@ -421,6 +421,7 @@ def make_perceptron(stream: RandomStream, d: int, m: int, gamma: float,
     in_range("gamma", gamma, 0, 1, "()")
     in_range("d", d, 1)
     in_range("m", m, 1)
+    in_range("max_batches", max_batches, 1)
     gen = stream.generator()
     w_star = gen.standard_normal(d)
     w_star /= np.linalg.norm(w_star)

@@ -195,6 +195,7 @@ def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
     violating pair is the counterexample."""
     z = as_point(z, f.dim)
     in_range("eps_ball", eps_ball, 0, ends="()")
+    in_range("trials", trials, 1)
     gen = stream.generator()
     for _ in range(trials):
         x = sample_in_ball(gen, f.dim, eps_ball, center=z)
