@@ -372,10 +372,6 @@ def test_in_range_closes_and_opens_each_end_and_refuses_non_finite(value, low, h
             in_range("x", value, low, high, ends)
 
 
-def _cliff():
-    return make_cliff_plateau()
-
-
 # one row per library call that took a NaN or infinite number before the
 # range rule had one home; each must name the parameter and its value
 @pytest.mark.parametrize("name, value, call", [
@@ -393,15 +389,16 @@ def _cliff():
     ("eps", math.inf, lambda v: derive_slqc_from_lipschitz(1.0, v)),
     ("b", math.nan, lambda v: all_linear_prob(0.1, b=v)),
     ("G", math.nan,
-     lambda v: check_local_lipschitz(_cliff(), [0.0], 1.0, v, 200, seeded_stream(0))),
+     lambda v: check_local_lipschitz(make_cliff_plateau(), [0.0], 1.0, v, 200, seeded_stream(0))),
     ("eps_ball", math.nan,
-     lambda v: check_local_lipschitz(_cliff(), [0.0], v, 1.0, 200, seeded_stream(0))),
+     lambda v: check_local_lipschitz(make_cliff_plateau(), [0.0], v, 1.0, 200, seeded_stream(0))),
     ("beta", math.nan,
-     lambda v: check_local_smooth(_cliff(), [0.0], 1.0, v, 200, seeded_stream(0))),
+     lambda v: check_local_smooth(make_cliff_plateau(), [0.0], 1.0, v, 200, seeded_stream(0))),
     ("alpha", math.nan,
      lambda v: check_sublevel_convex(make_sigmoid_sum(), v, 100, seeded_stream(0))),
     # a pass over no sampled pairs, and a rejection loop allowed no batch
-    ("trials", 0, lambda v: check_local_smooth(_cliff(), [0.0], 1.0, 1.0, v, seeded_stream(0))),
+    ("trials", 0,
+     lambda v: check_local_smooth(make_cliff_plateau(), [0.0], 1.0, 1.0, v, seeded_stream(0))),
     ("max_batches", 0, lambda v: make_perceptron(seeded_stream(0), 2, 10, 0.1, max_batches=v)),
 ], ids=["NgdConfig-eta", "StepSchedule-eta0", "Ball-radius", "cliff-valley_slope",
         "cliff-plateau_slope", "cliff-valley_width", "cliff-cliff_height", "cliff-cliff_slope",
