@@ -29,6 +29,12 @@ CASES = {
                                 "--radius", "0.5", "--trials", "500"],
     "smooth_idealized_glm": ["idealized_glm", "smooth", "--bound", "2",
                              "--radius", "0.5", "--trials", "500"],
+    # the first violations are sampled pairs 1459 and 395 (from 0), so the
+    # order of the ball draws is pinned across more than a thousand pairs
+    "smooth_idealized_glm_violation": ["idealized_glm", "smooth", "--bound", "0.0126",
+                                       "--radius", "12", "--trials", "2000"],
+    "lipschitz_sigmoid_sum_violation": ["sigmoid_sum", "lipschitz", "--bound", "0.003",
+                                        "--radius", "5", "--trials", "2000"],
 }
 
 DIGESTS = {
@@ -48,6 +54,10 @@ DIGESTS = {
         "7eb55833bd62c54d65d598c503dbc2b09301111a5397a5172a5e406723366fad",
     "smooth_idealized_glm":
         "1e1631fa17c115f75d69f5ea4b936544c085de808c9dd5aae3a1e9412513115f",
+    "smooth_idealized_glm_violation":
+        "3a7ab35e0ec6ca6d074de72770458f2025ad55f65abe43730f3656a6e5904a82",
+    "lipschitz_sigmoid_sum_violation":
+        "cb925908640af9ed3246088bf239bb323507c1a48cdbd8c2fe72b696b9d73df7",
 }
 
 
