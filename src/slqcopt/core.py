@@ -208,12 +208,21 @@ def sample_in_ball(gen: np.random.Generator, dim: int, radius: float = 1.0,
     """Draw uniformly from a Euclidean ball; returns (dim,) or (n, dim)."""
     m = 1 if n is None else n
     u = gen.standard_normal((m, dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = radius * gen.random(m) ** (1.0 / dim)
-    pts = u * r[:, None]
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=np.float64)
+    pts = scale_to_ball(u, gen.random(m), radius, center)
     return pts[0] if n is None else pts
+
+
+def scale_to_ball(u: np.ndarray, t: np.ndarray, radius: float,
+                  center: Point | None = None) -> np.ndarray:
+    """Rows u[i] / ||u[i]|| * radius * t[i]**(1/d), plus center: uniform in the
+    ball when the rows of u are standard normal and t is uniform on [0, 1).
+    A row's norm reduces over that row alone, so no row depends on the
+    others.  Works in u, and returns it."""
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u *= (radius * t ** (1.0 / u.shape[1]))[:, None]
+    if center is not None:
+        u += np.asarray(center, dtype=np.float64)
+    return u
 
 
 def sample_region(gen: np.random.Generator, region: FeasibleRegion,

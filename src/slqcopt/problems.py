@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Ball,
     Box,
     Objective,
     Point,

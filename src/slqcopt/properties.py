@@ -22,8 +22,8 @@ from .core import (
     RandomStream,
     as_point,
     in_range,
-    sample_in_ball,
     sample_region,
+    scale_to_ball,
 )
 
 
@@ -105,6 +105,9 @@ def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
     z = as_point(z, f.dim)
     in_range("kappa", kappa, 0, ends="()")
     eps_values = [float(in_range("eps", eps, 0, ends="()")) for eps in eps_values]
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or len(points) == 0:
+        raise ValueError(f"points must be a non-empty (n, d) array, got shape {points.shape}")
     direction = _direction(f, use_oracle)
     fz = f.value(z)
     per_point = []
@@ -154,6 +157,7 @@ def check_sublevel_convex(f: Objective, alpha: float, trials: int,
     Returns the first violating triple (x, y, combination) if any.
     """
     in_range("alpha", alpha, -math.inf, ends="()")
+    in_range("trials", trials, 0)
     region = region or f.domain
     if region is None:
         raise ValueError("no sampling region: pass region= or set f.domain")
@@ -186,6 +190,20 @@ def check_sublevel_convex(f: Objective, alpha: float, trials: int,
 
 
 PAIR_SLACK = 1e-9  # relative slack of the sampled-pair bounds, for float rounding
+PAIR_CHUNK = 1024  # sampled pairs drawn at a time
+
+
+def _ball_pairs(gen: np.random.Generator, z: Point, radius: float, n: int) -> np.ndarray:
+    """n pairs of points in B(z, radius), shape (n, 2, d): the bytes and the
+    generator calls of 2n calls of sample_in_ball(gen, d, radius, center=z),
+    which per point draw standard_normal(d), then random()."""
+    d = z.size
+    u = np.empty((2 * n, d))
+    t = np.empty(2 * n)
+    for i in range(2 * n):
+        gen.standard_normal(out=u[i])
+        t[i] = gen.random()
+    return scale_to_ball(u, t, radius, z).reshape(n, 2, d)
 
 
 def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
@@ -197,13 +215,12 @@ def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
     in_range("eps_ball", eps_ball, 0, ends="()")
     in_range("trials", trials, 1)
     gen = stream.generator()
-    for _ in range(trials):
-        x = sample_in_ball(gen, f.dim, eps_ball, center=z)
-        y = sample_in_ball(gen, f.dim, eps_ball, center=z)
-        lhs, rhs = sides(x, y)
-        if lhs > rhs * (1.0 + PAIR_SLACK) + 1e-15:
-            return SampleCheckReport(passed=False, trials=trials, counterexample={
-                "x": x.tolist(), "y": y.tolist(), "lhs": lhs, "rhs": rhs})
+    for start in range(0, trials, PAIR_CHUNK):
+        for x, y in _ball_pairs(gen, z, eps_ball, min(PAIR_CHUNK, trials - start)):
+            lhs, rhs = sides(x, y)
+            if lhs > rhs * (1.0 + PAIR_SLACK) + 1e-15:
+                return SampleCheckReport(passed=False, trials=trials, counterexample={
+                    "x": x.tolist(), "y": y.tolist(), "lhs": lhs, "rhs": rhs})
     return SampleCheckReport(passed=True, trials=trials)
 
 
@@ -211,9 +228,13 @@ def check_local_lipschitz(f: Objective, z, eps_ball: float, G: float, trials: in
                           stream: RandomStream) -> SampleCheckReport:
     """Sampled pairs x, y in B(z, eps_ball) must satisfy |f(x)-f(y)| <= G*||x-y||."""
     in_range("G", G, 0)
-    return _check_sampled_pairs(
-        f, z, eps_ball, trials, stream,
-        lambda x, y: (abs(f.value(x) - f.value(y)), G * float(np.linalg.norm(x - y))))
+
+    def sides(x, y):
+        v = x - y
+        # G * ||x - y||, by the formula np.linalg.norm uses for a vector
+        return abs(f.value(x) - f.value(y)), G * math.sqrt(float(v @ v))
+
+    return _check_sampled_pairs(f, z, eps_ball, trials, stream, sides)
 
 
 def check_local_smooth(f: Objective, z, eps_ball: float, beta: float, trials: int,

@@ -33,7 +33,7 @@ from slqcopt.problems import (
     SIGMOID_SUM_MINIMIZER,
     SIGMOID_SUM_SUBLEVEL_WITNESS,
 )
-from slqcopt.properties import box_grid
+from slqcopt.properties import PAIR_CHUNK, _ball_pairs, _check_sampled_pairs, box_grid
 
 from conftest import cliff_plateau_kinks, line_restriction, make_cone, make_quadratic
 
@@ -304,6 +304,29 @@ def test_smooth_abs_value_fails_at_kink():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("n", [1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1])
+@pytest.mark.parametrize("d", [1, 2, 3, 20])
+def test_sampled_pairs_are_the_per_pair_ball_draws(d, n):
+    # the chunked draw must give, byte for byte, the points and the generator
+    # state of 2n calls of sample_in_ball, or every sampled report would move
+    z = seeded_stream(40).generator().normal(size=d)
+    stream = seeded_stream(41).substream(d)
+    per_pair = stream.generator()
+    expected = [sample_in_ball(per_pair, d, 0.7, center=z) for _ in range(2 * n)]
+    seen = []
+
+    def sides(x, y):
+        seen.extend((x, y))
+        return 0.0, 0.0
+
+    rep = _check_sampled_pairs(make_quadratic(d), z, 0.7, n, stream, sides)
+    assert rep.passed and rep.trials == n
+    assert np.array(seen).tobytes() == np.array(expected).tobytes()
+    chunked = stream.generator()
+    assert _ball_pairs(chunked, z, 0.7, n).tobytes() == np.array(expected).tobytes()
+    assert chunked.bit_generator.state == per_pair.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # derived SLQC parameters
 # ---------------------------------------------------------------------------
@@ -484,3 +507,15 @@ def test_batch_slqc_validates_eps_and_kappa(quadratic):
     for eps, kappa in ((0.0, 1.0), (math.nan, 1.0), (0.1, -1.0), (0.1, math.inf)):
         with pytest.raises(ValueError):
             check_slqc_batch(quadratic, np.zeros(2), kappa, [eps], [np.ones(2)])
+
+
+# an empty grid, such as box_grid(box, 0), used to report all_hold over no point
+@pytest.mark.parametrize("points, message", [
+    (box_grid(Box([-1.0, -1.0], [1.0, 1.0]), 0), "non-empty"),
+    (np.ones(2), "non-empty"),
+    ([[1.0, math.nan]], "non-finite"),
+    ([[1.0, 2.0, 3.0]], "dimension mismatch"),
+], ids=["empty-grid", "one-vector", "nan", "wrong-dim"])
+def test_batch_slqc_validates_points(quadratic, points, message):
+    with pytest.raises(ValueError, match=message):
+        check_slqc_batch(quadratic, np.zeros(2), 1.0, [0.1], points)
