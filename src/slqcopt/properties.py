@@ -190,7 +190,7 @@ def check_sublevel_convex(f: Objective, alpha: float, trials: int,
 
 
 PAIR_SLACK = 1e-9  # relative slack of the sampled-pair bounds, for float rounding
-PAIR_CHUNK = 1024  # sampled pairs drawn at a time
+PAIR_CHUNK = 1024  # pairs drawn at a time: bounds the chunk at 2 * PAIR_CHUNK * d floats
 
 
 def _ball_pairs(gen: np.random.Generator, z: Point, radius: float, n: int) -> np.ndarray:
