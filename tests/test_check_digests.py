@@ -35,6 +35,10 @@ CASES = {
                                        "--radius", "12", "--trials", "2000"],
     "lipschitz_sigmoid_sum_violation": ["sigmoid_sum", "lipschitz", "--bound", "0.003",
                                         "--radius", "5", "--trials", "2000"],
+    # the first violation is sampled pair 1101 (from 0), past the first chunk
+    # of pairs at any chunk size up to 1024
+    "lipschitz_idealized_glm_violation": ["idealized_glm", "lipschitz", "--bound", "0.028",
+                                          "--radius", "2", "--trials", "2000"],
 }
 
 DIGESTS = {
@@ -58,6 +62,8 @@ DIGESTS = {
         "3a7ab35e0ec6ca6d074de72770458f2025ad55f65abe43730f3656a6e5904a82",
     "lipschitz_sigmoid_sum_violation":
         "cb925908640af9ed3246088bf239bb323507c1a48cdbd8c2fe72b696b9d73df7",
+    "lipschitz_idealized_glm_violation":
+        "592dd7b1f0208f9bfbb7dec2d0fa29ace413de184a3bfd707b79e51d9c4d32aa",
 }
 
 
