@@ -225,6 +225,12 @@ def scale_to_ball(u: np.ndarray, t: np.ndarray, radius: float,
     return u
 
 
+def rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row i is np.dot(A[i], B[i]) to the byte: numpy makes the same ddot
+    call for each row of the stacked (n, 1, d) @ (n, d, 1) product."""
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
 def sample_region(gen: np.random.Generator, region: FeasibleRegion,
                   n: int | None = None) -> np.ndarray:
     """Draw uniformly from a box or a ball; returns (dim,) or (n, dim)."""
@@ -304,6 +310,12 @@ class Objective:
     direction_oracle, when present, replaces the gradient as the descent
     direction (useful for piecewise-constant losses such as the zero-one
     error, where the true gradient vanishes almost everywhere).
+
+    values and gradients, when present, evaluate an (n, dim) stack of points
+    in one call: row i of values(P), shape (n,), and of gradients(P), shape
+    (n, dim), must equal value(P[i]) and gradient(P[i]) byte for byte.  The
+    sampled Lipschitz and smoothness checks use them; without them those
+    checks call value and gradient once per point.
     """
 
     dim: int
@@ -311,6 +323,8 @@ class Objective:
     gradient: Callable[[Point], Point]
     direction_oracle: Callable[[Point], Point] | None = None
     domain: FeasibleRegion | None = None
+    values: Callable[[np.ndarray], np.ndarray] | None = None
+    gradients: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,7 @@ from .core import (
     StochasticObjective,
     as_point,
     in_range,
+    rowdot,
     sample_in_ball,
 )
 
@@ -199,11 +200,32 @@ class SigmoidLoss:
         s = self._sigmoid_at(w)
         return (2.0 / y.size) * (X.T @ (s * (1.0 - s) * (s - y)))
 
+    # The stacked forms below give row i the bytes of value(P[i]) and
+    # gradient(P[i]): np.matmul of a matrix with an (n, d, 1) stack makes, per
+    # stack, the BLAS gemv call that X @ w and X.T @ q make, and rowdot the
+    # ddot that np.dot makes.  P @ X.T would be one gemm, which sums in
+    # another order and moves the last bits.  They skip the memo.
+
+    def _sigmoids_at(self, P: np.ndarray) -> np.ndarray:
+        """sigmoid(X @ P[i]) in row i, shape (n, m)."""
+        return sigmoid(np.matmul(self.X, np.asarray(P, dtype=np.float64)[:, :, None])[:, :, 0])
+
+    def values(self, P: np.ndarray) -> np.ndarray:
+        R = self.y - self._sigmoids_at(P)
+        return rowdot(R, R) / self.y.size
+
+    def gradients(self, P: np.ndarray) -> np.ndarray:
+        y = self.y
+        S = self._sigmoids_at(P)
+        Q = S * (1.0 - S) * (S - y)
+        return (2.0 / y.size) * np.matmul(self.X.T, Q[:, :, None])[:, :, 0]
+
 
 def glm_objective(ds: GlmDataset) -> Objective:
     """Mean squared sigmoid-regression error over the dataset."""
     loss = SigmoidLoss(ds.X, ds.y)
-    return Objective(dim=ds.dim, value=loss.value, gradient=loss.gradient)
+    return Objective(dim=ds.dim, value=loss.value, gradient=loss.gradient,
+                     values=loss.values, gradients=loss.gradients)
 
 
 def make_idealized_glm(stream: RandomStream, d: int, m: int, W: float,

@@ -22,6 +22,7 @@ from .core import (
     RandomStream,
     as_point,
     in_range,
+    rowdot,
     sample_region,
     scale_to_ball,
 )
@@ -190,7 +191,10 @@ def check_sublevel_convex(f: Objective, alpha: float, trials: int,
 
 
 PAIR_SLACK = 1e-9  # relative slack of the sampled-pair bounds, for float rounding
-PAIR_CHUNK = 1024  # pairs drawn at a time: bounds the chunk at 2 * PAIR_CHUNK * d floats
+# pairs drawn and evaluated at a time: bounds the chunk at 2 * PAIR_CHUNK * d
+# floats and a stacked GLM oracle's temporaries at PAIR_CHUNK * m floats each
+# (m data rows); 128 was faster than 64, 256 and 1024
+PAIR_CHUNK = 128
 
 
 def _ball_pairs(gen: np.random.Generator, z: Point, radius: float, n: int) -> np.ndarray:
@@ -206,21 +210,32 @@ def _ball_pairs(gen: np.random.Generator, z: Point, radius: float, n: int) -> np
     return scale_to_ball(u, t, radius, z).reshape(n, 2, d)
 
 
+def _stacked(stacked, single):
+    """The objective's stacked oracle, or one calling single on each row."""
+    return stacked or (lambda P: np.array([single(p) for p in P]))
+
+
 def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
                          stream: RandomStream, sides) -> SampleCheckReport:
-    """Draw pairs x, y in B(z, eps_ball) and require lhs <= rhs for
-    (lhs, rhs) = sides(x, y), up to relative slack PAIR_SLACK; the first
-    violating pair is the counterexample."""
+    """Draw pairs x, y in B(z, eps_ball) and require lhs[i] <= rhs[i] for
+    (lhs, rhs) = sides(X, Y), where row i of X and Y is pair i of a chunk,
+    up to relative slack PAIR_SLACK; the first violating pair is the
+    counterexample.  A chunk is evaluated whole, so pairs after its first
+    violation are evaluated too."""
     z = as_point(z, f.dim)
     in_range("eps_ball", eps_ball, 0, ends="()")
     in_range("trials", trials, 1)
     gen = stream.generator()
     for start in range(0, trials, PAIR_CHUNK):
-        for x, y in _ball_pairs(gen, z, eps_ball, min(PAIR_CHUNK, trials - start)):
-            lhs, rhs = sides(x, y)
-            if lhs > rhs * (1.0 + PAIR_SLACK) + 1e-15:
-                return SampleCheckReport(passed=False, trials=trials, counterexample={
-                    "x": x.tolist(), "y": y.tolist(), "lhs": lhs, "rhs": rhs})
+        pairs = _ball_pairs(gen, z, eps_ball, min(PAIR_CHUNK, trials - start))
+        X, Y = pairs[:, 0], pairs[:, 1]
+        lhs, rhs = sides(X, Y)
+        bad = np.flatnonzero(lhs > rhs * (1.0 + PAIR_SLACK) + 1e-15)
+        if bad.size:
+            i = bad[0]
+            return SampleCheckReport(passed=False, trials=trials, counterexample={
+                "x": X[i].tolist(), "y": Y[i].tolist(),
+                "lhs": float(lhs[i]), "rhs": float(rhs[i])})
     return SampleCheckReport(passed=True, trials=trials)
 
 
@@ -228,11 +243,12 @@ def check_local_lipschitz(f: Objective, z, eps_ball: float, G: float, trials: in
                           stream: RandomStream) -> SampleCheckReport:
     """Sampled pairs x, y in B(z, eps_ball) must satisfy |f(x)-f(y)| <= G*||x-y||."""
     in_range("G", G, 0)
+    values = _stacked(f.values, f.value)
 
-    def sides(x, y):
-        v = x - y
+    def sides(X, Y):
+        D = X - Y
         # G * ||x - y||, by the formula np.linalg.norm uses for a vector
-        return abs(f.value(x) - f.value(y)), G * math.sqrt(float(v @ v))
+        return np.abs(values(X) - values(Y)), G * np.sqrt(rowdot(D, D))
 
     return _check_sampled_pairs(f, z, eps_ball, trials, stream, sides)
 
@@ -242,10 +258,15 @@ def check_local_smooth(f: Objective, z, eps_ball: float, beta: float, trials: in
     """Sampled pairs in B(z, eps_ball) must satisfy the quadratic Taylor bound
     |f(x) - f(y) - <grad f(y), x - y>| <= (beta/2)*||x - y||^2."""
     in_range("beta", beta, 0)
-    return _check_sampled_pairs(
-        f, z, eps_ball, trials, stream,
-        lambda x, y: (abs(f.value(x) - f.value(y) - float(np.dot(f.gradient(y), x - y))),
-                      0.5 * beta * float(np.dot(x - y, x - y))))
+    values = _stacked(f.values, f.value)
+    gradients = _stacked(f.gradients, f.gradient)
+
+    def sides(X, Y):
+        D = X - Y
+        return (np.abs(values(X) - values(Y) - rowdot(gradients(Y), D)),
+                0.5 * beta * rowdot(D, D))
+
+    return _check_sampled_pairs(f, z, eps_ball, trials, stream, sides)
 
 
 @dataclass(frozen=True)

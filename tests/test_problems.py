@@ -26,6 +26,7 @@ from slqcopt.problems import (
     SIGMOID_SUM_MINIMIZER,
     SIGMOID_SUM_SUBLEVEL_WITNESS,
 )
+from slqcopt.properties import PAIR_CHUNK
 
 from conftest import cliff_plateau_kinks, finite_diff_gradient, make_cone
 
@@ -270,6 +271,42 @@ def test_sigmoid_loss_memo_integer_point():
     # the float point with the same values is the same key
     _assert_fresh_loss(loss, w_int.astype(np.float64), order=("gradient", "value"))
     _assert_fresh_loss(loss, [1, -2, 0, 3])
+
+
+def _glm_dataset(name, d):
+    if name == "counterexample":
+        return make_nonqc_counterexample()[0]
+    m = {"idealized_glm": 100, "m1000": 1000}[name]
+    return make_idealized_glm(seeded_stream(d), d=d, m=m, W=2.0)[0]
+
+
+@pytest.mark.parametrize("name, d", [("counterexample", 2)] + [
+    (name, d) for name in ("idealized_glm", "m1000") for d in (1, 2, 3, 20)])
+def test_sigmoid_loss_stacked_oracles_match_per_point_bytes(name, d):
+    # row i of values/gradients must be value/gradient at row i to the byte,
+    # or the sampled Lipschitz/smooth reports would move.  The stacks are
+    # stacked gemv (one X @ w per row), not P @ X.T: that gemm sums in
+    # another order and differs in the last bits at many points.
+    ds = _glm_dataset(name, d)
+    loss = problems.SigmoidLoss(ds.X, ds.y)
+    gen = np.random.default_rng(d)
+    for n in (1, 2, 2 * PAIR_CHUNK):
+        pairs = gen.normal(scale=3.0, size=(n, 2, d))
+        # strided rows, as the sampled checks pass them, and contiguous ones
+        for P in (pairs[:, 0], pairs.reshape(2 * n, d)):
+            values, gradients = loss.values(P), loss.gradients(P)
+            assert values.shape == (len(P),) and gradients.shape == P.shape
+            for i, p in enumerate(P):
+                assert values[i].tobytes() == np.float64(loss.value(p)).tobytes()
+                assert gradients[i].tobytes() == loss.gradient(p).tobytes()
+
+
+def test_glm_objective_carries_the_stacked_oracles():
+    ds, f = make_idealized_glm(seeded_stream(8), d=3, m=30, W=2.0)
+    P = np.random.default_rng(8).normal(size=(5, 3))
+    assert f.values(P).tobytes() == np.array([f.value(p) for p in P]).tobytes()
+    assert f.gradients(P).tobytes() == np.array([f.gradient(p) for p in P]).tobytes()
+    assert make_sigmoid_sum().values is None and make_sigmoid_sum().gradients is None
 
 
 def test_noisy_glm_bound_and_minibatch_mean():

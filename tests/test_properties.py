@@ -315,9 +315,9 @@ def test_sampled_pairs_are_the_per_pair_ball_draws(d, n):
     expected = [sample_in_ball(per_pair, d, 0.7, center=z) for _ in range(2 * n)]
     seen = []
 
-    def sides(x, y):
-        seen.extend((x, y))
-        return 0.0, 0.0
+    def sides(X, Y):
+        seen.extend(p for pair in zip(X, Y) for p in pair)
+        return np.zeros(len(X)), np.zeros(len(X))
 
     rep = _check_sampled_pairs(make_quadratic(d), z, 0.7, n, stream, sides)
     assert rep.passed and rep.trials == n
@@ -325,6 +325,18 @@ def test_sampled_pairs_are_the_per_pair_ball_draws(d, n):
     chunked = stream.generator()
     assert _ball_pairs(chunked, z, 0.7, n).tobytes() == np.array(expected).tobytes()
     assert chunked.bit_generator.state == per_pair.bit_generator.state
+
+
+@pytest.mark.parametrize("checker, bound", [
+    (check_local_lipschitz, 0.02), (check_local_lipschitz, 1.0),
+    (check_local_smooth, 0.01), (check_local_smooth, 2.0)])
+def test_sampled_checks_stacked_equal_per_point(checker, bound):
+    # the GLM's stacked oracles and the per-point adapter give the same report
+    ds, f = make_idealized_glm(seeded_stream(42), d=3, m=80, W=2.0)
+    per_point = dataclasses.replace(f, values=None, gradients=None)
+    reports = [checker(g, ds.planted, 2.0, bound, 3 * PAIR_CHUNK + 5, seeded_stream(43))
+               for g in (f, per_point)]
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------
