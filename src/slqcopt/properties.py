@@ -220,7 +220,7 @@ def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
     """Draw pairs x, y in B(z, eps_ball) and require lhs[i] <= rhs[i] for
     (lhs, rhs) = sides(X, Y), where row i of X and Y is pair i of a chunk,
     up to relative slack PAIR_SLACK; the first violating pair is the
-    counterexample.  A chunk is evaluated whole, so pairs after its first
+    counterexample, and trials then counts the pairs up to it.  A chunk is evaluated whole, so pairs after its first
     violation are evaluated too."""
     z = as_point(z, f.dim)
     in_range("eps_ball", eps_ball, 0, ends="()")
@@ -232,8 +232,8 @@ def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
         lhs, rhs = sides(X, Y)
         bad = np.flatnonzero(lhs > rhs * (1.0 + PAIR_SLACK) + 1e-15)
         if bad.size:
-            i = bad[0]
-            return SampleCheckReport(passed=False, trials=trials, counterexample={
+            i = int(bad[0])
+            return SampleCheckReport(passed=False, trials=start + i + 1, counterexample={
                 "x": X[i].tolist(), "y": Y[i].tolist(),
                 "lhs": float(lhs[i]), "rhs": float(rhs[i])})
     return SampleCheckReport(passed=True, trials=trials)

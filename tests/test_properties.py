@@ -33,7 +33,13 @@ from slqcopt.problems import (
     SIGMOID_SUM_MINIMIZER,
     SIGMOID_SUM_SUBLEVEL_WITNESS,
 )
-from slqcopt.properties import PAIR_CHUNK, _ball_pairs, _check_sampled_pairs, box_grid
+from slqcopt.properties import (
+    PAIR_CHUNK,
+    PAIR_SLACK,
+    _ball_pairs,
+    _check_sampled_pairs,
+    box_grid,
+)
 
 from conftest import cliff_plateau_kinks, line_restriction, make_cone, make_quadratic
 
@@ -337,6 +343,32 @@ def test_sampled_checks_stacked_equal_per_point(checker, bound):
     reports = [checker(g, ds.planted, 2.0, bound, 3 * PAIR_CHUNK + 5, seeded_stream(43))
                for g in (f, per_point)]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("checker, bound", [(check_local_lipschitz, 0.024),
+                                             (check_local_smooth, 0.0253)])
+def test_failing_sampled_report_counts_the_pairs_tested(checker, bound):
+    # a chunk is evaluated whole, so the count is checked against the first
+    # violation found pair by pair from sample_in_ball, with the bounds'
+    # per-pair formulas
+    ds, f = make_idealized_glm(seeded_stream(44), d=3, m=100, W=2.0)
+    z, radius = ds.planted, 2.0
+    gen = seeded_stream(45).generator()
+    for k in range(4 * PAIR_CHUNK):
+        x = sample_in_ball(gen, 3, radius, center=z)
+        y = sample_in_ball(gen, 3, radius, center=z)
+        v = x - y
+        if checker is check_local_lipschitz:
+            lhs, rhs = abs(f.value(x) - f.value(y)), bound * math.sqrt(float(v @ v))
+        else:
+            lhs = abs(f.value(x) - f.value(y) - float(np.dot(f.gradient(y), v)))
+            rhs = 0.5 * bound * float(np.dot(v, v))
+        if lhs > rhs * (1.0 + PAIR_SLACK) + 1e-15:
+            break
+    assert PAIR_CHUNK < k < 4 * PAIR_CHUNK - 1  # past the first chunk, not the last pair
+    rep = checker(f, z, radius, bound, 4 * PAIR_CHUNK, seeded_stream(45))
+    assert not rep.passed and rep.trials == k + 1
+    assert rep.counterexample == {"x": x.tolist(), "y": y.tolist(), "lhs": lhs, "rhs": rhs}
 
 
 # ---------------------------------------------------------------------------
