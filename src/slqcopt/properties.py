@@ -193,7 +193,8 @@ def check_sublevel_convex(f: Objective, alpha: float, trials: int,
 PAIR_SLACK = 1e-9  # relative slack of the sampled-pair bounds, for float rounding
 # pairs drawn and evaluated at a time: bounds the chunk at 2 * PAIR_CHUNK * d
 # floats and a stacked GLM oracle's temporaries at PAIR_CHUNK * m floats each
-# (m data rows); 128 was faster than 64, 256 and 1024
+# (m data rows).  On the 100-row GLM, 128 to 256 ran fastest; 64 was about
+# 10% and 512 or 1024 about 40% slower.
 PAIR_CHUNK = 128
 
 
@@ -220,8 +221,8 @@ def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
     """Draw pairs x, y in B(z, eps_ball) and require lhs[i] <= rhs[i] for
     (lhs, rhs) = sides(X, Y), where row i of X and Y is pair i of a chunk,
     up to relative slack PAIR_SLACK; the first violating pair is the
-    counterexample, and trials then counts the pairs up to it.  A chunk is evaluated whole, so pairs after its first
-    violation are evaluated too."""
+    counterexample, and trials then counts the pairs up to it.  A chunk is
+    evaluated whole, so pairs after its first violation are evaluated too."""
     z = as_point(z, f.dim)
     in_range("eps_ball", eps_ball, 0, ends="()")
     in_range("trials", trials, 1)

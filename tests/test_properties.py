@@ -310,7 +310,8 @@ def test_smooth_abs_value_fails_at_kink():
     assert not rep.passed
 
 
-@pytest.mark.parametrize("n", [1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1])
+# one chunk and eight, each ending a pair short of, on and a pair past a chunk boundary
+@pytest.mark.parametrize("n", [1] + [k * PAIR_CHUNK + e for k in (1, 8) for e in (-1, 0, 1)])
 @pytest.mark.parametrize("d", [1, 2, 3, 20])
 def test_sampled_pairs_are_the_per_pair_ball_draws(d, n):
     # the chunked draw must give, byte for byte, the points and the generator
