@@ -23,6 +23,12 @@ CASES = {
         "problem": {"name": "sigmoid_sum"},
         "optimizer": {"name": "ngd", "params": {"T": 400, "eta": 0.1, "x1": [9.0, 8.0]}},
     },
+    # clipped onto the box corner from row 345 on: one row repeated over
+    # several whole CSV chunks and into the last, partial one (2000 = 7*256 + 208)
+    "ngd_projected_long": {
+        "problem": {"name": "sigmoid_sum"},
+        "optimizer": {"name": "ngd", "params": {"T": 2000, "eta": 0.1, "x1": [9.0, 8.0]}},
+    },
     "ngd_oracle": {
         "problem": {"name": "perceptron", "params": {"d": 5, "m": 200, "gamma": 0.2}},
         "optimizer": {"name": "ngd_oracle",
@@ -128,6 +134,12 @@ DIGESTS = {
             "5145b349381cbe4a6bf07724fabd47f67aace9b251ff590e2bd3edfa43e48c2b",
         "trace_trial001.csv":
             "5145b349381cbe4a6bf07724fabd47f67aace9b251ff590e2bd3edfa43e48c2b",
+    },
+    "ngd_projected_long": {
+        "trace_trial000.csv":
+            "d30221da75c823d0b8864a0a0ba8cde3563fc438c64da45beb214ff75ab5004c",
+        "trace_trial001.csv":
+            "d30221da75c823d0b8864a0a0ba8cde3563fc438c64da45beb214ff75ab5004c",
     },
     "sgd": {
         "trace_trial000.csv":
