@@ -86,14 +86,17 @@ class StepSchedule:
 # ---------------------------------------------------------------------------
 
 
-def _descent(x: Point, T: int, query, step, lookahead=None) -> OptTrace:
+def _descent(x: Point, T: int, query, step, lookahead=None, stationary=False) -> OptTrace:
     """The one descent loop; methods differ only in query and step.
 
     query(t) -> (value, direction) gives the oracles of iteration t.
     The value is taken at x and the direction at lookahead(x) (x itself by
     default); step(t, x, g, gn) returns the next iterate.  Records the iterate
     before each update; a non-finite value or direction aborts the run with
-    the trace so far flagged.
+    the trace so far flagged.  A stationary run has query and step that do
+    not depend on t: once a step returns an iterate with the bytes of the
+    current one, every later row would repeat this one, so they are filled
+    in from it and the loop stops.
     """
     iterates = np.empty((T, x.size))
     values = np.empty(T)
@@ -114,7 +117,14 @@ def _descent(x: Point, T: int, query, step, lookahead=None) -> OptTrace:
             if not (math.isfinite(value) and math.isfinite(gn)):
                 aborted = True
                 break
-            x = step(t, x, g, gn)
+            x_next = step(t, x, g, gn)
+            if stationary and (x_next is x or x_next.tobytes() == x.tobytes()):
+                iterates[t + 1:] = x
+                values[t + 1:] = value
+                grad_norms[t + 1:] = gn
+                steps = T
+                break
+            x = x_next
     return build_trace(iterates[:steps], values[:steps], grad_norms[:steps], aborted=aborted)
 
 
@@ -140,11 +150,12 @@ def _minibatches(F: StochasticObjective, b: int, stream: RandomStream, T: int):
 # ---------------------------------------------------------------------------
 
 
-def _run_normalized(dim: int, cfg: NgdConfig, query) -> OptTrace:
+def _run_normalized(dim: int, cfg: NgdConfig, query, stationary=False) -> OptTrace:
     """Step rule x <- P(x - eta * g/||g||), P the projection onto cfg.region.
 
     A direction of norm <= GRAD_TOL skips the update: the iterate is kept
-    and recorded again at the next iteration.
+    and recorded again at the next iteration.  The step does not depend on
+    t, so a query that does not either makes the run stationary.
     """
     eta, region = cfg.eta, cfg.region
 
@@ -157,7 +168,7 @@ def _run_normalized(dim: int, cfg: NgdConfig, query) -> OptTrace:
     x = as_point(cfg.x1, dim)
     if region is not None:
         x = region.project(x)
-    return _descent(x, cfg.T, query, step)
+    return _descent(x, cfg.T, query, step, stationary=stationary)
 
 
 def ngd(f: Objective, cfg: NgdConfig) -> OptTrace:
@@ -167,16 +178,19 @@ def ngd(f: Objective, cfg: NgdConfig) -> OptTrace:
     (huge gradients) advance at the same rate.  Returns the iterate with the
     smallest recorded value.  Iterates where the gradient vanishes (within
     GRAD_TOL) are recorded and the update is skipped: at such points an SLQC
-    objective is already eps-optimal.
+    objective is already eps-optimal.  Once an iterate repeats bit for bit
+    (a skipped update, or a projection back onto the same point), the
+    oracles are not queried again and the remaining rows repeat that row.
     """
-    return _run_normalized(f.dim, cfg, lambda t: (f.value, f.gradient))
+    return _run_normalized(f.dim, cfg, lambda t: (f.value, f.gradient), stationary=True)
 
 
 def ngd_with_oracle(f: Objective, cfg: NgdConfig) -> OptTrace:
     """Normalized descent along a direction oracle instead of the gradient."""
     if f.direction_oracle is None:
         raise ValueError("objective has no direction oracle")
-    return _run_normalized(f.dim, cfg, lambda t: (f.value, f.direction_oracle))
+    return _run_normalized(f.dim, cfg, lambda t: (f.value, f.direction_oracle),
+                           stationary=True)
 
 
 def sngd(F: StochasticObjective, cfg: SngdConfig) -> OptTrace:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from slqcopt import (
+    Box,
     NgdConfig,
     Objective,
     SngdConfig,
@@ -11,6 +13,7 @@ from slqcopt import (
     evaluate_iterates,
     gd,
     make_cliff_plateau,
+    make_idealized_glm,
     make_lower_bound_distribution,
     make_noisy_glm,
     make_perceptron,
@@ -24,6 +27,7 @@ from slqcopt import (
     sgd,
     sngd,
 )
+from slqcopt.core import GRAD_TOL
 
 from conftest import constant_distribution, make_cone, make_quadratic, scaled
 
@@ -160,6 +164,119 @@ def test_ngd_oracle_stops_at_planted_separator():
 def test_ngd_oracle_requires_oracle(quadratic):
     with pytest.raises(ValueError):
         ngd_with_oracle(quadratic, NgdConfig(T=1, eta=0.1, x1=np.zeros(2)))
+
+
+# ---------------------------------------------------------------------------
+# deterministic ngd stops at a bitwise fixed point
+# ---------------------------------------------------------------------------
+
+
+def _full_normalized_loop(f, direction, cfg):
+    """Normalized descent written out, every iteration querying the oracles.
+
+    Returns the trace arrays and the first t whose step gives back the bytes
+    of x_t, or None when no step does.
+    """
+    x = cfg.x1 if cfg.region is None else cfg.region.project(cfg.x1)
+    iterates, values, grad_norms, fixed = [], [], [], None
+    for t in range(cfg.T):
+        value, g = f.value(x), direction(x)
+        gn = math.sqrt(float(np.dot(g, g)))
+        iterates.append(x)
+        values.append(value)
+        grad_norms.append(gn)
+        x_next = x
+        if gn > GRAD_TOL:
+            x_next = x - (cfg.eta / gn) * g
+            if cfg.region is not None:
+                x_next = cfg.region.project(x_next)
+        if fixed is None and x_next.tobytes() == x.tobytes():
+            fixed = t
+        x = x_next
+    return np.array(iterates), np.array(values), np.array(grad_norms), fixed
+
+
+def _counting(f):
+    """f with its value, gradient and direction oracle calls counted."""
+    calls = {"value": 0, "gradient": 0, "direction": 0}
+
+    def counted(name, oracle):
+        def call(x):
+            calls[name] += 1
+            return oracle(x)
+        return call
+
+    oracle = f.direction_oracle and counted("direction", f.direction_oracle)
+    return dataclasses.replace(f, value=counted("value", f.value),
+                               gradient=counted("gradient", f.gradient),
+                               direction_oracle=oracle), calls
+
+
+def _sigmoid_sum_case():
+    f = make_sigmoid_sum()  # clipped back onto the corner (-10, -10)
+    return f, "gradient", NgdConfig(T=2000, eta=0.1, x1=np.array([9.0, 8.0]), region=f.domain)
+
+
+def _perceptron_case():
+    _, f = make_perceptron(seeded_stream(42), d=5, m=200, gamma=0.2)  # the oracle vanishes
+    return f, "direction", NgdConfig(T=300, eta=0.05, x1=np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+
+
+def _signed_zero_case():
+    # x1 = 0.0 is clipped to the box's -0.0 end: equal by value, not by bits,
+    # so the fixed point starts one step later
+    f = Objective(dim=1, value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+    return f, "gradient", NgdConfig(T=10, eta=0.1, x1=np.zeros(1),
+                                    region=Box(lower=[-0.0], upper=[1.0]))
+
+
+def _run(f, direction, cfg):
+    return (ngd if direction == "gradient" else ngd_with_oracle)(f, cfg)
+
+
+def _oracle(f, direction):
+    return f.gradient if direction == "gradient" else f.direction_oracle
+
+
+@pytest.mark.parametrize("case", [_sigmoid_sum_case, _perceptron_case, _signed_zero_case],
+                         ids=["projected", "vanished_direction", "signed_zero"])
+def test_ngd_fixed_point_matches_full_loop_and_stops_querying(case):
+    f, direction, cfg = case()
+    iterates, values, grad_norms, fixed = _full_normalized_loop(f, _oracle(f, direction), cfg)
+    assert fixed is not None and fixed < cfg.T // 2  # the shortcut has rows to fill
+    counted, calls = _counting(f)
+    tr = _run(counted, direction, cfg)
+    assert tr.iterates.tobytes() == iterates.tobytes()
+    assert tr.values.tobytes() == values.tobytes()
+    assert tr.grad_norms.tobytes() == grad_norms.tobytes()
+    assert tr.returned_index == int(np.argmin(values)) and not tr.aborted
+    assert calls["value"] == calls[direction] == fixed + 1
+
+
+def test_ngd_without_fixed_point_queries_every_iteration():
+    _, f = make_idealized_glm(seeded_stream(7), d=3, m=100, W=2.0)
+    cfg = NgdConfig(T=300, eta=0.05, x1=np.array([0.5, -0.5, 0.25]))
+    assert _full_normalized_loop(f, f.gradient, cfg)[3] is None
+    counted, calls = _counting(f)
+    ngd(counted, cfg)
+    assert calls["value"] == calls["gradient"] == cfg.T
+
+
+def test_sngd_draws_every_minibatch_past_a_skipped_update():
+    # at eps = 1/16 and b = 32 a minibatch with one hinge draw has gradient
+    # exactly 0 on x > -3, so many updates return x itself
+    F = make_lower_bound_distribution(0.0625)
+    draws = []
+
+    def sample(gen, b):
+        draws.append(b)
+        return F.sample_minibatch(gen, b)
+
+    counted = dataclasses.replace(F, sample_minibatch=sample)
+    tr = sngd(counted, SngdConfig(T=300, eta=0.1, x1=np.zeros(1), b=32,
+                                  stream=seeded_stream(4)))
+    assert np.count_nonzero(tr.grad_norms[:-1] <= GRAD_TOL) > 10
+    assert len(tr) == len(draws) == 300
 
 
 # ---------------------------------------------------------------------------
