@@ -359,8 +359,20 @@ class StochasticObjective:
 _CSV_CHUNK = 256  # rows formatted per write; bounds the text held in memory
 
 
-def _format_rows(line: str, rows: list[list[float]]) -> str:
-    return "".join([line % tuple(r) for r in rows])
+def _format_rows(line: str, rows: list[list[float]], repeats: list[bool]) -> str:
+    """One chunk of CSV rows [t, fields...]; a row flagged in repeats has the
+    field bits of the row before it and reuses that row's text after t."""
+    if not any(repeats):
+        return "".join([line % tuple(r) for r in rows])
+    lines = []
+    for r, same in zip(rows, repeats):
+        if same:
+            lines.append("%d%s" % (r[0], tail))
+        else:
+            text = line % tuple(r)
+            tail = text[text.index(","):]
+            lines.append(text)
+    return "".join(lines)
 
 
 @contextmanager
@@ -411,6 +423,8 @@ class OptTrace:
 
         Rows are formatted _CSV_CHUNK at a time with `%.17g`, which prints
         exactly what format(x, ".17g") prints (nan, inf and -0 included).
+        Within a chunk, a row whose fields have the bits of the row before it
+        (bits, since -0.0 == 0.0 prints differently) is not formatted again.
         """
         cols = ["t", "value", "grad_norm"] + [f"coord_{i}" for i in range(self.dim)]
         line = "%d," + ",".join(["%.17g"] * (2 + self.dim)) + "\n"
@@ -421,7 +435,9 @@ class OptTrace:
                 stop = min(start + _CSV_CHUNK, T)
                 table = np.column_stack([np.arange(start, stop), self.values[start:stop],
                                          self.grad_norms[start:stop], self.iterates[start:stop]])
-                fh.write(_format_rows(line, table.tolist()))
+                bits = table[:, 1:].view(np.int64)
+                repeats = [False] + (bits[1:] == bits[:-1]).all(axis=1).tolist()
+                fh.write(_format_rows(line, table.tolist(), repeats))
 
 
 def build_trace(iterates, values, grad_norms, aborted=False) -> OptTrace:

@@ -103,11 +103,11 @@ def test_run_failing_trace_write_keeps_previous_trace(tmp_path, monkeypatch):
     chunks = []
     format_rows = core._format_rows
 
-    def torn_format_rows(line, rows):
+    def torn_format_rows(line, rows, repeats):
         chunks.append(len(rows))
         if len(chunks) > 1:  # the first chunk has been written by now
             raise OSError("disk full")
-        return format_rows(line, rows)
+        return format_rows(line, rows, repeats)
 
     before, after = _rerun_with_torn_write(tmp_path, monkeypatch, core, "_format_rows",
                                            torn_format_rows)

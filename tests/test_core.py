@@ -547,6 +547,51 @@ def test_trace_csv_matches_per_field_reference(make, tmp_path):
     assert path.read_bytes() == _reference_csv(tr).encode()
 
 
+C = _CSV_CHUNK
+# rows that differ from the row before only in the sign of a zero, but for one
+SIGNED_ZEROS = [[0.0, 1.0, 0.0, 2.0, 0.0], [-0.0, 1.0, 0.0, 2.0, 0.0],
+                [-0.0, 1.0, 0.0, 2.0, 0.0], [-0.0, 1.0, -0.0, 2.0, 0.0],
+                [-0.0, 1.0, -0.0, 2.0, -0.0], [-0.0, 0.0, -0.0, 2.0, -0.0]]
+NON_FINITE = [math.nan, math.inf, -math.inf, math.nan, -0.0]
+
+
+def _rows_with_repeats(runs, rows=(), at=C + 3):
+    """Trace cells [value, grad_norm, coord_0..2] of 3*C + 40 distinct rows,
+    except that rows are written from row `at` on and then each (start, stop)
+    in runs repeats row start down to row stop - 1."""
+    cells = seeded_stream(11).generator().normal(size=(3 * C + 40, 5))
+    cells[at:at + len(rows)] = np.reshape(rows, (-1, 5))
+    for start, stop in runs:
+        cells[start:stop] = cells[start]
+    return cells
+
+
+@pytest.mark.parametrize("cells, repeats", [
+    (_rows_with_repeats([(C, C + 20)]), 19),
+    (_rows_with_repeats([(C - 7, C + 7), (2 * C - 1, 2 * C + 1)]), 6 + 6),
+    (_rows_with_repeats([(2 * C + 30, 2 * C + 90), (3 * C + 10, 3 * C + 40)]), 59 + 29),
+    (_rows_with_repeats([], [[0.0] * 5, [-0.0] * 5] * 3), 0),
+    (_rows_with_repeats([], SIGNED_ZEROS), 1),
+    (_rows_with_repeats([], [NON_FINITE] * 8 + [[math.inf] * 5] * 3, at=C - 4), 3 + 3 + 2),
+], ids=["starts_on_chunk", "crosses_chunks", "ends_mid_chunk", "signed_zero_rows",
+        "signed_zero_fields", "nan_inf"])
+def test_trace_csv_repeated_rows_match_reference(cells, repeats, tmp_path, monkeypatch):
+    # within a chunk, a row is reused only when every field has the bits of
+    # the row before it; the first row of a chunk is always formatted
+    tr = build_trace(cells[:, 2:], cells[:, 0], cells[:, 1])
+    flagged, format_rows = [], core._format_rows
+
+    def counting_format_rows(line, rows, repeats):
+        flagged.append(sum(repeats))
+        return format_rows(line, rows, repeats)
+
+    monkeypatch.setattr(core, "_format_rows", counting_format_rows)
+    path = tmp_path / "t.csv"
+    tr.write_csv(path)
+    assert path.read_bytes() == _reference_csv(tr).encode()
+    assert sum(flagged) == repeats
+
+
 # ---------------------------------------------------------------------------
 # helpers on objectives
 # ---------------------------------------------------------------------------
