@@ -155,7 +155,8 @@ def _run_normalized(dim: int, cfg: NgdConfig, query, stationary=False) -> OptTra
 
     A direction of norm <= GRAD_TOL skips the update: the iterate is kept
     and recorded again at the next iteration.  The step does not depend on
-    t, so a query that does not either makes the run stationary.
+    t, so the run is stationary when the query does not either; the caller
+    says which.
     """
     eta, region = cfg.eta, cfg.region
 
