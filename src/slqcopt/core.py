@@ -435,8 +435,12 @@ class OptTrace:
                 stop = min(start + _CSV_CHUNK, T)
                 table = np.column_stack([np.arange(start, stop), self.values[start:stop],
                                          self.grad_norms[start:stop], self.iterates[start:stop]])
-                bits = table[:, 1:].view(np.int64)
-                repeats = [False] + (bits[1:] == bits[:-1]).all(axis=1).tolist()
+                # a row repeats the row before when its fields after t have the
+                # same bytes, compared as one void scalar per row (an all(axis=1)
+                # over fieldwise bits raised the peak RSS of long-trace runs)
+                fields = np.ascontiguousarray(table[:, 1:])
+                keys = fields.view(np.dtype((np.void, fields[0].nbytes))).ravel()
+                repeats = [False] + (keys[1:] == keys[:-1]).tolist()
                 fh.write(_format_rows(line, table.tolist(), repeats))
 
 
