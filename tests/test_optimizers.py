@@ -198,59 +198,52 @@ def _full_normalized_loop(f, direction, cfg):
 
 def _counting(f):
     """f with its value, gradient and direction oracle calls counted."""
-    calls = {"value": 0, "gradient": 0, "direction": 0}
+    calls = {"value": 0, "gradient": 0, "direction_oracle": 0}
 
-    def counted(name, oracle):
+    def counted(name):
+        oracle = getattr(f, name)
+
         def call(x):
             calls[name] += 1
             return oracle(x)
-        return call
+        return call if oracle else None
 
-    oracle = f.direction_oracle and counted("direction", f.direction_oracle)
-    return dataclasses.replace(f, value=counted("value", f.value),
-                               gradient=counted("gradient", f.gradient),
-                               direction_oracle=oracle), calls
+    return dataclasses.replace(f, **{name: counted(name) for name in calls}), calls
 
 
 def _sigmoid_sum_case():
     f = make_sigmoid_sum()  # clipped back onto the corner (-10, -10)
-    return f, "gradient", NgdConfig(T=2000, eta=0.1, x1=np.array([9.0, 8.0]), region=f.domain)
+    return f, ngd, NgdConfig(T=2000, eta=0.1, x1=np.array([9.0, 8.0]), region=f.domain)
 
 
 def _perceptron_case():
     _, f = make_perceptron(seeded_stream(42), d=5, m=200, gamma=0.2)  # the oracle vanishes
-    return f, "direction", NgdConfig(T=300, eta=0.05, x1=np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+    return f, ngd_with_oracle, NgdConfig(T=300, eta=0.05,
+                                         x1=np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
 
 
 def _signed_zero_case():
     # x1 = 0.0 is clipped to the box's -0.0 end: equal by value, not by bits,
     # so the fixed point starts one step later
     f = Objective(dim=1, value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
-    return f, "gradient", NgdConfig(T=10, eta=0.1, x1=np.zeros(1),
-                                    region=Box(lower=[-0.0], upper=[1.0]))
-
-
-def _run(f, direction, cfg):
-    return (ngd if direction == "gradient" else ngd_with_oracle)(f, cfg)
-
-
-def _oracle(f, direction):
-    return f.gradient if direction == "gradient" else f.direction_oracle
+    return f, ngd, NgdConfig(T=10, eta=0.1, x1=np.zeros(1),
+                             region=Box(lower=[-0.0], upper=[1.0]))
 
 
 @pytest.mark.parametrize("case", [_sigmoid_sum_case, _perceptron_case, _signed_zero_case],
                          ids=["projected", "vanished_direction", "signed_zero"])
 def test_ngd_fixed_point_matches_full_loop_and_stops_querying(case):
-    f, direction, cfg = case()
-    iterates, values, grad_norms, fixed = _full_normalized_loop(f, _oracle(f, direction), cfg)
+    f, method, cfg = case()
+    oracle = "direction_oracle" if method is ngd_with_oracle else "gradient"
+    iterates, values, grad_norms, fixed = _full_normalized_loop(f, getattr(f, oracle), cfg)
     assert fixed is not None and fixed < cfg.T // 2  # the shortcut has rows to fill
     counted, calls = _counting(f)
-    tr = _run(counted, direction, cfg)
+    tr = method(counted, cfg)
     assert tr.iterates.tobytes() == iterates.tobytes()
     assert tr.values.tobytes() == values.tobytes()
     assert tr.grad_norms.tobytes() == grad_norms.tobytes()
     assert tr.returned_index == int(np.argmin(values)) and not tr.aborted
-    assert calls["value"] == calls[direction] == fixed + 1
+    assert calls["value"] == calls[oracle] == fixed + 1
 
 
 def test_ngd_without_fixed_point_queries_every_iteration():
