@@ -621,6 +621,19 @@ def test_check_sublevel_alpha_reports_are_pinned(problem, alpha, digest, capsys)
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # two chunks of 10^4 trials, the second one partial
+    ("--seed 5 --trials 12000 --T 300",
+     "4e000ea4697d7c351175e22459af63dea3752e13a6c1584fbae3f65c265eef60"),
+    ("--eps 0.05 --trials 3000 --T 500 --seed 4",
+     "e6911b1f65c2bc0ebbfb57736359e4874bd2310f6e7fc640eaf28c9d9d8a27ac"),
+])
+def test_lowerbound_reports_are_pinned(argv, digest, capsys):
+    # digests recorded with Python 3.11 and numpy 2.4 on x86-64, as in test_check_digests
+    assert main(["lowerbound", *argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, words", [
     (["check", "noisy_glm", "slqc"], ["'noisy_glm' has no deterministic objective"]),
     (["check", "cliff_plateau", "slqc"], ["no default kappa", "--kappa"]),
