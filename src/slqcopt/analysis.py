@@ -260,14 +260,21 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
         raise ValueError("batch size outside the supported sign regime "
                          "(need 0 < eps*b/2 < 1)")
     eta = eps
+    # Each trial is a sign walk on the lattice x = -m*eta from x = 0: right of
+    # the minimum (-3) the batch-mean gradient is negative iff the batch is
+    # all-linear, so a move goes +eta, else -eta toward the segment, first
+    # entered at -h*eta (right of -3).  A hit is a query x_0..x_{T-1} in it,
+    # so a walk makes at most T-1 moves.
+    h = math.ceil(-LOWER_BOUND_SEGMENT[1] / eta - 1e-9)
+    p = 1.0 - all_linear_prob(eps, b)
     hits = 0
     events = 0
     nonneg_events = 0
     n_chunks = (trials + _CHUNK - 1) // _CHUNK
     for c in range(n_chunks):
         n = min(_CHUNK, trials - c * _CHUNK)
-        ch_hits, ch_events, ch_nonneg = _simulate_walks(
-            stream.substream(c).generator(), n, T, eps, b, eta)
+        ch_hits, ch_events, ch_nonneg = _first_passage(
+            stream.substream(c).generator(), np.full(n, h, dtype=np.int64), T - 1, p)
         hits += ch_hits
         events += ch_events
         nonneg_events += ch_nonneg
@@ -293,21 +300,3 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
         passed=hit_fraction <= hit_ceiling,
         segment=LOWER_BOUND_SEGMENT,
     )
-
-
-def _simulate_walks(gen: np.random.Generator, n: int, T: int, eps: float,
-                    b: int, eta: float) -> tuple[int, int, int]:
-    """Sign walk of n trials on the lattice x = -m*eta until each first
-    enters the eps-optimal segment (lo, hi) or its T queries run out.
-
-    Right of the minimum (-3) the batch-mean gradient is negative iff the
-    batch is all-linear (prob (1-eps)^b), so the walk steps +eta; otherwise
-    it steps -eta, toward the segment.  The start x = 0 lies h = ceil(-hi/eta)
-    steps from the segment, and the walk first enters it at -h*eta, right of
-    -3.  A hit means one of the queries x_0..x_{T-1} lies in the segment,
-    so each walk makes at most T-1 moves.  Returns the hits, the moves made
-    before each walk's first entry, and how many of those went toward it.
-    """
-    h = math.ceil(-LOWER_BOUND_SEGMENT[1] / eta - 1e-9)
-    return _first_passage(gen, np.full(n, h, dtype=np.int64), T - 1,
-                          1.0 - all_linear_prob(eps, b))

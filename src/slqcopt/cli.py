@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, optimizers, problems, properties
 from .core import (Ball, Box, Objective, RandomStream, StochasticObjective,
-                   as_point, atomic_write, sample_region, seeded_stream)
+                   as_point, atomic_write, in_range, sample_region, seeded_stream)
 from .properties import box_grid
 
 
@@ -55,10 +55,8 @@ def _config_keys(*, schema_version: int, seed: int, problem: dict, optimizer: di
     "optimizer" and "sweep" bind in turn to _named_keys and _sweep_keys."""
     if schema_version != 1:
         raise ValueError(f"'schema_version' must be 1, got {schema_version}")
-    if seed < 0:
-        raise ValueError(f"'seed' must be >= 0, got {seed}")
-    if trials < 1:
-        raise ValueError(f"'trials' must be >= 1, got {trials}")
+    in_range("'seed'", seed, 0)
+    in_range("'trials'", trials, 1)
     for key, keys, value in [("problem", _named_keys, problem),
                              ("optimizer", _named_keys, optimizer), ("sweep", _sweep_keys, sweep)]:
         try:
@@ -507,31 +505,18 @@ def cmd_budgets(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer >= low; a value out of range is a usage
-    error that names the flag."""
+def _number(parse, low: float, ends: str = "[)"):
+    """argparse type for parse(text) within core.in_range's low and ends; a
+    value that does not parse or is out of range is a usage error that names
+    the flag."""
 
-    def parse(text: str) -> int:
+    def check(text: str):
         try:
-            if int(text) >= low:
-                return int(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+            return in_range("value", parse(text), low, ends=ends)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    return parse
-
-
-def _positive_float(text: str) -> float:
-    """argparse type for a finite number > 0; anything else is a usage error
-    that names the flag."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
+    return check
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -541,38 +526,39 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a configured experiment (sweeps, trials)")
     run.add_argument("--config", required=True)
-    run.add_argument("--seed", type=_int_at_least(0), default=None,
+    run.add_argument("--seed", type=_number(int, 0), default=None,
                      help="override the config seed")
-    run.add_argument("--trials", type=_int_at_least(1), default=None,
+    run.add_argument("--trials", type=_number(int, 1), default=None,
                      help="override the config trials")
     run.add_argument("--out-dir", default="runs")
-    run.add_argument("--jobs", type=_int_at_least(1), default=1)
+    run.add_argument("--jobs", type=_number(int, 1), default=1)
     run.set_defaults(fn=cmd_run)
 
+    positive = _number(float, 0, "()")
     chk = sub.add_parser("check", help="run a property checker over a grid/sample")
     chk.add_argument("problem", choices=sorted(PROBLEMS))
     chk.add_argument("property", choices=["slqc", "sublevel", "lipschitz", "smooth"])
     chk.add_argument("--eps-grid", default="0.1,0.5,1",
-                     type=lambda text: [_positive_float(eps) for eps in text.split(",")])
-    chk.add_argument("--kappa", type=_positive_float, default=None)
+                     type=lambda text: [positive(eps) for eps in text.split(",")])
+    chk.add_argument("--kappa", type=positive, default=None)
     chk.add_argument("--alpha", default="auto",
-                     type=lambda text: text if text == "auto" else _positive_float(text))
-    chk.add_argument("--bound", type=_positive_float, default=None)
-    chk.add_argument("--radius", type=_positive_float, default=None)
-    chk.add_argument("--grid", type=_int_at_least(0), default=10,
+                     type=lambda text: text if text == "auto" else positive(text))
+    chk.add_argument("--bound", type=positive, default=None)
+    chk.add_argument("--radius", type=positive, default=None)
+    chk.add_argument("--grid", type=_number(int, 0), default=10,
                      help="grid points per axis (2-D box problems); 0 samples --points")
-    chk.add_argument("--points", type=_int_at_least(1), default=100,
+    chk.add_argument("--points", type=_number(int, 1), default=100,
                      help="sampled points (other problems)")
-    chk.add_argument("--trials", type=_int_at_least(1), default=10_000)
-    chk.add_argument("--seed", type=_int_at_least(0), default=0)
+    chk.add_argument("--trials", type=_number(int, 1), default=10_000)
+    chk.add_argument("--seed", type=_number(int, 0), default=0)
     chk.add_argument("--out", default=None)
     chk.set_defaults(fn=cmd_check)
 
     lb = sub.add_parser("lowerbound", help="divergence suite for the too-small minibatch")
     lb.add_argument("--eps", type=float, default=0.1)
-    lb.add_argument("--trials", type=_int_at_least(1), default=100_000)
-    lb.add_argument("--T", type=_int_at_least(1), default=10_000)
-    lb.add_argument("--seed", type=_int_at_least(0), default=0)
+    lb.add_argument("--trials", type=_number(int, 1), default=100_000)
+    lb.add_argument("--T", type=_number(int, 1), default=10_000)
+    lb.add_argument("--seed", type=_number(int, 0), default=0)
     lb.add_argument("--out", default=None)
     lb.set_defaults(fn=cmd_lowerbound)
 

@@ -89,14 +89,15 @@ class StepSchedule:
 def _descent(x: Point, T: int, query, step, lookahead=None, stationary=False) -> OptTrace:
     """The one descent loop; methods differ only in query and step.
 
-    query(t) -> (value, direction) gives the oracles of iteration t.
+    query() -> (value, direction) gives the oracles of the next iteration.
     The value is taken at x and the direction at lookahead(x) (x itself by
     default); step(t, x, g, gn) returns the next iterate.  Records the iterate
     before each update; a non-finite value or direction aborts the run with
-    the trace so far flagged.  A stationary run has query and step that do
-    not depend on t: once a step returns an iterate with the bytes of the
-    current one, every later row would repeat this one, so they are filled
-    in from it and the loop stops.
+    the trace so far flagged.  A stationary run has a query that returns the
+    same oracles at every call and a step that does not depend on t: once a
+    step returns an iterate with the bytes of the current one, every later
+    row would repeat this one, so they are filled in from it and the loop
+    stops.
     """
     iterates = np.empty((T, x.size))
     values = np.empty(T)
@@ -106,7 +107,7 @@ def _descent(x: Point, T: int, query, step, lookahead=None, stationary=False) ->
     # an overflow is the abort below, not a numpy warning; entered once per run
     with np.errstate(over="ignore"):
         for t in range(T):
-            value_at, direction_at = query(t)
+            value_at, direction_at = query()
             value = value_at(x)
             g = direction_at(x if lookahead is None else lookahead(x))
             gn = math.sqrt(float(np.dot(g, g)))
@@ -138,7 +139,7 @@ def _minibatches(F: StochasticObjective, b: int, stream: RandomStream, T: int):
     if F.draws:
         gen = BlockDraws(gen, F.draws, b, T)
 
-    def query(t: int):
+    def query():
         fb = F.sample_minibatch(gen, b)
         return fb.value, fb.gradient
 
@@ -155,8 +156,8 @@ def _run_normalized(dim: int, cfg: NgdConfig, query, stationary=False) -> OptTra
 
     A direction of norm <= GRAD_TOL skips the update: the iterate is kept
     and recorded again at the next iteration.  The step does not depend on
-    t, so the run is stationary when the query does not either; the caller
-    says which.
+    t, so the run is stationary when the query returns the same oracles at
+    every call; the caller says which.
     """
     eta, region = cfg.eta, cfg.region
 
@@ -183,14 +184,14 @@ def ngd(f: Objective, cfg: NgdConfig) -> OptTrace:
     (a skipped update, or a projection back onto the same point), the
     oracles are not queried again and the remaining rows repeat that row.
     """
-    return _run_normalized(f.dim, cfg, lambda t: (f.value, f.gradient), stationary=True)
+    return _run_normalized(f.dim, cfg, lambda: (f.value, f.gradient), stationary=True)
 
 
 def ngd_with_oracle(f: Objective, cfg: NgdConfig) -> OptTrace:
     """Normalized descent along a direction oracle instead of the gradient."""
     if f.direction_oracle is None:
         raise ValueError("objective has no direction oracle")
-    return _run_normalized(f.dim, cfg, lambda t: (f.value, f.direction_oracle),
+    return _run_normalized(f.dim, cfg, lambda: (f.value, f.direction_oracle),
                            stationary=True)
 
 
@@ -248,7 +249,7 @@ def _check_baseline(T: int, b: int, schedule: StepSchedule, momentum: bool) -> N
 def gd(f: Objective, schedule: StepSchedule, T: int, x1) -> OptTrace:
     """Plain gradient descent with a step schedule (no momentum)."""
     _check_baseline(T, 1, schedule, momentum=False)
-    return _run_scheduled(f.dim, x1, T, schedule, lambda t: (f.value, f.gradient))
+    return _run_scheduled(f.dim, x1, T, schedule, lambda: (f.value, f.gradient))
 
 
 def msgd(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,

@@ -264,10 +264,12 @@ def test_lower_bound_experiment_chunking_invariance():
     # so results do not depend on scheduling
     import slqcopt.analysis as analysis
 
-    eps, T, stream = 0.1, 300, seeded_stream(5)
-    rep = lower_bound_experiment(eps, trials=12_000, T=T, stream=stream)
-    b = math.ceil(0.2 / eps)
-    parts = [analysis._simulate_walks(stream.substream(c).generator(), n, T, eps, b, eps)
+    # at eps = 0.1 (b = 2, eta = 0.1) a walk starts 10 steps from the segment
+    # and moves toward it unless its batch is all-linear, w.p. 0.9^2
+    T, stream = 300, seeded_stream(5)
+    rep = lower_bound_experiment(0.1, trials=12_000, T=T, stream=stream)
+    parts = [analysis._first_passage(stream.substream(c).generator(),
+                                     np.full(n, 10, dtype=np.int64), T - 1, 1 - 0.9**2)
              for c, n in ((0, 10_000), (1, 2_000))]
     hits, events, nonneg = (sum(col) for col in zip(*parts))
     assert (rep.hits, rep.p_events, rep.p_hat) == (hits, events, nonneg / events)

@@ -294,7 +294,7 @@ def test_run_rejects_negative_config_seed(tmp_path, capsys):
                  optimizer={"name": "sngd", "params": {"T": 10, "eta": 0.1}})
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
-    assert "'seed' must be >= 0" in capsys.readouterr().err
+    assert "'seed' must be finite and in [0, inf), got -3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -313,7 +313,7 @@ def test_run_rejects_negative_config_seed(tmp_path, capsys):
      ["'sweep'", "'values' must not be empty"]),
     (lambda cfg: {**cfg, "sweep": {"param": "eta"}}, ["'sweep'", "'values'"]),
     (lambda cfg: [cfg], ["must be a JSON object"]),
-    (lambda cfg: {**cfg, "trials": 0}, ["'trials' must be >= 1"]),
+    (lambda cfg: {**cfg, "trials": 0}, ["'trials' must be finite and in [1, inf), got 0"]),
     (lambda cfg: {**cfg, "problem": {"name": "nosuch"}}, ["unknown problem 'nosuch'"]),
     (lambda cfg: {**cfg, "optimizer": {"name": "nosuch"}}, ["unknown optimizer 'nosuch'"]),
     # json.dumps writes NaN and Infinity, which json.load would read back
