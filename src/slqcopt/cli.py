@@ -477,6 +477,9 @@ def cmd_budgets(args) -> int:
         raise ConfigError("budgets needs --kappa and/or --beta")
     if args.delta is not None and args.M is None:
         raise ConfigError("--delta needs --M for the minibatch bound")
+    for flag, value in (("--M", args.M), ("--W", args.W)):
+        if value is not None and args.delta is None:
+            raise ConfigError(f"{flag} needs --delta: only the bounds at confidence delta read it")
     out: dict = {"eps": args.eps, "dist0": args.dist0}
     T = None
     try:

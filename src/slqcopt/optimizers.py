@@ -39,6 +39,8 @@ class NgdConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x1", as_point(self.x1))
+        if self.region is not None and self.region.dim != self.x1.size:
+            raise ValueError(f"region has dimension {self.region.dim}, x1 has {self.x1.size}")
         in_range("T", self.T, 1)
         in_range("eta", self.eta, 0, ends="()")
 

@@ -162,6 +162,8 @@ def check_sublevel_convex(f: Objective, alpha: float, trials: int,
     region = region or f.domain
     if region is None:
         raise ValueError("no sampling region: pass region= or set f.domain")
+    if region.dim != f.dim:
+        raise ValueError(f"region has dimension {region.dim}, f has {f.dim}")
     gen = stream.generator()
 
     def candidates():

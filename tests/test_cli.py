@@ -512,6 +512,15 @@ def test_run_rejects_bad_x1_dimension(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("name", sorted(cli.PROBLEMS))
+def test_every_problem_region_and_minimizer_have_its_dimension(name):
+    prob = build_problem(name, {}, seeded_stream(0))
+    f = prob.objective or prob.stochastic
+    assert prob.minimizer.shape == (f.dim,)
+    for region in (prob.sample_region, getattr(f, "domain", None)):
+        assert region is None or region.dim == f.dim
+
+
 def test_run_missing_config_file(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -640,8 +649,14 @@ def test_lowerbound_reports_are_pinned(argv, digest, capsys):
     (["check", "idealized_glm", "sublevel"], ["--alpha auto", "witness"]),
     (["budgets", "--eps", "0.1", "--dist0", "1", "--kappa", "1", "--delta", "0.1"],
      ["--delta needs --M"]),
+    # --M and --W are read only under --delta; without it they used to be dropped
+    (["budgets", "--eps", "0.1", "--dist0", "1", "--kappa", "1", "--W", "2"],
+     ["--W needs --delta"]),
+    (["budgets", "--eps", "0.1", "--dist0", "1", "--kappa", "1", "--M", "1"],
+     ["--M needs --delta"]),
 ], ids=["check-noisy_glm-slqc", "check-cliff_plateau-slqc-no-kappa",
-        "check-idealized_glm-sublevel-auto", "budgets-delta-no-M"])
+        "check-idealized_glm-sublevel-auto", "budgets-delta-no-M", "budgets-W-no-delta",
+        "budgets-M-no-delta"])
 def test_command_without_what_it_needs_exits_2(argv, words, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main([*argv, "--out", str(out)] if argv[0] == "check" else argv) == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from slqcopt import (
+    Ball,
     Box,
     NgdConfig,
     Objective,
@@ -121,6 +122,19 @@ def test_ngd_config_validation():
         NgdConfig(T=1, eta=0.0, x1=np.zeros(1))
     with pytest.raises(ValueError):
         SngdConfig(T=1, eta=0.1, x1=np.zeros(1), b=0, stream=seeded_stream(0))
+
+
+@pytest.mark.parametrize("region", [Box([-1] * 3, [1] * 3), Box([-1], [1]), Ball(np.zeros(3), 1)],
+                         ids=["box-3", "box-1", "ball-3"])
+def test_ngd_config_rejects_a_region_of_another_dimension(region):
+    # the box used to be zipped with x and the ball to fail at the first projection
+    f, calls = make_sigmoid_sum(), []
+    counted = dataclasses.replace(f, value=lambda x: calls.append(x) or f.value(x))
+    with pytest.raises(ValueError, match=rf"region has dimension {region.dim}, x1 has 2"):
+        ngd(counted, NgdConfig(T=5, eta=0.1, x1=[0.5, 0.5], region=region))
+    with pytest.raises(ValueError, match=rf"region has dimension {region.dim}, x1 has 2"):
+        SngdConfig(T=5, eta=0.1, x1=[0.5, 0.5], region=region, stream=seeded_stream(0))
+    assert calls == []
 
 
 def test_sngd_config_requires_a_stream():

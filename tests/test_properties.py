@@ -251,6 +251,17 @@ def test_sublevel_requires_region(quadratic):
         check_sublevel_convex(quadratic, alpha=1.0, trials=10, stream=seeded_stream(0))
 
 
+@pytest.mark.parametrize("region", [Box([-10] * 3, [10] * 3), Box([-10], [10])],
+                         ids=["box-3", "box-1"])
+def test_sublevel_rejects_a_region_of_another_dimension(region):
+    # a 3-D box used to give a 3-coordinate counterexample, a 1-D box an IndexError
+    f, calls = make_sigmoid_sum(), []
+    counted = dataclasses.replace(f, value=lambda x: calls.append(x) or f.value(x))
+    with pytest.raises(ValueError, match=rf"region has dimension {region.dim}, f has 2"):
+        check_sublevel_convex(counted, 1.2, 200, seeded_stream(1), region=region)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # local Lipschitz / smooth checkers
 # ---------------------------------------------------------------------------
