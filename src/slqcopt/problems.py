@@ -431,8 +431,11 @@ def perceptron_objective(ds: PerceptronDataset) -> Objective:
     return Objective(dim=ds.dim, value=value, gradient=gradient, direction_oracle=oracle)
 
 
-def make_perceptron(stream: RandomStream, d: int, m: int, gamma: float,
-                    max_batches: int = 1000) -> tuple[PerceptronDataset, Objective]:
+_MAX_BATCHES = 1000  # rejection-sampling batches make_perceptron draws at most
+
+
+def make_perceptron(stream: RandomStream, d: int, m: int,
+                    gamma: float) -> tuple[PerceptronDataset, Objective]:
     """Separable dataset from a planted unit separator, by rejection sampling.
 
     Candidate points are drawn uniformly in the unit ball and kept when
@@ -442,13 +445,12 @@ def make_perceptron(stream: RandomStream, d: int, m: int, gamma: float,
     in_range("gamma", gamma, 0, 1, "()")
     in_range("d", d, 1)
     in_range("m", m, 1)
-    in_range("max_batches", max_batches, 1)
     gen = stream.generator()
     w_star = gen.standard_normal(d)
     w_star /= np.linalg.norm(w_star)
     rows, labels = [], []
     need = m
-    for _ in range(max_batches):
+    for _ in range(_MAX_BATCHES):
         cand = sample_in_ball(gen, d, 1.0, n=max(2 * need, 16))
         margins = cand @ w_star
         keep = np.abs(margins) >= gamma
@@ -458,7 +460,7 @@ def make_perceptron(stream: RandomStream, d: int, m: int, gamma: float,
         if need <= 0:
             break
     else:
-        raise RuntimeError(f"rejection sampling exceeded {max_batches} batches "
+        raise RuntimeError(f"rejection sampling exceeded {_MAX_BATCHES} batches "
                            f"(gamma={gamma} too large for d={d}?)")
     X = np.vstack(rows)[:m]
     y = np.concatenate(labels)[:m]

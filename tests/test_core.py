@@ -26,7 +26,6 @@ from slqcopt import (
     make_cliff_plateau,
     make_lower_bound_distribution,
     make_noisy_glm,
-    make_perceptron,
     make_sigmoid_sum,
     ngd_budget,
     seeded_stream,
@@ -396,16 +395,15 @@ def test_in_range_closes_and_opens_each_end_and_refuses_non_finite(value, low, h
      lambda v: check_local_smooth(make_cliff_plateau(), [0.0], 1.0, v, 200, seeded_stream(0))),
     ("alpha", math.nan,
      lambda v: check_sublevel_convex(make_sigmoid_sum(), v, 100, seeded_stream(0))),
-    # a pass over no sampled pairs, and a rejection loop allowed no batch
+    # a pass over no sampled pairs
     ("trials", 0,
      lambda v: check_local_smooth(make_cliff_plateau(), [0.0], 1.0, 1.0, v, seeded_stream(0))),
     ("trials", -5, lambda v: check_sublevel_convex(make_sigmoid_sum(), 1.0, v, seeded_stream(0))),
-    ("max_batches", 0, lambda v: make_perceptron(seeded_stream(0), 2, 10, 0.1, max_batches=v)),
 ], ids=["NgdConfig-eta", "StepSchedule-eta0", "Ball-radius", "cliff-valley_slope",
         "cliff-plateau_slope", "cliff-valley_width", "cliff-cliff_height", "cliff-cliff_slope",
         "noisy_glm-noise_scale", "noisy_glm-W", "derive-G", "derive-eps", "all_linear-b",
         "lipschitz-G", "lipschitz-radius", "smooth-beta", "sublevel-alpha", "smooth-trials-0",
-        "sublevel-trials-negative", "perceptron-max_batches-0"])
+        "sublevel-trials-negative"])
 def test_library_numbers_must_be_finite_and_in_range(name, value, call):
     with pytest.raises(ValueError, match=f"^{name} must be finite and in .*, got {value}$"):
         call(value)

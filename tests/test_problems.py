@@ -494,9 +494,10 @@ def _unit(x):
     return x / np.linalg.norm(x)
 
 
-def test_perceptron_rejection_budget():
-    with pytest.raises(RuntimeError):
-        make_perceptron(seeded_stream(0), d=2, m=10_000, gamma=0.999, max_batches=2)
+def test_perceptron_rejection_budget(monkeypatch):
+    monkeypatch.setattr(problems, "_MAX_BATCHES", 2)
+    with pytest.raises(RuntimeError, match="exceeded 2 batches"):
+        make_perceptron(seeded_stream(0), d=2, m=10_000, gamma=0.999)
 
 
 def test_perceptron_gamma_validation():
