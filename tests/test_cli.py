@@ -649,7 +649,7 @@ def test_lowerbound_reports_are_pinned(argv, digest, capsys):
     (["check", "idealized_glm", "sublevel"], ["--alpha auto", "witness"]),
     (["budgets", "--eps", "0.1", "--dist0", "1", "--kappa", "1", "--delta", "0.1"],
      ["--delta needs --M"]),
-    # --M and --W are read only under --delta; without it they used to be dropped
+    # --M and --W are read only under --delta
     (["budgets", "--eps", "0.1", "--dist0", "1", "--kappa", "1", "--W", "2"],
      ["--W needs --delta"]),
     (["budgets", "--eps", "0.1", "--dist0", "1", "--kappa", "1", "--M", "1"],

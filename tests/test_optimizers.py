@@ -127,7 +127,8 @@ def test_ngd_config_validation():
 @pytest.mark.parametrize("region", [Box([-1] * 3, [1] * 3), Box([-1], [1]), Ball(np.zeros(3), 1)],
                          ids=["box-3", "box-1", "ball-3"])
 def test_ngd_config_rejects_a_region_of_another_dimension(region):
-    # the box used to be zipped with x and the ball to fail at the first projection
+    # Box.contains zips x with the bounds and Ball.project broadcasts, so the
+    # config refuses the mismatch before any oracle call
     f, calls = make_sigmoid_sum(), []
     counted = dataclasses.replace(f, value=lambda x: calls.append(x) or f.value(x))
     with pytest.raises(ValueError, match=rf"region has dimension {region.dim}, x1 has 2"):

@@ -254,7 +254,7 @@ def test_sublevel_requires_region(quadratic):
 @pytest.mark.parametrize("region", [Box([-10] * 3, [10] * 3), Box([-10], [10])],
                          ids=["box-3", "box-1"])
 def test_sublevel_rejects_a_region_of_another_dimension(region):
-    # a 3-D box used to give a 3-coordinate counterexample, a 1-D box an IndexError
+    # points drawn from such a region are not points of f: refused before any value call
     f, calls = make_sigmoid_sum(), []
     counted = dataclasses.replace(f, value=lambda x: calls.append(x) or f.value(x))
     with pytest.raises(ValueError, match=rf"region has dimension {region.dim}, f has 2"):
