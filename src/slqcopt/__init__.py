@@ -28,7 +28,6 @@ from .optimizers import (
     nesterov,
     ngd,
     ngd_with_oracle,
-    sgd,
     sngd,
 )
 from .problems import (

@@ -167,6 +167,32 @@ def _first_passage(gen: np.random.Generator, d: np.ndarray, left: int,
     return hits, steps, toward
 
 
+def _hit_table(m: int, i: int, lo: int, hi: int) -> np.ndarray:
+    """P(an m-step walk from i >= 1 touched 0 | k of its steps went toward 0),
+    for k = lo..hi.
+
+    The walk ends at e = i + m - 2k.  If e <= 0 it touched 0.  Otherwise
+    every path to e is equally likely, and reflecting a path's part before
+    its first visit to 0 maps the paths from i to e that touch 0 one to one
+    onto the paths from -i to e, so the probability is C(m, k-i) / C(m, k):
+    0 for k < i, else the product of (k-t) / (m-k+1+t) over t < i.  Its log
+    is a window i terms wide of log(j / (m-j+1)); one cumulative sum over
+    j = lo-i+1..hi gives every window, so the table costs about hi - lo + i
+    entries, not m.
+    """
+    k = np.arange(lo, hi + 1)
+    r = (2 * k >= i + m).astype(np.float64)
+    a, b = max(lo, i), min(hi, (i + m - 1) // 2)  # the k with 0 < r < 1
+    if a <= b:
+        j = np.arange(a - i + 1, b + 1, dtype=np.float64)
+        terms = np.log(j / (m + 1.0 - j))
+        ref = terms[len(terms) // 2]  # centred, so the sums stay small at large m
+        terms -= ref
+        s = np.concatenate(([0.0], np.cumsum(terms)))
+        r[a - lo:b - lo + 1] = np.exp(s[i:] - s[:-i] + i * ref)
+    return r
+
+
 def absorb_probability_mc(spec: ChainSpec, trials: int,
                           stream: RandomStream) -> tuple[float, float]:
     """Monte Carlo estimate of the absorb probability, with standard error.
@@ -174,14 +200,21 @@ def absorb_probability_mc(spec: ChainSpec, trials: int,
     Walks are truncated at max_steps, which biases the estimate downward
     (late absorptions are missed); the absorption-time tail decays like
     (2*sqrt(p*(1-p)))^t, so a few hundred steps suffice for p away from 1/2.
-    A walk at state s is advanced s steps (or the steps it has left) with a
-    single binomial draw, which is exact: it cannot absorb sooner.
+    A walk continued past 0 touches it within max_steps exactly when the
+    absorbed walk is absorbed within them, and by the reflection principle
+    its end point decides that up to one coin (see _hit_table): each walk
+    draws its count of steps toward 0, Binomial(max_steps, p), then one
+    uniform.
     """
     in_range("trials", trials, 1)
     if spec.start_state == 0:
         return 1.0, 0.0
-    start = np.full(trials, spec.start_state, dtype=np.int64)
-    absorbed, _, _ = _first_passage(stream.generator(), start, spec.max_steps, spec.p)
+    gen = stream.generator()
+    toward = gen.binomial(spec.max_steps, spec.p, size=trials)
+    u = gen.random(trials)
+    lo = int(toward.min())
+    hit = _hit_table(spec.max_steps, spec.start_state, lo, int(toward.max()))
+    absorbed = int(np.count_nonzero(u < hit[toward - lo]))
     est = absorbed / trials
     se = math.sqrt(max(est * (1.0 - est), 1.0 / trials) / trials)
     return est, se

@@ -190,10 +190,6 @@ def _gd(name: str, f: Objective, stream, x1, *, T: int, schedule: dict = None):
     return f, _schedule(name, schedule, T), T, x1
 
 
-def _sgd(name: str, F: StochasticObjective, stream, x1, *, T: int, schedule: dict = None):
-    return F, _schedule(name, schedule, T), T, x1, stream
-
-
 def _minibatch(name: str, F: StochasticObjective, stream, x1, *, T: int, b: int = 1,
                schedule: dict = None):
     return F, _schedule(name, schedule, T, b), T, x1, b, stream
@@ -205,7 +201,6 @@ OPTIMIZERS = {
     "ngd_oracle": ("direction-oracle", "ngd_with_oracle", _ngd),
     "sngd": ("stochastic", "sngd", _sngd),
     "gd": ("deterministic", "gd", _gd),
-    "sgd": ("stochastic", "sgd", _sgd),
     "msgd": ("stochastic", "msgd", _minibatch),
     "nesterov": ("stochastic", "nesterov", _minibatch),
 }

@@ -65,7 +65,7 @@ class StepSchedule:
     """Step sizes eta_t = eta0 * (1 + gamma*t)^(-exponent), t counted from 1.
 
     gamma = 0 gives a constant step.  Only nesterov takes a nonzero
-    momentum; gd, sgd and msgd reject one.
+    momentum; gd and msgd reject one.
     """
 
     eta0: float
@@ -259,12 +259,6 @@ def msgd(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,
     """Minibatch stochastic gradient descent (no normalization, no momentum)."""
     _check_baseline(T, b, schedule, momentum=False)
     return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream, T))
-
-
-def sgd(F: StochasticObjective, schedule: StepSchedule, T: int, x1,
-        stream: RandomStream) -> OptTrace:
-    """Single-sample stochastic gradient descent."""
-    return msgd(F, schedule, T, x1, 1, stream)
 
 
 def nesterov(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,

@@ -82,6 +82,20 @@ def finite_diff_gradient(f: Objective, x, h: float = 1e-5) -> np.ndarray:
     return g
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--seed-offset", type=int, default=0, metavar="K",
+        help="add K to the seeds of the tests that take the seed_offset fixture, to "
+             "measure their false-failure rates on fresh draws (default 0: the "
+             "recorded seeds)")
+
+
+@pytest.fixture
+def seed_offset(request) -> int:
+    """K from --seed-offset; the seeded statistical tests add it to their seeds."""
+    return request.config.getoption("--seed-offset")
+
+
 @pytest.fixture
 def cone():
     return make_cone(2)

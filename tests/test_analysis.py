@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -12,6 +13,7 @@ from slqcopt import (
     absorb_probability,
     absorb_probability_mc,
     all_linear_prob,
+    analysis,
     glm_minibatch_b0,
     glm_sample_bound,
     lower_bound_experiment,
@@ -142,25 +144,32 @@ def test_chain_spec_validation():
         ChainSpec(p=0.2, start_state=1, max_steps=0)
 
 
-def test_absorb_mc_matches_analytic_p02_i1():
+# The seeded tests below take --seed-offset K (default 0, the recorded seeds);
+# "K = 1..40: n failed" notes how many of those 40 fresh draws failed.
+
+
+def test_absorb_mc_matches_analytic_p02_i1(seed_offset):
     spec = ChainSpec(p=0.2, start_state=1, max_steps=10_000)
-    est, se = absorb_probability_mc(spec, trials=1_000_000, stream=seeded_stream(0))
-    assert abs(est - 0.25) <= 3.0 * se  # a fresh stream fails this with probability 0.27%
+    est, se = absorb_probability_mc(spec, trials=1_000_000, stream=seeded_stream(0 + seed_offset))
+    # a fresh stream fails this with probability 0.27%; K = 1..40: 0 failed
+    assert abs(est - 0.25) <= 3.0 * se
     assert se < 1e-3
 
 
-def test_absorb_mc_rare_event():
+def test_absorb_mc_rare_event(seed_offset):
     spec = ChainSpec(p=0.2, start_state=9, max_steps=2000)
-    est, _ = absorb_probability_mc(spec, trials=1_000_000, stream=seeded_stream(1))
-    # analytic value is 3.81e-6: expect a handful of hits, Poisson-distributed
+    est, _ = absorb_probability_mc(spec, trials=1_000_000, stream=seeded_stream(1 + seed_offset))
+    # analytic value is 3.81e-6: expect a handful of hits, Poisson-distributed;
+    # more than 20 of mean 3.81 has probability 8e-10; K = 1..40: 0 failed
     assert est <= 20e-6
 
 
-def test_absorb_mc_near_critical_truncation():
+def test_absorb_mc_near_critical_truncation(seed_offset):
     # at p just under 1/2 the walk absorbs almost surely but slowly; the
-    # truncated estimate approaches 1 from below
+    # truncated estimate approaches 1 from below (about 0.992 at 10^4 steps,
+    # so either bound fails w.p. below 1e-60); K = 1..40: 0 failed
     spec = ChainSpec(p=0.5 - 1e-9, start_state=1, max_steps=10_000)
-    est, _ = absorb_probability_mc(spec, trials=20_000, stream=seeded_stream(2))
+    est, _ = absorb_probability_mc(spec, trials=20_000, stream=seeded_stream(2 + seed_offset))
     assert 0.9 < est < 1.0
 
 
@@ -177,12 +186,60 @@ def _absorb_within(p: float, i: int, steps: int) -> float:
 
 
 @pytest.mark.parametrize("p, i, max_steps, seed", [(0.45, 3, 50, 30), (0.6, 5, 20, 31)])
-def test_absorb_mc_matches_finite_horizon_dp(p, i, max_steps, seed):
-    # 4 SE: two-sided false-failure rate 6.3e-5 per estimate
+def test_absorb_mc_matches_finite_horizon_dp(p, i, max_steps, seed, seed_offset):
+    # 4 SE: two-sided false-failure rate 6.3e-5 per estimate; K = 1..40: 0 failed
     exact = _absorb_within(p, i, max_steps)
     spec = ChainSpec(p=p, start_state=i, max_steps=max_steps)
-    est, se = absorb_probability_mc(spec, trials=200_000, stream=seeded_stream(seed))
+    est, se = absorb_probability_mc(spec, trials=200_000,
+                                    stream=seeded_stream(seed + seed_offset))
     assert abs(est - exact) <= 4.0 * se
+
+
+def test_absorb_mc_matches_finite_horizon_dp_grid(seed_offset):
+    # the sampler against the DP on both sides of p = 1/2, from horizons as
+    # short as the start state to long ones.  The band is 4 SE at the exact
+    # probability, with the estimator's 1/trials floor: the estimate's own SE
+    # shrinks when a rare outcome comes out rarer still, and that band failed
+    # 2 of 40 fresh offsets at p 0.7, i 2, m 60 (2 walks escaped where 8.5
+    # were expected).  By binomial tails the 60 cases fail together w.p. 0.46%;
+    # K = 1..40: 0 failed
+    stream, trials = seeded_stream(40 + seed_offset), 50_000
+    misses = []
+    for n, (p, i, m) in enumerate(itertools.product((0.3, 0.45, 0.55, 0.7), range(1, 6),
+                                                    (5, 20, 60))):
+        exact = _absorb_within(p, i, m)
+        est, _ = absorb_probability_mc(ChainSpec(p=p, start_state=i, max_steps=m),
+                                       trials=trials, stream=stream.substream(n))
+        se = math.sqrt(max(exact * (1.0 - exact), 1.0 / trials) / trials)
+        if abs(est - exact) > 4.0 * se:
+            misses.append((p, i, m, est, exact))
+    assert not misses
+
+
+def test_absorb_mc_at_a_horizon_of_1e12_steps(seed_offset):
+    # the hit table spans the drawn toward counts, not the 10^12 + 1 possible
+    # ones; 4 SE: false-failure rate 6.3e-5 (truncation is far below 1e-100);
+    # K = 1..40: 0 failed
+    spec = ChainSpec(p=0.2, start_state=1, max_steps=10 ** 12)
+    est, se = absorb_probability_mc(spec, trials=10 ** 5, stream=seeded_stream(41 + seed_offset))
+    assert abs(est - 0.25) <= 4.0 * se
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_hit_table_matches_path_enumeration(m):
+    # every one of the 2^m paths of +-1 steps, grouped by how many went
+    # toward 0: the share that touched 0 is the table's entry
+    steps = np.array(list(itertools.product((-1, 1), repeat=m)))
+    toward = np.count_nonzero(steps < 0, axis=1)
+    for i in (*range(1, 6), m + 1, m + 3):
+        touched = (i + np.cumsum(steps, axis=1)).min(axis=1) <= 0
+        share = [touched[toward == k].mean() for k in range(m + 1)]
+        table = analysis._hit_table(m, i, 0, m)
+        assert table == pytest.approx(share, rel=1e-12, abs=0)
+        # a table over part of the range holds the same entries
+        for lo, hi in itertools.combinations_with_replacement(range(m + 1), 2):
+            assert analysis._hit_table(m, i, lo, hi) == pytest.approx(table[lo:hi + 1],
+                                                                      rel=1e-12, abs=0)
 
 
 def test_absorb_mc_start_zero():
@@ -262,8 +319,6 @@ def test_lower_bound_experiment_validation():
 def test_lower_bound_experiment_chunking_invariance():
     # trials split into fixed chunks of 10^4, chunk c drawing from substream(c),
     # so results do not depend on scheduling
-    import slqcopt.analysis as analysis
-
     # at eps = 0.1 (b = 2, eta = 0.1) a walk starts 10 steps from the segment
     # and moves toward it unless its batch is all-linear, w.p. 0.9^2
     T, stream = 300, seeded_stream(5)

@@ -240,7 +240,7 @@ def test_run_rejects_mismatched_pairing(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("name", ["gd", "sgd", "msgd"])
+@pytest.mark.parametrize("name", ["gd", "msgd"])
 def test_run_rejects_momentum_on_plain_baselines(tmp_path, name, capsys):
     # only nesterov uses schedule.momentum; elsewhere it would be silently ignored
     stochastic = name != "gd"

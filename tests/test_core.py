@@ -644,5 +644,5 @@ def test_public_surface_is_pinned():
         "make_nonqc_counterexample", "make_perceptron", "make_sigmoid_sum", "msgd", "nesterov",
         "ngd", "ngd_budget", "ngd_smooth_budget", "ngd_with_oracle", "optimizers",
         "perceptron_objective", "problems", "properties", "sample_in_ball",
-        "seeded_stream", "sgd", "sigmoid", "sngd", "sngd_minibatch_bound",
+        "seeded_stream", "sigmoid", "sngd", "sngd_minibatch_bound",
     ]

@@ -25,7 +25,6 @@ from slqcopt import (
     ngd_budget,
     ngd_with_oracle,
     seeded_stream,
-    sgd,
     sngd,
 )
 from slqcopt.core import GRAD_TOL
@@ -387,14 +386,6 @@ def test_msgd_on_constant_distribution_equals_gd(quadratic):
     np.testing.assert_array_equal(t_gd.iterates, t_msgd.iterates)
 
 
-def test_sgd_is_msgd_with_b1():
-    F = make_noisy_glm(seeded_stream(5), d=3, W=1.0)
-    sch = StepSchedule(eta0=0.05)
-    a = sgd(F, sch, 30, np.zeros(3), seeded_stream(6))
-    b = msgd(F, sch, 30, np.zeros(3), 1, seeded_stream(6))
-    np.testing.assert_array_equal(a.iterates, b.iterates)
-
-
 def test_nesterov_zero_momentum_equals_msgd():
     F = make_noisy_glm(seeded_stream(7), d=3, W=1.0)
     sch = StepSchedule(eta0=0.05)
@@ -438,8 +429,6 @@ def test_plain_baselines_reject_momentum(quadratic):
     x1 = np.ones(2)
     with pytest.raises(ValueError, match="momentum"):
         gd(quadratic, sch, 5, x1)
-    with pytest.raises(ValueError, match="momentum"):
-        sgd(F, sch, 5, x1, seeded_stream(0))
     with pytest.raises(ValueError, match="momentum"):
         msgd(F, sch, 5, x1, 2, seeded_stream(0))
 

@@ -69,9 +69,10 @@ CASES = {
         "optimizer": {"name": "gd", "params": {"T": 300, "x1": [3.0],
                                                "schedule": {"eta0": 1.0, "gamma": 1e-2}}},
     },
+    # single-sample SGD: msgd at its default b = 1
     "sgd": {
         "problem": GLM,
-        "optimizer": {"name": "sgd",
+        "optimizer": {"name": "msgd",
                       "params": {"T": 300, "x1": X1_GLM, "schedule": {"eta0": 0.1}}},
     },
     "msgd": {
