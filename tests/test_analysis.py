@@ -198,10 +198,10 @@ def test_absorb_mc_matches_finite_horizon_dp(p, i, max_steps, seed, seed_offset)
 def test_absorb_mc_matches_finite_horizon_dp_grid(seed_offset):
     # the sampler against the DP on both sides of p = 1/2, from horizons as
     # short as the start state to long ones.  The band is 4 SE at the exact
-    # probability, with the estimator's 1/trials floor: the estimate's own SE
-    # shrinks when a rare outcome comes out rarer still, and that band failed
-    # 2 of 40 fresh offsets at p 0.7, i 2, m 60 (2 walks escaped where 8.5
-    # were expected).  By binomial tails the 60 cases fail together w.p. 0.46%;
+    # probability, with the estimator's 1/trials floor, not the estimate's own
+    # SE: that one shrinks when a rare outcome comes out rarer still, so at
+    # p 0.7, i 2, m 60 (8.5 of 50 000 walks escape on average) its band fails
+    # w.p. 0.92%.  By binomial tails the 60 cases fail together w.p. 0.46%;
     # K = 1..40: 0 failed
     stream, trials = seeded_stream(40 + seed_offset), 50_000
     misses = []
