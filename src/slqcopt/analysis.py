@@ -132,39 +132,7 @@ def absorb_probability(spec: ChainSpec) -> float:
     return (spec.p / (1.0 - spec.p)) ** spec.start_state
 
 
-def _first_passage(gen: np.random.Generator, d: np.ndarray, left: int,
-                   p: float) -> tuple[int, int, int]:
-    """Advance walks at integer distances d >= 1 from a target for up to
-    `left` steps each; a step goes toward the target w.p. p, away otherwise.
-
-    Returns (walks that reached the target, steps taken, steps taken toward
-    the target), the step counts summed over walks and stopping at arrival.
-    Each round first sets aside the walks farther away than their steps
-    left: they cannot arrive, so their remaining steps are counted and the
-    toward count of all of them is one binomial draw (a sum of binomials
-    with the same p is binomial).  Every other walk moves d steps with one
-    binomial draw.  That is exact: a walk d steps away cannot arrive in
-    fewer than d steps, and arrives at step d only if all d steps go toward
-    the target; after j of d steps toward it, it is 2(d-j) away.
-    """
-    left = np.full(d.shape, left, dtype=np.int64)
-    hits = steps = toward = 0
-    while d.size:
-        stuck = d > left
-        if stuck.any():
-            n = int(left[stuck].sum())
-            steps += n
-            toward += int(gen.binomial(n, p))
-            d, left = d[~stuck], left[~stuck]
-        j = gen.binomial(d, p)
-        steps += int(d.sum())
-        toward += int(j.sum())
-        left -= d
-        d = 2 * (d - j)
-        hits += int(np.count_nonzero(d == 0))
-        live = (d > 0) & (left > 0)
-        d, left = d[live], left[live]
-    return hits, steps, toward
+_LOG_TERMS = 1 << 16  # log terms _hit_table sums at a time, so its memory does not grow with i
 
 
 def _hit_table(m: int, i: int, lo: int, hi: int) -> np.ndarray:
@@ -175,22 +143,44 @@ def _hit_table(m: int, i: int, lo: int, hi: int) -> np.ndarray:
     every path to e is equally likely, and reflecting a path's part before
     its first visit to 0 maps the paths from i to e that touch 0 one to one
     onto the paths from -i to e, so the probability is C(m, k-i) / C(m, k):
-    0 for k < i, else the product of (k-t) / (m-k+1+t) over t < i.  Its log
-    is a window i terms wide of log(j / (m-j+1)); one cumulative sum over
-    j = lo-i+1..hi gives every window, so the table costs about hi - lo + i
-    entries, not m.
+    0 for k < i, else exp L(k) with L(k) the sum of log((k-t) / (m-k+1+t))
+    over t < i.  L at the first such k is summed _LOG_TERMS terms at a time,
+    and L(k+1) - L(k) = log((k+1) / (k+1-i)) + log((m-k+i) / (m-k)), so one
+    cumulative sum of these steps gives the rest.  The table holds
+    hi - lo + 1 entries and costs O(hi - lo + i) time, whatever m.
     """
     k = np.arange(lo, hi + 1)
     r = (2 * k >= i + m).astype(np.float64)
     a, b = max(lo, i), min(hi, (i + m - 1) // 2)  # the k with 0 < r < 1
     if a <= b:
-        j = np.arange(a - i + 1, b + 1, dtype=np.float64)
-        terms = np.log(j / (m + 1.0 - j))
-        ref = terms[len(terms) // 2]  # centred, so the sums stay small at large m
-        terms -= ref
-        s = np.concatenate(([0.0], np.cumsum(terms)))
-        r[a - lo:b - lo + 1] = np.exp(s[i:] - s[:-i] + i * ref)
+        first = 0.0
+        for j in range(0, i, _LOG_TERMS):
+            t = np.arange(j, min(j + _LOG_TERMS, i), dtype=np.float64)
+            first += float(np.log((a - t) / (m - a + 1.0 + t)).sum())
+        k = np.arange(a, b, dtype=np.float64)
+        steps = np.log1p(i / (k + 1.0 - i)) + np.log1p(i / (m - k))
+        ref = steps[(b - a) // 2] if a < b else 0.0  # centred, so the sums stay small
+        s = np.concatenate(([0.0], np.cumsum(steps - ref)))
+        r[a - lo:b - lo + 1] = np.exp(first + s + ref * np.arange(b - a + 1))
     return r
+
+
+def _walk_hits(gen: np.random.Generator, n: int, m: int, p: float, i: int) -> tuple[int, int]:
+    """Draw n walks of m steps from distance i >= 1 to a target, each step
+    toward it w.p. p; returns (walks that touched the target, steps toward
+    it summed over walks).
+
+    Each walk draws its count of steps toward the target, Binomial(m, p),
+    then one uniform: by the reflection principle its end point decides
+    whether it touched the target up to that coin (see _hit_table).  A walk
+    continued past the target touches it within m steps exactly when the
+    walk stopped there arrives within them.
+    """
+    toward = gen.binomial(m, p, size=n)
+    u = gen.random(n)
+    lo = int(toward.min())
+    hit = _hit_table(m, i, lo, int(toward.max()))
+    return int(np.count_nonzero(u < hit[toward - lo])), int(toward.sum())
 
 
 def absorb_probability_mc(spec: ChainSpec, trials: int,
@@ -200,21 +190,13 @@ def absorb_probability_mc(spec: ChainSpec, trials: int,
     Walks are truncated at max_steps, which biases the estimate downward
     (late absorptions are missed); the absorption-time tail decays like
     (2*sqrt(p*(1-p)))^t, so a few hundred steps suffice for p away from 1/2.
-    A walk continued past 0 touches it within max_steps exactly when the
-    absorbed walk is absorbed within them, and by the reflection principle
-    its end point decides that up to one coin (see _hit_table): each walk
-    draws its count of steps toward 0, Binomial(max_steps, p), then one
-    uniform.
+    The walks are drawn by _walk_hits from one generator of the stream.
     """
     in_range("trials", trials, 1)
     if spec.start_state == 0:
         return 1.0, 0.0
-    gen = stream.generator()
-    toward = gen.binomial(spec.max_steps, spec.p, size=trials)
-    u = gen.random(trials)
-    lo = int(toward.min())
-    hit = _hit_table(spec.max_steps, spec.start_state, lo, int(toward.max()))
-    absorbed = int(np.count_nonzero(u < hit[toward - lo]))
+    absorbed, _ = _walk_hits(stream.generator(), trials, spec.max_steps, spec.p,
+                             spec.start_state)
     est = absorbed / trials
     se = math.sqrt(max(est * (1.0 - est), 1.0 / trials) / trials)
     return est, se
@@ -244,9 +226,9 @@ class LowerBoundReport:
 
     p_hat estimates P(batch-mean gradient >= 0) right of the minimum; a
     nonnegative mean makes the normalized step move toward the segment.  It
-    counts the p_events moves each trial makes before it first enters the
-    segment (all T-1 moves if it never does), as sampled by the exact
-    skip-ahead walk.  hit_fraction is the fraction of trials with a query
+    is the share of such moves among the p_events = trials*(T-1) sign draws,
+    every trial's T-1 moves counted, also those continued past a first entry
+    into the segment.  hit_fraction is the fraction of trials with a query
     x_0..x_{T-1} in the eps-optimal segment.  The analytic ceiling
     instantiates the absorb probability at p = 0.2 and 1/eta - 1 states;
     the empirical ceiling plugs in p_hat instead.
@@ -279,11 +261,10 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
     """Run normalized minibatch descent on the adversarial distribution.
 
     Uses b = ceil(0.2/eps) components per batch, step eta = eps, start x1 = 0,
-    and simulates the induced sign walk exactly up to each trial's first
-    entry into the segment (right of the minimum the batch-mean gradient's
-    sign depends only on whether the batch is all-linear).  Trials are
-    processed in fixed chunks of 10^4 with one substream each, so results do
-    not depend on scheduling.
+    and draws the induced sign walks with _walk_hits (right of the minimum
+    the batch-mean gradient's sign depends only on whether the batch is
+    all-linear).  Trials are drawn in fixed chunks of 10^4 with one
+    substream each, so results do not depend on scheduling.
     """
     in_range("eps", eps, 0, 0.1, "(]")
     in_range("trials", trials, 1)
@@ -300,17 +281,13 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
     # so a walk makes at most T-1 moves.
     h = math.ceil(-LOWER_BOUND_SEGMENT[1] / eta - 1e-9)
     p = 1.0 - all_linear_prob(eps, b)
-    hits = 0
-    events = 0
-    nonneg_events = 0
-    n_chunks = (trials + _CHUNK - 1) // _CHUNK
-    for c in range(n_chunks):
-        n = min(_CHUNK, trials - c * _CHUNK)
-        ch_hits, ch_events, ch_nonneg = _first_passage(
-            stream.substream(c).generator(), np.full(n, h, dtype=np.int64), T - 1, p)
+    hits = nonneg_events = 0
+    for c in range((trials + _CHUNK - 1) // _CHUNK):
+        ch_hits, ch_nonneg = _walk_hits(stream.substream(c).generator(),
+                                        min(_CHUNK, trials - c * _CHUNK), T - 1, p, h)
         hits += ch_hits
-        events += ch_events
         nonneg_events += ch_nonneg
+    events = trials * (T - 1)
 
     p_hat = nonneg_events / events if events else 0.0
     p_hat_se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / max(events, 1))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,25 @@ def test_absorb_mc_at_a_horizon_of_1e12_steps(seed_offset):
     assert abs(est - 0.25) <= 4.0 * se
 
 
+def test_walk_draws_hold_no_table_as_long_as_the_start_distance():
+    # the hit table spans the drawn toward counts also when the start is far:
+    # a table with start_state + spread entries peaked at 33 MB in the absorb
+    # call, against about 2.5 MB here for each call
+    tracemalloc.start()
+    try:
+        est, _ = absorb_probability_mc(ChainSpec(p=0.5, start_state=10 ** 6, max_steps=10 ** 7),
+                                       1000, seeded_stream(0))
+        absorb_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rep = lower_bound_experiment(1e-7, trials=1000, T=10 ** 8, stream=seeded_stream(0))
+        lower_bound_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 10^6 steps from 0 is 316 standard deviations of a 10^7-step fair walk
+    assert est == 0.0 and rep.hits == 0
+    assert absorb_peak < 8e6 and lower_bound_peak < 8e6
+
+
 @pytest.mark.parametrize("m", range(1, 13))
 def test_hit_table_matches_path_enumeration(m):
     # every one of the 2^m paths of +-1 steps, grouped by how many went
@@ -265,27 +285,30 @@ def test_all_linear_prob_grid_monotone():
 # ---------------------------------------------------------------------------
 
 
-def test_lower_bound_experiment_small():
-    rep = lower_bound_experiment(0.1, trials=3000, T=1500, stream=seeded_stream(3))
+def test_lower_bound_experiment_small(seed_offset):
+    rep = lower_bound_experiment(0.1, trials=3000, T=1500, stream=seeded_stream(3 + seed_offset))
     assert rep.b == 2 and rep.eta == pytest.approx(0.1)
+    # 5 SE: two-sided false-failure rate 5.7e-7; K = 1..40: 0 failed
     assert abs(rep.p_hat - 0.19) <= 5.0 * rep.p_hat_se
     assert rep.p_within_bound
+    # a walk hits w.p. 5.0e-7 (DP), so one of 3000 does w.p. 0.15%; K = 1..40: 0 failed
     assert rep.hits == 0 and rep.passed
     assert rep.ceiling_analytic == pytest.approx(0.25 ** 9)
     d = vars(rep)
     assert json.dumps(d["segment"]) == "[-5.0, -1.0]"
 
 
-def test_lower_bound_experiment_eps_general():
-    rep = lower_bound_experiment(0.05, trials=1000, T=500, stream=seeded_stream(4))
+def test_lower_bound_experiment_eps_general(seed_offset):
+    rep = lower_bound_experiment(0.05, trials=1000, T=500, stream=seeded_stream(4 + seed_offset))
     assert rep.b == 4
     # p_hat should track 1 - (1-eps)^b
     expected_p = 1.0 - all_linear_prob(0.05, b=4)
+    # 5 SE: two-sided false-failure rate 5.7e-7; K = 1..40: 0 failed
     assert abs(rep.p_hat - expected_p) <= 5.0 * rep.p_hat_se
     assert rep.ceiling_analytic == pytest.approx(0.25 ** 19)
 
 
-def test_lower_bound_experiment_hits_match_dp():
+def test_lower_bound_experiment_hits_match_dp(seed_offset):
     # b = 10 makes the step toward the segment likely (1 - 0.9^10 = 0.65), so
     # about half the trials query a point in it.  The DP tracks the lattice
     # position x = -m*eta over the T queries x_0..x_{T-1}, T-1 moves.
@@ -301,10 +324,16 @@ def test_lower_bound_experiment_hits_match_dp():
         probs[inside] = 0.0
         if t < T - 1:
             probs = p * np.roll(probs, 1) + (1.0 - p) * np.roll(probs, -1)
-    rep = lower_bound_experiment(eps, trials=trials, T=T, stream=seeded_stream(32), b=b)
+    rep = lower_bound_experiment(eps, trials=trials, T=T, stream=seeded_stream(32 + seed_offset),
+                                 b=b)
     assert 0.4 < hit < 0.6
-    # 4 SE: two-sided false-failure rate 6.3e-5 per estimate
+    # 4 SE: two-sided false-failure rate 6.3e-5 per estimate; K = 1..40: 0 failed
     assert abs(rep.hit_fraction - hit) <= 4.0 * math.sqrt(hit * (1.0 - hit) / trials)
+    # every trial's T-1 sign draws count, also those after a first entry, so
+    # p_hat is a binomial share of toward moves; 4 SE as above, K = 1..40: 0
+    # failed (z over K = 0..40: mean 0.07, sd 0.84)
+    assert rep.p_events == trials * (T - 1)
+    assert abs(rep.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / rep.p_events)
 
 
 def test_lower_bound_experiment_validation():
@@ -317,17 +346,17 @@ def test_lower_bound_experiment_validation():
 
 
 def test_lower_bound_experiment_chunking_invariance():
-    # trials split into fixed chunks of 10^4, chunk c drawing from substream(c),
-    # so results do not depend on scheduling
+    # trials split into fixed chunks of 10^4, chunk c drawing its walks from
+    # substream(c), so results do not depend on scheduling
     # at eps = 0.1 (b = 2, eta = 0.1) a walk starts 10 steps from the segment
     # and moves toward it unless its batch is all-linear, w.p. 0.9^2
     T, stream = 300, seeded_stream(5)
     rep = lower_bound_experiment(0.1, trials=12_000, T=T, stream=stream)
-    parts = [analysis._first_passage(stream.substream(c).generator(),
-                                     np.full(n, 10, dtype=np.int64), T - 1, 1 - 0.9**2)
+    parts = [analysis._walk_hits(stream.substream(c).generator(), n, T - 1, 1 - 0.9**2, 10)
              for c, n in ((0, 10_000), (1, 2_000))]
-    hits, events, nonneg = (sum(col) for col in zip(*parts))
-    assert (rep.hits, rep.p_events, rep.p_hat) == (hits, events, nonneg / events)
+    hits, toward = (sum(col) for col in zip(*parts))
+    events = 12_000 * (T - 1)
+    assert (rep.hits, rep.p_events, rep.p_hat) == (hits, events, toward / events)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +381,7 @@ def test_walk_sign_rule_matches_minibatch_gradients():
         assert g_left <= 0
 
 
-def test_walk_statistics_match_literal_sngd():
+def test_walk_statistics_match_literal_sngd(seed_offset):
     # run the actual optimizer many times and compare the empirical
     # nonnegative-gradient frequency with the vectorized experiment
     eps, b, T = 0.1, 2, 200
@@ -361,7 +390,7 @@ def test_walk_statistics_match_literal_sngd():
     events = 0
     for trial in range(60):
         tr = sngd(F, SngdConfig(T=T, eta=eps, x1=np.zeros(1), b=b,
-                                stream=seeded_stream(7).substream(trial)))
+                                stream=seeded_stream(7 + seed_offset).substream(trial)))
         x = tr.iterates[:, 0]
         above = x > -3.0
         # reconstruct the gradient sign from the move that followed
@@ -369,8 +398,10 @@ def test_walk_statistics_match_literal_sngd():
         stepped_left = moves < 0
         events += int(above[:-1].sum())
         nonneg += int((above[:-1] & stepped_left).sum())
-        assert np.all(x > -1.0)  # never reached the eps-optimal segment
+        # never reached the eps-optimal segment; one of the 60 runs does w.p. 3.0e-5 (DP)
+        assert np.all(x > -1.0)
     p_lit = nonneg / events
-    rep = lower_bound_experiment(eps, trials=3000, T=T, stream=seeded_stream(8))
+    rep = lower_bound_experiment(eps, trials=3000, T=T, stream=seeded_stream(8 + seed_offset))
     se = math.sqrt(0.19 * 0.81 / events) + rep.p_hat_se
+    # 4 SE on the sum of the two SEs: false-failure rate below 6.3e-5; K = 1..40: 0 failed
     assert abs(p_lit - rep.p_hat) <= 4.0 * se
