@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,37 +133,45 @@ def absorb_probability(spec: ChainSpec) -> float:
     return (spec.p / (1.0 - spec.p)) ** spec.start_state
 
 
-_LOG_TERMS = 1 << 16  # log terms _hit_table sums at a time, so its memory does not grow with i
+# table entries and log terms made at a time, so memory grows with neither m nor i; at
+# 2^16 (512 KB arrays) a far start ran up to twice as slow on a 2-core x86-64 VM, each
+# block faulting in fresh pages
+_BLOCK = 1 << 13
 
 
-def _hit_table(m: int, i: int, lo: int, hi: int) -> np.ndarray:
-    """P(an m-step walk from i >= 1 touched 0 | k of its steps went toward 0),
-    for k = lo..hi.
+def _hit_blocks(m: int, i: int, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k0, r) for consecutive blocks of k = lo..hi, _BLOCK long but the
+    last: r[j] = P(an m-step walk from i >= 1 touched 0 | k0+j of its steps
+    went toward 0).
 
     The walk ends at e = i + m - 2k.  If e <= 0 it touched 0.  Otherwise
     every path to e is equally likely, and reflecting a path's part before
     its first visit to 0 maps the paths from i to e that touch 0 one to one
     onto the paths from -i to e, so the probability is C(m, k-i) / C(m, k):
     0 for k < i, else exp L(k) with L(k) the sum of log((k-t) / (m-k+1+t))
-    over t < i.  L at the first such k is summed _LOG_TERMS terms at a time,
-    and L(k+1) - L(k) = log((k+1) / (k+1-i)) + log((m-k+i) / (m-k)), so one
-    cumulative sum of these steps gives the rest.  The table holds
-    hi - lo + 1 entries and costs O(hi - lo + i) time, whatever m.
+    over t < i.  L at the first such k is summed _BLOCK terms at a time, and
+    L(k+1) - L(k) = log((k+1) / (k+1-i)) + log((m-k+i) / (m-k)), so a
+    cumulative sum of these steps, carried from block to block, gives the
+    rest: O(hi - lo + i) time, whatever m.
     """
-    k = np.arange(lo, hi + 1)
-    r = (2 * k >= i + m).astype(np.float64)
     a, b = max(lo, i), min(hi, (i + m - 1) // 2)  # the k with 0 < r < 1
+    L = 0.0
     if a <= b:
-        first = 0.0
-        for j in range(0, i, _LOG_TERMS):
-            t = np.arange(j, min(j + _LOG_TERMS, i), dtype=np.float64)
-            first += float(np.log((a - t) / (m - a + 1.0 + t)).sum())
-        k = np.arange(a, b, dtype=np.float64)
-        steps = np.log1p(i / (k + 1.0 - i)) + np.log1p(i / (m - k))
-        ref = steps[(b - a) // 2] if a < b else 0.0  # centred, so the sums stay small
-        s = np.concatenate(([0.0], np.cumsum(steps - ref)))
-        r[a - lo:b - lo + 1] = np.exp(first + s + ref * np.arange(b - a + 1))
-    return r
+        for j in range(0, i, _BLOCK):
+            t = np.arange(j, min(j + _BLOCK, i), dtype=np.float64)
+            L += float(np.log((a - t) / (m - a + 1.0 + t)).sum())
+    for k0 in range(lo, hi + 1, _BLOCK):
+        k = np.arange(k0, min(k0 + _BLOCK, hi + 1))
+        r = (2 * k >= i + m).astype(np.float64)
+        ka, kb = max(k0, a), min(k0 + len(k) - 1, b)
+        if ka <= kb:
+            x = np.arange(ka, kb + 1, dtype=np.float64)
+            steps = np.log1p(i / (x + 1.0 - i)) + np.log1p(i / (m - x))
+            ref = steps[len(steps) // 2]  # centred, so the sums stay small
+            s = np.cumsum(steps - ref) + ref * np.arange(1, len(steps) + 1)
+            r[ka - k0:kb - k0 + 1] = np.exp(L + np.concatenate(([0.0], s[:-1])))
+            L += s[-1]
+        yield k0, r
 
 
 def _walk_hits(gen: np.random.Generator, n: int, m: int, p: float, i: int) -> tuple[int, int]:
@@ -172,15 +181,17 @@ def _walk_hits(gen: np.random.Generator, n: int, m: int, p: float, i: int) -> tu
 
     Each walk draws its count of steps toward the target, Binomial(m, p),
     then one uniform: by the reflection principle its end point decides
-    whether it touched the target up to that coin (see _hit_table).  A walk
+    whether it touched the target up to that coin (see _hit_blocks).  A walk
     continued past the target touches it within m steps exactly when the
     walk stopped there arrives within them.
     """
     toward = gen.binomial(m, p, size=n)
     u = gen.random(n)
-    lo = int(toward.min())
-    hit = _hit_table(m, i, lo, int(toward.max()))
-    return int(np.count_nonzero(u < hit[toward - lo])), int(toward.sum())
+    hits = 0
+    for k0, r in _hit_blocks(m, i, int(toward.min()), int(toward.max())):
+        inside = (toward >= k0) & (toward < k0 + len(r))
+        hits += int(np.count_nonzero(u[inside] < r[toward[inside] - k0]))
+    return hits, int(toward.sum())
 
 
 def absorb_probability_mc(spec: ChainSpec, trials: int,

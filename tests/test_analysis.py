@@ -226,40 +226,48 @@ def test_absorb_mc_at_a_horizon_of_1e12_steps(seed_offset):
     assert abs(est - 0.25) <= 4.0 * se
 
 
-def test_walk_draws_hold_no_table_as_long_as_the_start_distance():
-    # the hit table spans the drawn toward counts also when the start is far:
-    # a table with start_state + spread entries peaked at 33 MB in the absorb
-    # call, against about 2.5 MB here for each call
-    tracemalloc.start()
-    try:
-        est, _ = absorb_probability_mc(ChainSpec(p=0.5, start_state=10 ** 6, max_steps=10 ** 7),
-                                       1000, seeded_stream(0))
-        absorb_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        rep = lower_bound_experiment(1e-7, trials=1000, T=10 ** 8, stream=seeded_stream(0))
-        lower_bound_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # 10^6 steps from 0 is 316 standard deviations of a 10^7-step fair walk
-    assert est == 0.0 and rep.hits == 0
-    assert absorb_peak < 8e6 and lower_bound_peak < 8e6
+def test_walk_draws_take_bounded_memory():
+    # the hit table is made in blocks, whether the start is far or the drawn
+    # counts spread widely: a table with start_state + spread entries peaked
+    # at 33 MB in the absorb call, and one table over the spread at 158 MB in
+    # the 10^12-step lower bound, against under 2 MB here for each call
+    calls = [
+        lambda: absorb_probability_mc(ChainSpec(p=0.5, start_state=10 ** 6, max_steps=10 ** 7),
+                                      1000, seeded_stream(0)),
+        lambda: lower_bound_experiment(1e-7, trials=1000, T=10 ** 8, stream=seeded_stream(0)),
+        lambda: lower_bound_experiment(0.1, trials=1000, T=10 ** 12, stream=seeded_stream(0)),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            assert tracemalloc.get_traced_memory()[1] < 8e6
+        finally:
+            tracemalloc.stop()
+
+
+def _hit_table(m: int, i: int, lo: int, hi: int) -> np.ndarray:
+    blocks = list(analysis._hit_blocks(m, i, lo, hi))
+    assert [k0 for k0, _ in blocks] == list(range(lo, hi + 1, analysis._BLOCK))
+    return np.concatenate([r for _, r in blocks])
 
 
 @pytest.mark.parametrize("m", range(1, 13))
-def test_hit_table_matches_path_enumeration(m):
+def test_hit_table_matches_path_enumeration(m, monkeypatch):
     # every one of the 2^m paths of +-1 steps, grouped by how many went
-    # toward 0: the share that touched 0 is the table's entry
+    # toward 0: the share that touched 0 is the table's entry; blocks of 3
+    # entries and log terms carry the log-probability across block ends
     steps = np.array(list(itertools.product((-1, 1), repeat=m)))
     toward = np.count_nonzero(steps < 0, axis=1)
-    for i in (*range(1, 6), m + 1, m + 3):
+    for block, i in itertools.product((analysis._BLOCK, 3), (*range(1, 6), m + 1, m + 3)):
+        monkeypatch.setattr(analysis, "_BLOCK", block)
         touched = (i + np.cumsum(steps, axis=1)).min(axis=1) <= 0
         share = [touched[toward == k].mean() for k in range(m + 1)]
-        table = analysis._hit_table(m, i, 0, m)
+        table = _hit_table(m, i, 0, m)
         assert table == pytest.approx(share, rel=1e-12, abs=0)
         # a table over part of the range holds the same entries
         for lo, hi in itertools.combinations_with_replacement(range(m + 1), 2):
-            assert analysis._hit_table(m, i, lo, hi) == pytest.approx(table[lo:hi + 1],
-                                                                      rel=1e-12, abs=0)
+            assert _hit_table(m, i, lo, hi) == pytest.approx(table[lo:hi + 1], rel=1e-12, abs=0)
 
 
 def test_absorb_mc_start_zero():
