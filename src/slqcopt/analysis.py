@@ -187,9 +187,11 @@ def _walk_hits(gen: np.random.Generator, n: int, m: int, p: float, i: int) -> tu
     """
     toward = gen.binomial(m, p, size=n)
     u = gen.random(n)
+    lo, hi = int(toward.min()), int(toward.max())
     hits = 0
-    for k0, r in _hit_blocks(m, i, int(toward.min()), int(toward.max())):
-        inside = (toward >= k0) & (toward < k0 + len(r))
+    for k0, r in _hit_blocks(m, i, lo, hi):
+        # within one block every walk is inside it, and a mask would only copy
+        inside = slice(None) if hi - lo < _BLOCK else (toward >= k0) & (toward < k0 + len(r))
         hits += int(np.count_nonzero(u[inside] < r[toward[inside] - k0]))
     return hits, int(toward.sum())
 
@@ -279,7 +281,7 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
     """
     in_range("eps", eps, 0, 0.1, "(]")
     in_range("trials", trials, 1)
-    in_range("T", T, 1)
+    in_range("T", T, 1, 2 ** 63 // _CHUNK, "[]")  # so a chunk sums its toward counts in int64
     b = math.ceil(0.2 / eps) if b is None else in_range("b", b, 1)
     if not (0.0 < 0.5 * eps * b < 1.0):
         raise ValueError("batch size outside the supported sign regime "

@@ -270,6 +270,15 @@ def test_hit_table_matches_path_enumeration(m, monkeypatch):
             assert _hit_table(m, i, lo, hi) == pytest.approx(table[lo:hi + 1], rel=1e-12, abs=0)
 
 
+def test_walk_hits_do_not_depend_on_the_block_size(monkeypatch):
+    # 2000 walks whose toward counts span many blocks of 3 are read from the
+    # table of the block each falls in, as from the one block they fit in
+    hits = [analysis._walk_hits(seeded_stream(9).generator(), 2000, 60, 0.45, 3)]
+    monkeypatch.setattr(analysis, "_BLOCK", 3)
+    hits.append(analysis._walk_hits(seeded_stream(9).generator(), 2000, 60, 0.45, 3))
+    assert hits[0] == hits[1] and 0 < hits[0][0] < 2000
+
+
 def test_absorb_mc_start_zero():
     est, se = absorb_probability_mc(ChainSpec(p=0.2, start_state=0), 100, seeded_stream(0))
     assert est == 1.0 and se == 0.0
@@ -351,6 +360,11 @@ def test_lower_bound_experiment_validation():
         lower_bound_experiment(0.1, 0, 10, seeded_stream(0))
     with pytest.raises(ValueError):
         lower_bound_experiment(0.1, 10, 10, seeded_stream(0), b=40)  # eps*b/2 >= 1
+    # a chunk's toward count, up to 10^4 (T-1), is summed in int64: beyond it
+    # the sum wrapped silently (p_hat 0.0055 at T 10^16)
+    lower_bound_experiment(0.1, 1, 2 ** 63 // 10 ** 4, seeded_stream(0))
+    with pytest.raises(ValueError, match="T must be"):
+        lower_bound_experiment(0.1, 10, 2 ** 63 // 10 ** 4 + 1, seeded_stream(0))
 
 
 def test_lower_bound_experiment_chunking_invariance():
