@@ -229,7 +229,7 @@ def test_absorb_mc_at_a_horizon_of_1e12_steps(seed_offset):
 def test_walk_draws_take_bounded_memory():
     # the hit table is made in blocks, whether the start is far or the drawn
     # counts spread widely: a table with start_state + spread entries peaked
-    # at 33 MB in the absorb call, and one table over the spread at 158 MB in
+    # at 33 MB in the absorb call, and one table over the spread at 138 MB in
     # the 10^12-step lower bound, against under 2 MB here for each call
     calls = [
         lambda: absorb_probability_mc(ChainSpec(p=0.5, start_state=10 ** 6, max_steps=10 ** 7),
@@ -360,8 +360,8 @@ def test_lower_bound_experiment_validation():
         lower_bound_experiment(0.1, 0, 10, seeded_stream(0))
     with pytest.raises(ValueError):
         lower_bound_experiment(0.1, 10, 10, seeded_stream(0), b=40)  # eps*b/2 >= 1
-    # a chunk's toward count, up to 10^4 (T-1), is summed in int64: beyond it
-    # the sum wrapped silently (p_hat 0.0055 at T 10^16)
+    # a chunk sums its toward counts, up to 10^4 (T-1), in int64, so a larger
+    # T is refused rather than left to wrap
     lower_bound_experiment(0.1, 1, 2 ** 63 // 10 ** 4, seeded_stream(0))
     with pytest.raises(ValueError, match="T must be"):
         lower_bound_experiment(0.1, 10, 2 ** 63 // 10 ** 4 + 1, seeded_stream(0))
