@@ -314,8 +314,8 @@ class Objective:
     values and gradients, when present, evaluate an (n, dim) stack of points
     in one call: row i of values(P), shape (n,), and of gradients(P), shape
     (n, dim), must equal value(P[i]) and gradient(P[i]) byte for byte.  The
-    sampled Lipschitz and smoothness checks use them; without them those
-    checks call value and gradient once per point.
+    sampled Lipschitz and smoothness checks and the SLQC batch use them;
+    without them those checks call value and gradient once per point.
     """
 
     dim: int

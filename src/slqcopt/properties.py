@@ -23,8 +23,8 @@ from .core import (
     as_point,
     in_range,
     rowdot,
+    sample_in_ball,
     sample_region,
-    scale_to_ball,
 )
 
 
@@ -68,6 +68,11 @@ def _direction(f: Objective, use_oracle: bool):
     return f.direction_oracle if use_oracle else f.gradient
 
 
+def _stacked(stacked, single):
+    """The objective's stacked oracle, or one calling single on each row."""
+    return stacked or (lambda P: np.array([single(p) for p in P]))
+
+
 def _slqc_verdict(gap: float, g: Point, gn: float, zx: Point, eps: float,
                   kappa: float) -> SlqcReport:
     """Decide SLQC at x from gap = f(x) - f(z), direction g, gn = ||g||, zx = z - x.
@@ -102,23 +107,32 @@ class BatchSlqcResult:
 def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
                      use_oracle: bool = False) -> BatchSlqcResult:
     """`check_slqc` on each (eps, x) pair, eps-major.  No evaluation depends on
-    eps, so f(z) is evaluated once and f(x) and the direction once per point."""
+    eps, so f(z) is evaluated once and f(x) and the direction once per point,
+    by the stacked oracles where f has them; each eps is then decided for all
+    points at once, by `_slqc_verdict`'s arithmetic on arrays."""
     z = as_point(z, f.dim)
     in_range("kappa", kappa, 0, ends="()")
     eps_values = [float(in_range("eps", eps, 0, ends="()")) for eps in eps_values]
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
         raise ValueError(f"points must be a non-empty (n, d) array, got shape {points.shape}")
-    direction = _direction(f, use_oracle)
-    fz = f.value(z)
-    per_point = []
-    for x in points:
-        xp = as_point(x, z.size)
-        g = direction(xp)
-        per_point.append((xp, f.value(xp) - fz, g, float(np.linalg.norm(g)), z - xp))
-    reports = [{"eps": eps, "x": xp.tolist(),
-                **vars(_slqc_verdict(gap, g, gn, zx, eps, kappa))}
-               for eps in eps_values for xp, gap, g, gn, zx in per_point]
+    if points.shape[1] != z.size:
+        raise ValueError(f"dimension mismatch: expected {z.size}, got {points.shape[1]}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("point has non-finite coordinates")
+    G = _stacked(None if use_oracle else f.gradients, _direction(f, use_oracle))(points)
+    gap = _stacked(f.values, f.value)(points) - f.value(z)
+    gn = np.sqrt(rowdot(G, G))  # np.linalg.norm's formula for one vector
+    tilt = rowdot(G, z - points)
+    xs, gns, reports = points.tolist(), gn.tolist(), []
+    for eps in eps_values:
+        clause1 = gap <= eps
+        ball_max = tilt + (eps / kappa) * gn
+        clause2 = ~clause1 & (gn > GRAD_TOL) & (ball_max <= 0.0)
+        clause = np.where(clause1, 1, np.where(clause2, 2, 0)).tolist()
+        margin = np.where(clause1 | (gn <= GRAD_TOL), eps - gap, -ball_max).tolist()
+        reports += [{"eps": eps, "x": x, "holds": c > 0, "clause": c or None, "margin": m,
+                     "grad_norm": g} for x, c, m, g in zip(xs, clause, margin, gns)]
     return BatchSlqcResult(all_hold=all(r["holds"] for r in reports), reports=reports)
 
 
@@ -196,26 +210,10 @@ PAIR_SLACK = 1e-9  # relative slack of the sampled-pair bounds, for float roundi
 # pairs drawn and evaluated at a time: bounds the chunk at 2 * PAIR_CHUNK * d
 # floats and a stacked GLM oracle's temporaries at PAIR_CHUNK * m floats each
 # (m data rows).  On the 100-row GLM, 128 to 256 ran fastest; 64 was about
-# 10% and 512 or 1024 about 40% slower.
+# 10% and 512 or 1024 about 40% slower.  Part of the draw contract, as
+# analysis._CHUNK is for lowerbound: chunk c is drawn from substream c, so
+# another size draws other pairs and moves every failing report.
 PAIR_CHUNK = 128
-
-
-def _ball_pairs(gen: np.random.Generator, z: Point, radius: float, n: int) -> np.ndarray:
-    """n pairs of points in B(z, radius), shape (n, 2, d): the bytes and the
-    generator calls of 2n calls of sample_in_ball(gen, d, radius, center=z),
-    which per point draw standard_normal(d), then random()."""
-    d = z.size
-    u = np.empty((2 * n, d))
-    t = np.empty(2 * n)
-    for i in range(2 * n):
-        gen.standard_normal(out=u[i])
-        t[i] = gen.random()
-    return scale_to_ball(u, t, radius, z).reshape(n, 2, d)
-
-
-def _stacked(stacked, single):
-    """The objective's stacked oracle, or one calling single on each row."""
-    return stacked or (lambda P: np.array([single(p) for p in P]))
 
 
 def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
@@ -228,9 +226,10 @@ def _check_sampled_pairs(f: Objective, z, eps_ball: float, trials: int,
     z = as_point(z, f.dim)
     in_range("eps_ball", eps_ball, 0, ends="()")
     in_range("trials", trials, 1)
-    gen = stream.generator()
-    for start in range(0, trials, PAIR_CHUNK):
-        pairs = _ball_pairs(gen, z, eps_ball, min(PAIR_CHUNK, trials - start))
+    for c, start in enumerate(range(0, trials, PAIR_CHUNK)):
+        n = min(PAIR_CHUNK, trials - start)
+        pairs = sample_in_ball(stream.substream(c).generator(), z.size, eps_ball, center=z,
+                               n=2 * n).reshape(n, 2, z.size)
         X, Y = pairs[:, 0], pairs[:, 1]
         lhs, rhs = sides(X, Y)
         bad = np.flatnonzero(lhs > rhs * (1.0 + PAIR_SLACK) + 1e-15)

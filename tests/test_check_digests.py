@@ -29,15 +29,16 @@ CASES = {
                                 "--radius", "0.5", "--trials", "500"],
     "smooth_idealized_glm": ["idealized_glm", "smooth", "--bound", "2",
                              "--radius", "0.5", "--trials", "500"],
-    # the first violations are sampled pairs 1459 and 395 (from 0), so the
-    # order of the ball draws is pinned across more than a thousand pairs;
-    # a failing report's trials counts the pairs up to it (1460 and 396)
+    # the first violations are sampled pairs 1146 and 224 (from 0), in chunks
+    # 8 and 1, so the per-chunk ball draws are pinned across more than a
+    # thousand pairs; a failing report's trials counts the pairs up to it
+    # (1147 and 225)
     "smooth_idealized_glm_violation": ["idealized_glm", "smooth", "--bound", "0.0126",
                                        "--radius", "12", "--trials", "2000"],
     "lipschitz_sigmoid_sum_violation": ["sigmoid_sum", "lipschitz", "--bound", "0.003",
                                         "--radius", "5", "--trials", "2000"],
-    # the first violation is sampled pair 1101 (from 0), past the first chunk
-    # of pairs at any chunk size up to 1024; trials reports 1102
+    # the first violation is sampled pair 318 (from 0), in chunk 2, past the
+    # first chunk of pairs; trials reports 319
     "lipschitz_idealized_glm_violation": ["idealized_glm", "lipschitz", "--bound", "0.028",
                                           "--radius", "2", "--trials", "2000"],
 }
@@ -60,11 +61,11 @@ DIGESTS = {
     "smooth_idealized_glm":
         "1e1631fa17c115f75d69f5ea4b936544c085de808c9dd5aae3a1e9412513115f",
     "smooth_idealized_glm_violation":
-        "bc962efae402b34ed884ca2c4eefc10ff161f540b413953db7990dabd2741156",
+        "96c1f6625e6676cdabe8543f42d4c834ccc45565f7d5a964ac29190e7f0e7c8e",
     "lipschitz_sigmoid_sum_violation":
-        "e4efd4d04a88ad98e1a7ee8382b8febd67bee74a4a17afbaa34304eba3785036",
+        "f32915e2aeac029a47efefaa21ae407df5c4f93cdbd22b7dd0cdf009706c08de",
     "lipschitz_idealized_glm_violation":
-        "d5fdcdc333fd3d2a4931e25624580b13799f4e6f3eb7d624ceb1f22590bc718f",
+        "857ec107555bfd0fb61f397a733686a082db135ad019a6d7625405afc8e86d39",
 }
 
 

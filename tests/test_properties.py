@@ -36,7 +36,6 @@ from slqcopt.problems import (
 from slqcopt.properties import (
     PAIR_CHUNK,
     PAIR_SLACK,
-    _ball_pairs,
     _check_sampled_pairs,
     box_grid,
 )
@@ -265,84 +264,140 @@ def test_sublevel_rejects_a_region_of_another_dimension(region):
 # ---------------------------------------------------------------------------
 # local Lipschitz / smooth checkers
 # ---------------------------------------------------------------------------
+# The sampled-pair tests below take --seed-offset K (default 0, the recorded
+# seeds); "K = 1..40: n failed" notes how many of those 40 fresh draws failed.
 
 
-def test_lipschitz_quadratic_ball():
+def test_lipschitz_quadratic_ball(seed_offset):
     quad = make_quadratic(2)
     for r in (0.5, 2.0):
         rep = check_local_lipschitz(quad, np.zeros(2), r, G=2.0 * r, trials=2000,
-                                    stream=seeded_stream(11))
-        assert rep.passed
+                                    stream=seeded_stream(11 + seed_offset))
+        assert rep.passed  # holds at every pair; K = 1..40: 0 failed
 
 
-def test_lipschitz_sigmoid_sum_G1():
+def test_lipschitz_sigmoid_sum_G1(seed_offset):
     # gradient norm is at most sqrt(2)/4 < 1 everywhere
     f = make_sigmoid_sum()
     rep = check_local_lipschitz(f, np.array([1.0, -2.0]), 5.0, G=1.0, trials=2000,
-                                stream=seeded_stream(12))
-    assert rep.passed
+                                stream=seeded_stream(12 + seed_offset))
+    assert rep.passed  # holds at every pair; K = 1..40: 0 failed
     gen = seeded_stream(13).generator()
     norms = [np.linalg.norm(f.gradient(gen.uniform(-10, 10, 2))) for _ in range(500)]
     assert max(norms) < 1.0
 
 
-def test_lipschitz_cliff_valley_vs_cliff():
+def test_lipschitz_cliff_valley_vs_cliff(seed_offset):
     f = make_cliff_plateau()
     a, _ = cliff_plateau_kinks()
     inside = check_local_lipschitz(f, np.zeros(1), a * 0.9, G=1.0, trials=2000,
-                                   stream=seeded_stream(14))
-    assert inside.passed
+                                   stream=seeded_stream(14 + seed_offset))
+    assert inside.passed  # holds at every pair; K = 1..40: 0 failed
     crossing = check_local_lipschitz(f, np.array([a]), 0.05, G=1.0, trials=2000,
-                                     stream=seeded_stream(15))
+                                     stream=seeded_stream(15 + seed_offset))
+    # about half the pairs straddle the cliff and break the bound, so 2000
+    # pairs all miss it w.p. below 1e-600; K = 1..40: 0 failed
     assert not crossing.passed
     assert crossing.counterexample is not None
 
 
-def test_smooth_quadratic_beta2():
+def test_smooth_quadratic_beta2(seed_offset):
     quad = make_quadratic(3)
     rep = check_local_smooth(quad, np.zeros(3), 10.0, beta=2.0, trials=2000,
-                             stream=seeded_stream(16))
-    assert rep.passed
+                             stream=seeded_stream(16 + seed_offset))
+    assert rep.passed  # holds at every pair; K = 1..40: 0 failed
 
 
-def test_smooth_sigmoid_sum_beta1():
+def test_smooth_sigmoid_sum_beta1(seed_offset):
     # |second derivative of the logistic| <= 1/(6*sqrt(3)) < 0.1 per coordinate
     f = make_sigmoid_sum()
     rep = check_local_smooth(f, np.zeros(2), 2.0, beta=1.0, trials=2000,
-                             stream=seeded_stream(17))
-    assert rep.passed
+                             stream=seeded_stream(17 + seed_offset))
+    assert rep.passed  # holds at every pair; K = 1..40: 0 failed
 
 
-def test_smooth_abs_value_fails_at_kink():
+def test_smooth_abs_value_fails_at_kink(seed_offset):
     f = Objective(dim=1, value=lambda x: abs(float(x[0])),
                   gradient=lambda x: np.array([math.copysign(1.0, float(x[0]))]))
     rep = check_local_smooth(f, np.zeros(1), 1.0, beta=10.0, trials=10_000,
-                             stream=seeded_stream(18))
+                             stream=seeded_stream(18 + seed_offset))
+    # 1.3% of the pairs break the bound across the kink, so 10^4 pairs all
+    # miss it w.p. about 1e-58; K = 1..40: 0 failed
     assert not rep.passed
+
+
+def _chunk_draws(stream, d: int, radius: float, z, n: int) -> list[np.ndarray]:
+    """The draw contract of the sampled-pair checks: chunk c of n pairs is one
+    sample_in_ball call of twice its pair count on substream c, and pair i of
+    the chunk is its points 2i and 2i + 1."""
+    return [sample_in_ball(stream.substream(c).generator(), d, radius, center=z,
+                           n=2 * min(PAIR_CHUNK, n - start))
+            for c, start in enumerate(range(0, n, PAIR_CHUNK))]
+
+
+def _seen_pairs(f, z, radius: float, n: int, stream) -> np.ndarray:
+    """The (n, 2, d) pairs that a sampled-pair check hands its sides, in order."""
+    seen = []
+
+    def sides(X, Y):
+        seen.append(np.stack([X, Y], axis=1))
+        return np.zeros(len(X)), np.zeros(len(X))
+
+    rep = _check_sampled_pairs(f, z, radius, n, stream, sides)
+    assert rep.passed and rep.trials == n
+    return np.concatenate(seen)
 
 
 # one chunk and eight, each ending a pair short of, on and a pair past a chunk boundary
 @pytest.mark.parametrize("n", [1] + [k * PAIR_CHUNK + e for k in (1, 8) for e in (-1, 0, 1)])
 @pytest.mark.parametrize("d", [1, 2, 3, 20])
 def test_sampled_pairs_are_the_per_pair_ball_draws(d, n):
-    # the chunked draw must give, byte for byte, the points and the generator
-    # state of 2n calls of sample_in_ball, or every sampled report would move
+    # the pairs are the per-chunk ball draws of _chunk_draws, byte for byte,
+    # or every failing sampled report would move
     z = seeded_stream(40).generator().normal(size=d)
     stream = seeded_stream(41).substream(d)
-    per_pair = stream.generator()
-    expected = [sample_in_ball(per_pair, d, 0.7, center=z) for _ in range(2 * n)]
-    seen = []
+    expected = np.concatenate(_chunk_draws(stream, d, 0.7, z, n))
+    assert _seen_pairs(make_quadratic(d), z, 0.7, n, stream).tobytes() == expected.tobytes()
 
-    def sides(X, Y):
-        seen.extend(p for pair in zip(X, Y) for p in pair)
-        return np.zeros(len(X)), np.zeros(len(X))
 
-    rep = _check_sampled_pairs(make_quadratic(d), z, 0.7, n, stream, sides)
-    assert rep.passed and rep.trials == n
-    assert np.array(seen).tobytes() == np.array(expected).tobytes()
-    chunked = stream.generator()
-    assert _ball_pairs(chunked, z, 0.7, n).tobytes() == np.array(expected).tobytes()
-    assert chunked.bit_generator.state == per_pair.bit_generator.state
+@pytest.mark.parametrize("d", [1, 3, 20])
+def test_sampled_pairs_are_uniform_in_the_ball(d, seed_offset):
+    # a point uniform in B(z, r) has (||x - z|| / r)^d uniform on [0, 1).  KS
+    # test over 2565 pairs in 21 chunks (n = 5130 points) at the asymptotic
+    # 0.1% critical value sqrt(-ln(0.0005) / 2) / sqrt(n).  K = 1..40: 2 of the
+    # 120 failed (d 1 at K 6, d 3 at K 22; 0.12 expected); K = 0..299 put 2 of
+    # 900 below the 0.1% value
+    z, r, n = np.linspace(-1.0, 1.0, d), 1.5, 20 * PAIR_CHUNK + 5
+    pairs = _seen_pairs(make_quadratic(d), z, r, n, seeded_stream(46 + seed_offset).substream(d))
+    u = np.sort((np.linalg.norm(pairs.reshape(-1, d) - z, axis=1) / r) ** d)
+    m = len(u)
+    ks = max(np.max(np.arange(1, m + 1) / m - u), np.max(u - np.arange(m) / m))
+    assert ks < math.sqrt(-math.log(0.0005) / 2.0) / math.sqrt(m)
+
+
+@pytest.mark.parametrize("d", [1, 3, 20])
+def test_sampled_pairs_are_uncorrelated(d, seed_offset):
+    # the two points of a pair are independent draws, and so are chunks on
+    # different substreams: per coordinate, x against y over the pairs, and
+    # the last and the first pair of chunk c against the first pair of chunk
+    # c + 1 over 399 chunk boundaries.  Each sample correlation of n
+    # independent rows is about N(0, 1/n); the band 4.5 / sqrt(n) fails w.p.
+    # 6.8e-6 each, so the 5d correlations fail together w.p. at most 0.07%
+    # (d 20); K = 1..40: 0 failed
+    chunks, z = 400, np.full(d, 0.5)
+    pairs = _seen_pairs(make_quadratic(d), z, 2.0, chunks * PAIR_CHUNK,
+                        seeded_stream(47 + seed_offset).substream(d))
+    firsts = pairs[::PAIR_CHUNK].reshape(chunks, 2 * d)
+    lasts = pairs[PAIR_CHUNK - 1::PAIR_CHUNK].reshape(chunks, 2 * d)
+
+    def corr(A, B):
+        A, B = A - A.mean(axis=0), B - B.mean(axis=0)
+        r = (A * B).sum(axis=0) / np.sqrt((A * A).sum(axis=0) * (B * B).sum(axis=0))
+        return np.abs(r) * math.sqrt(len(A))
+
+    assert np.all(corr(pairs[:, 0], pairs[:, 1]) < 4.5)
+    assert np.all(corr(lasts[:-1], firsts[1:]) < 4.5)
+    assert np.all(corr(firsts[:-1], firsts[1:]) < 4.5)
 
 
 @pytest.mark.parametrize("checker, bound", [
@@ -361,26 +416,31 @@ def test_sampled_checks_stacked_equal_per_point(checker, bound):
                                              (check_local_smooth, 0.0253)])
 def test_failing_sampled_report_counts_the_pairs_tested(checker, bound):
     # a chunk is evaluated whole, so the count is checked against the first
-    # violation found pair by pair from sample_in_ball, with the bounds'
-    # per-pair formulas
+    # violation found pair by pair in the chunk draws, with the bounds'
+    # per-pair formulas.  Stream 45 fails inside the first chunk (pairs 113
+    # and 31, from 0); stream 53, the first seed after 45 at which both
+    # checks fail past the first chunk, fails at pairs 256 and 257.
     ds, f = make_idealized_glm(seeded_stream(44), d=3, m=100, W=2.0)
-    z, radius = ds.planted, 2.0
-    gen = seeded_stream(45).generator()
-    for k in range(4 * PAIR_CHUNK):
-        x = sample_in_ball(gen, 3, radius, center=z)
-        y = sample_in_ball(gen, 3, radius, center=z)
-        v = x - y
-        if checker is check_local_lipschitz:
-            lhs, rhs = abs(f.value(x) - f.value(y)), bound * math.sqrt(float(v @ v))
-        else:
-            lhs = abs(f.value(x) - f.value(y) - float(np.dot(f.gradient(y), v)))
-            rhs = 0.5 * bound * float(np.dot(v, v))
-        if lhs > rhs * (1.0 + PAIR_SLACK) + 1e-15:
-            break
-    assert PAIR_CHUNK < k < 4 * PAIR_CHUNK - 1  # past the first chunk, not the last pair
-    rep = checker(f, z, radius, bound, 4 * PAIR_CHUNK, seeded_stream(45))
-    assert not rep.passed and rep.trials == k + 1
-    assert rep.counterexample == {"x": x.tolist(), "y": y.tolist(), "lhs": lhs, "rhs": rhs}
+    z, radius, n = ds.planted, 2.0, 4 * PAIR_CHUNK
+    firsts = []
+    for seed in (45, 53):
+        points = np.concatenate(_chunk_draws(seeded_stream(seed), 3, radius, z, n))
+        for k in range(n):
+            x, y = points[2 * k], points[2 * k + 1]
+            v = x - y
+            if checker is check_local_lipschitz:
+                lhs, rhs = abs(f.value(x) - f.value(y)), bound * math.sqrt(float(v @ v))
+            else:
+                lhs = abs(f.value(x) - f.value(y) - float(np.dot(f.gradient(y), v)))
+                rhs = 0.5 * bound * float(np.dot(v, v))
+            if lhs > rhs * (1.0 + PAIR_SLACK) + 1e-15:
+                break
+        assert k < n - 1  # a violation, not the last pair
+        rep = checker(f, z, radius, bound, n, seeded_stream(seed))
+        assert not rep.passed and rep.trials == k + 1
+        assert rep.counterexample == {"x": x.tolist(), "y": y.tolist(), "lhs": lhs, "rhs": rhs}
+        firsts.append(k)
+    assert firsts[0] < PAIR_CHUNK < firsts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -522,20 +582,32 @@ def test_batch_slqc_glm_certification():
 
 
 def test_batch_slqc_evaluates_each_point_once():
+    # f(z) once, then each point's value and gradient once, whether the GLM's
+    # stacked oracles take them as rows or, without those, the per-point
+    # oracles one call each; both ways give the same reports
     ds, f = make_idealized_glm(seeded_stream(31), d=3, m=50, W=2.0)
-    calls = []
-
-    def counted(fn):
-        def call(x):
-            calls.append(x)
-            return fn(x)
-        return call
-
-    f = dataclasses.replace(f, value=counted(f.value), gradient=counted(f.gradient))
     points = sample_in_ball(seeded_stream(32).generator(), 3, 2.0, n=40)
-    batch = check_slqc_batch(f, ds.planted, math.exp(2.0), [0.01, 0.1, 0.5], points)
-    assert len(batch.reports) == 120
-    assert len(calls) == 1 + 2 * 40  # f(z) once; f(x) and the gradient once per point
+    once = sorted(map(tuple, points))
+    reports = []
+    for stacked in (True, False):
+        seen = {"value": [], "gradient": []}
+
+        def counted(kind, fn, rows):
+            def call(x):
+                seen[kind].extend(map(tuple, x) if rows else [tuple(x)])
+                return fn(x)
+            return call
+
+        g = dataclasses.replace(
+            f, value=counted("value", f.value, False), gradient=counted("gradient", f.gradient, False),
+            values=counted("value", f.values, True) if stacked else None,
+            gradients=counted("gradient", f.gradients, True) if stacked else None)
+        batch = check_slqc_batch(g, ds.planted, math.exp(2.0), [0.01, 0.1, 0.5], points)
+        assert len(batch.reports) == 120
+        assert sorted(seen["value"]) == sorted(once + [tuple(ds.planted)])
+        assert sorted(seen["gradient"]) == once
+        reports.append(batch.reports)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("use_oracle", [False, True], ids=["gradient", "oracle"])
