@@ -205,24 +205,18 @@ class BlockDraws:
 
 def sample_in_ball(gen: np.random.Generator, dim: int, radius: float = 1.0,
                    center: Point | None = None, n: int | None = None) -> np.ndarray:
-    """Draw uniformly from a Euclidean ball; returns (dim,) or (n, dim)."""
+    """Draw uniformly from a Euclidean ball; returns (dim,) or (n, dim).
+
+    Point i is u[i] / ||u[i]|| * radius * t[i]**(1/dim), plus center, from
+    the rows u[i] of standard_normal((n, dim)) and then the entries t[i] of
+    random(n)."""
     m = 1 if n is None else n
     u = gen.standard_normal((m, dim))
-    pts = scale_to_ball(u, gen.random(m), radius, center)
-    return pts[0] if n is None else pts
-
-
-def scale_to_ball(u: np.ndarray, t: np.ndarray, radius: float,
-                  center: Point | None = None) -> np.ndarray:
-    """Rows u[i] / ||u[i]|| * radius * t[i]**(1/d), plus center: uniform in the
-    ball when the rows of u are standard normal and t is uniform on [0, 1).
-    A row's norm reduces over that row alone, so no row depends on the
-    others.  Works in u, and returns it."""
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    u *= (radius * t ** (1.0 / u.shape[1]))[:, None]
+    u *= (radius * gen.random(m) ** (1.0 / dim))[:, None]
     if center is not None:
         u += np.asarray(center, dtype=np.float64)
-    return u
+    return u[0] if n is None else u
 
 
 def rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
