@@ -310,54 +310,53 @@ def test_criterion_8_property_suites():
             not failed, elapsed)
 
 
-def test_criterion_9_desk_scale_comparison():
+def test_criterion_9_desk_scale_comparison(seed_offset):
     # the full-size image benchmark is out of reach here; this seeded noisy
     # sigmoid-regression comparison stands in, as documented qualitative
     # acceptance: normalized descent beats the schedule-driven minibatch
-    # baseline, and larger minibatches improve the reached objective
+    # baseline, and larger minibatches improve the reached objective.  Both
+    # compare population gaps, not minibatch values: a single draw's squared
+    # error is skewed, so minibatch values of different b are not comparable.
+    # Offset K moves both seed bases (500, 900) by 10_000*K, so no two
+    # offsets share a seed
     t0 = time.perf_counter()
     d, W, T, b = 20, 2.0, 1500, 100
+    base = 10_000 * seed_offset
     sngd_wins = 0
     for seed in range(10):
-        st = seeded_stream(500 + seed)
+        st = seeded_stream(base + 500 + seed)
         F = make_noisy_glm(st.substream(0), d, W)
         x1 = np.zeros(d)
         tr_s = sngd(F, SngdConfig(T=T, eta=0.1, x1=x1, b=b, stream=st.substream(1)))
         sch = StepSchedule(eta0=0.01, gamma=1e-4)
         tr_m = msgd(F, sch, T, x1, b, st.substream(2))
-        sngd_wins += tr_s.values[tr_s.returned_index] <= tr_m.values[tr_m.returned_index]
+        sngd_wins += F.expected.value(tr_s.returned) <= F.expected.value(tr_m.returned)
         if seed == 0:  # momentum baseline runs, and lands in the same regime
             tr_n = nesterov(F, StepSchedule(eta0=0.01, gamma=1e-4, momentum=0.95),
                             T, x1, b, st.substream(3))
             assert tr_n.values[tr_n.returned_index] < 1.0
 
     # minibatch sweep: median (over seeds) population gap at the final
-    # iterate shrinks monotonically with b; raw final minibatch values
-    # separate the endpoints but are sampling-noise dominated between
-    # adjacent large sizes
+    # iterate shrinks monotonically with b
     sweep = [1, 10, 100, 646]
     gaps = {b_: [] for b_ in sweep}
-    finals = {b_: [] for b_ in sweep}
     for seed in range(10):
-        st = seeded_stream(900 + seed)
+        st = seeded_stream(base + 900 + seed)
         F = make_noisy_glm(st.substream(0), d, W)
         opt_val = F.expected.value(F.minimizer)
         for j, b_ in enumerate(sweep):
             tr = sngd(F, SngdConfig(T=T, eta=0.1, x1=np.zeros(d), b=b_,
                                     stream=st.substream(1 + j)))
             gaps[b_].append(F.expected.value(tr.iterates[-1]) - opt_val)
-            finals[b_].append(float(tr.values[-1]))
     med = [statistics.median(gaps[b_]) for b_ in sweep]
     monotone = all(a >= b_ for a, b_ in zip(med, med[1:]))
-    endpoints = statistics.median(finals[646]) <= statistics.median(finals[1])
 
     elapsed = time.perf_counter() - t0
-    # no theorem gives a false-failure rate here.  Re-run with both seed
-    # bases (500, 900) shifted by 10_000*k for k = 1..40, this check failed
-    # at 26 of the 40 offsets: `endpoints` at 25 (a single draw's squared
-    # error is skewed, so the median b=1 value sits below the population
-    # value that b=646 values track), sngd winning only 7/10 at 2,
-    # `monotone` never.
-    ok = sngd_wins >= 8 and monotone and endpoints
-    _report(9, f"desk-scale comparison: sngd beat msgd {sngd_wins}/10; "
+    # no theorem gives a false-failure rate here.  K = 1..40: 0 failed (sngd
+    # won 10/10 at every offset).  The check this replaced compared best
+    # minibatch values and also asked the median final minibatch value to be
+    # no higher at b=646 than at b=1 (`endpoints`); it failed at 26 of the
+    # same 40 offsets, 25 of them on `endpoints`
+    ok = sngd_wins >= 8 and monotone
+    _report(9, f"desk-scale comparison: sngd beat msgd on population gap {sngd_wins}/10; "
                f"sweep medians {['%.1e' % m for m in med]}", ok, elapsed)

@@ -164,15 +164,11 @@ def test_run_byte_identical_across_repeats(tmp_path):
     assert outs[0] == outs[1]
 
 
-def _trace_values(path):
-    rows = path.read_text().splitlines()[1:]
-    return np.array([float(line.split(",")[1]) for line in rows])
-
-
-def test_run_sweep_and_jobs_invariance(tmp_path):
+def test_run_sweep_and_jobs_invariance(tmp_path, seed_offset):
     cfg_path = tmp_path / "cfg.json"
     write_config(
         cfg_path,
+        seed=11 + 10_000 * seed_offset,
         problem={"name": "noisy_glm", "params": {"d": 4, "W": 2.0, "pool_size": 200}},
         optimizer={"name": "sngd", "params": {"T": 300, "eta": 0.1, "x1": [0, 0, 0, 0]}},
         sweep={"param": "b", "values": [1, 10, 100, 646]},
@@ -188,9 +184,10 @@ def test_run_sweep_and_jobs_invariance(tmp_path):
     summary = json.loads((out1 / "summary.json").read_text())
     by_b = {r["sweep_value"]: r for r in summary["runs"]}
     assert set(by_b) == {1, 10, 100, 646}
-    # qualitative: the big-batch run settles at lower minibatch values
-    tail = {b: _trace_values(out1 / by_b[b]["csv"])[-50:].mean() for b in (1, 646)}
-    assert tail[646] < tail[1]
+    # qualitative: the big-batch run ends nearer the population minimum.
+    # K = 1..40: 1 failed (K = 10).  Comparing the mean of the last 50
+    # minibatch values instead, a skewed statistic, failed 24 of the 40
+    assert by_b[646]["final_gap"] < by_b[1]["final_gap"]
 
 
 def test_run_empty_sweep_is_single_run(tmp_path):
