@@ -73,134 +73,45 @@ def seeded_stream(seed: int) -> RandomStream:
     return RandomStream(int(seed))
 
 
-_BLOCK_WORDS = 1 << 15  # raw 64-bit words in one block at most (256 KB)
-_HALF = 1 << 32
+_DRAW_CHUNK = 1 << 14  # entries per declared request in one chunk; fixed, as it sets the draws
 
 
-class BlockDraws:
-    """A run's PCG64 Generator, answering its minibatch draws from raw blocks.
+class ChunkDraws:
+    """A run's Generator, answering its declared minibatch requests a chunk at a time.
 
-    draws is the one request list served, (("integers", low, high),
-    ("uniform", lo, hi)): each minibatch calls integers(low, high, size=b),
-    then uniform(lo, hi, size=b).  Every answer is byte-equal to what gen
-    returns for the same call, by numpy's documented algorithms:
-    - integers is Lemire's method over 32-bit halves, low half first; a half
-      x is rejected when (x*n) mod 2^32 < (2^32 - n) mod n, n = high - low.
-      An unused high half is carried to the next integers call, and the
-      uniform words in between do not touch it.  With n = 1 nothing is drawn.
-    - uniform is lo + (hi - lo) * ((raw >> 11) * 2^-53).
-    A block covers whole iterations, at most _BLOCK_WORDS raw words and never
-    past iteration T.  A block that holds a rejected half falls back: the
-    state saved before it is restored with the carried half, gen itself
-    answers the block's iterations, and the carry is then read back from the
-    state.  A call that is not the next declared request raises.
+    draws lists in order the requests (name, *args) of one minibatch, each
+    of size b.  For each chunk of K = max(1, _DRAW_CHUNK // b) iterations,
+    every request is drawn once, gen.name(*args, size=(K, b)), in the
+    declared order, and each minibatch is answered with the next row of
+    each.  K does not depend on the run's length, so a shorter run's draws
+    are the first rows of a longer one's.  A call that is not the next
+    declared request of size b raises.
     """
 
-    def __init__(self, gen: np.random.Generator, draws: tuple, b: int, T: int):
-        bitgen = gen.bit_generator
-        if not isinstance(bitgen, np.random.PCG64):
-            raise TypeError("block draws reproduce PCG64 only")
-        match draws:
-            case (("integers", low, high), ("uniform", lo, hi)):
-                pass
-            case _:
-                raise ValueError(f"cannot draw {draws!r} from blocks: they serve "
-                                 f"(('integers', low, high), ('uniform', lo, hi))")
-        if not 1 <= high - low <= _HALF:
-            raise ValueError(f"integers range [{low}, {high}) must hold "
-                             f"between 1 and 2^32 values")
-        if not 0 <= float(hi) - float(lo) < math.inf:
-            raise ValueError(f"uniform range [{lo}, {hi}) must be finite, with low <= high")
-        self._gen, self._bitgen, self._b, self._T = gen, bitgen, b, T
-        self._draws = (("integers", low, high), ("uniform", lo, hi))
-        self._low, self._n, self._lo, self._hi = low, high - low, float(lo), float(hi)
-        self._halves = b if self._n > 1 else 0  # per iteration
-        # a block row holds the iterations that leave the pending half as it
-        # was: one, or two when an iteration draws an odd count of halves
-        self._period = 1 + self._halves % 2
-        self._row_words = self._period * (2 * b + self._halves) // 2
-        state = bitgen.state
-        self._carry = (state["has_uint32"], state["uinteger"])  # the pending half
-        self._k = 0                   # next request within the minibatch
-        self._i = 0                   # iteration of the next minibatch
-        self._start = self._stop = 0  # the current block's iterations
-        self._rows = None             # (indices, doubles), each (iterations, b); None: per call
-
-    def _fill(self, K: int):
-        """The (K, b) indices and doubles of the next K iterations from one
-        block and the carry after it, or None if it holds a rejected half."""
-        b, h = self._b, self._halves
-        has, value = self._carry
-        per_row = self._period if K > 1 else 1
-        # a block row's words, per iteration: those split into halves for the
-        # integers (a pending half takes no new word), then b for uniform
-        runs, width, pending = [], 0, has
-        for _ in range(per_row):
-            count = (h - pending + 1) // 2
-            runs.append((width, width + count))
-            width += count + b
-            pending = (pending + h) % 2
-        raw = self._bitgen.random_raw(K // per_row * width).reshape(K // per_row, width)
-        u = np.concatenate([raw[:, stop:stop + b] for _, stop in runs], axis=1).reshape(K, b)
-        u >>= 11
-        u = u.view(np.int64).astype(np.float64)  # below 2^53: exact
-        u *= 2.0 ** -53
-        u *= self._hi - self._lo
-        u += self._lo
-        if not h:
-            return (np.full((K, b), self._low, dtype=np.int64), u), self._carry
-        halves = np.concatenate([raw[:, start:stop] for start, stop in runs], axis=1)
-        halves = halves.ravel().astype("<u8", copy=False).view("<u4")
-        if has:
-            halves = np.concatenate([np.array([value], dtype=np.uint32), halves])
-        carry = (1, int(halves[-1])) if halves.size > K * h else (0, value)
-        x, n = halves[:K * h].reshape(K, h), self._n
-        reject = (_HALF - n) % n
-        if reject and (x * np.uint32(n) < reject).any():  # x*n wraps mod 2^32
-            return None
-        m = x.astype(np.uint64)
-        m *= np.uint64(n)
-        m >>= 32
-        m = m.view(np.int64)
-        m += self._low
-        return (m, u), carry
-
-    def _next_block(self) -> None:
-        bitgen, i = self._bitgen, self._i
-        if self._rows is None and self._stop:  # gen answered the last block
-            state = bitgen.state
-            self._carry = (state["has_uint32"], state["uinteger"])
-        K = min(self._T - i, _BLOCK_WORDS // self._row_words * self._period)
-        if K > 1:
-            K -= K % self._period
-        saved = bitgen.state
-        filled = self._fill(K) if K > 0 else None
-        self._rows, self._carry = filled or (None, self._carry)
-        if filled is None:  # gen answers, with the carry as its pending half
-            saved["has_uint32"], saved["uinteger"] = self._carry
-            bitgen.state = saved
-        # K < 1: past T, or one row outgrows a block; gen answers from here on
-        self._start, self._stop = i, (i + K if K > 0 else math.inf)
+    def __init__(self, gen: np.random.Generator, draws: tuple, b: int):
+        self._gen, self._draws, self._b = gen, draws, b
+        self._K = max(1, _DRAW_CHUNK // b)
+        self._chunk = []     # per request, the current chunk's (K, b) answers
+        self._row = self._K  # row of the next minibatch in the chunk
+        self._k = 0          # next request within the minibatch
 
     def _answer(self, request: tuple, size):
         k = self._k
         if request != self._draws[k] or size != self._b:
             raise ValueError(f"draw {request} of size {size} is not the declared next "
                              f"draw {self._draws[k]} of size {self._b}")
-        if k == 0 and self._i == self._stop:
-            self._next_block()
-        row = self._i - self._start
-        self._k, self._i = 1 - k, self._i + k
-        if self._rows is None:
-            name, *args = request
-            return getattr(self._gen, name)(*args, size=size)
-        return self._rows[k][row]
+        if k == 0 and self._row == self._K:
+            self._chunk = [getattr(self._gen, name)(*args, size=(self._K, self._b))
+                           for name, *args in self._draws]
+            self._row = 0
+        answer = self._chunk[k][self._row]
+        self._k = (k + 1) % len(self._draws)
+        if self._k == 0:
+            self._row += 1
+        return answer
 
-    def integers(self, low, high, size):
-        return self._answer(("integers", low, high), size)
-
-    def uniform(self, low, high, size):
-        return self._answer(("uniform", low, high), size)
+    def __getattr__(self, name):
+        return lambda *args, size=None: self._answer((name, *args), size)
 
 
 def sample_in_ball(gen: np.random.Generator, dim: int, radius: float = 1.0,
@@ -330,11 +241,12 @@ class StochasticObjective:
     family's own loss over the drawn rows.
     expected, when known in closed form, is the population objective;
     bound_M is a uniform bound on |component value| (inf if unbounded).
-    draws, when not empty, lists in order the generator requests that
-    sample_minibatch makes for one minibatch, each of size b.  The one list
-    accepted is (("integers", low, high), ("uniform", lo, hi)), which the
-    optimizers then answer from BlockDraws, byte for byte the same draws; a
-    sampler that makes any other requests must leave draws empty.
+    draws, when not empty, lists in order the generator requests
+    (name, *args) that sample_minibatch makes for one minibatch, each as
+    gen.name(*args, size=b); noisy_glm declares (("integers", 0, n),
+    ("uniform", -1.0, 1.0)).  The optimizers then answer them a chunk of
+    iterations at a time from ChunkDraws, which refuses any other call; a
+    sampler that makes other requests must leave draws empty.
     """
 
     dim: int

@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import (
     GRAD_TOL,
-    BlockDraws,
+    ChunkDraws,
     FeasibleRegion,
     Objective,
     OptTrace,
@@ -131,15 +131,17 @@ def _descent(x: Point, T: int, query, step, lookahead=None, stationary=False) ->
     return build_trace(iterates[:steps], values[:steps], grad_norms[:steps], aborted=aborted)
 
 
-def _minibatches(F: StochasticObjective, b: int, stream: RandomStream, T: int):
+def _minibatches(F: StochasticObjective, b: int, stream: RandomStream):
     """query drawing one fresh size-b minibatch per iteration from stream.
 
-    A family that declares its draws gets them from BlockDraws over the T
-    iterations: the same bytes as the stream's generator, with fewer calls.
+    F.sample_minibatch is called once per iteration.  A family that declares
+    its draws has them answered from ChunkDraws, one generator call per
+    request for a chunk of iterations; any other family draws from the
+    stream's generator directly.
     """
     gen = stream.generator()
     if F.draws:
-        gen = BlockDraws(gen, F.draws, b, T)
+        gen = ChunkDraws(gen, F.draws, b)
 
     def query():
         fb = F.sample_minibatch(gen, b)
@@ -208,7 +210,7 @@ def sngd(F: StochasticObjective, cfg: SngdConfig) -> OptTrace:
     vanished minibatch gradient the iterate stays put but the next iteration
     still draws a fresh minibatch.
     """
-    return _run_normalized(F.dim, cfg, _minibatches(F, cfg.b, cfg.stream, cfg.T))
+    return _run_normalized(F.dim, cfg, _minibatches(F, cfg.b, cfg.stream))
 
 
 def evaluate_iterates(trace: OptTrace, f: Objective) -> np.ndarray:
@@ -258,7 +260,7 @@ def msgd(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,
          stream: RandomStream) -> OptTrace:
     """Minibatch stochastic gradient descent (no normalization, no momentum)."""
     _check_baseline(T, b, schedule, momentum=False)
-    return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream, T))
+    return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream))
 
 
 def nesterov(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,
@@ -270,4 +272,4 @@ def nesterov(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,
     current iterate and supplies the look-ahead gradient.
     """
     _check_baseline(T, b, schedule, momentum=True)
-    return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream, T))
+    return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream))

@@ -185,8 +185,9 @@ def test_run_sweep_and_jobs_invariance(tmp_path, seed_offset):
     by_b = {r["sweep_value"]: r for r in summary["runs"]}
     assert set(by_b) == {1, 10, 100, 646}
     # qualitative: the big-batch run ends nearer the population minimum.
-    # K = 1..40: 1 failed (K = 10).  Comparing the mean of the last 50
-    # minibatch values instead, a skewed statistic, failed 24 of the 40
+    # K = 1..40: 0 failed with core.ChunkDraws, and 1 (K = 10) with one
+    # generator call per minibatch.  Comparing the mean of the last 50
+    # minibatch values instead, a skewed statistic, failed 15 and 24 of the 40
     assert by_b[646]["final_gap"] < by_b[1]["final_gap"]
 
 

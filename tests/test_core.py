@@ -1,7 +1,6 @@
 import itertools
 import math
 import re
-import unittest.mock
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from slqcopt import (
     Box,
     ChainSpec,
     NgdConfig,
+    SngdConfig,
     StepSchedule,
     all_linear_prob,
     as_point,
@@ -29,10 +29,11 @@ from slqcopt import (
     make_sigmoid_sum,
     ngd_budget,
     seeded_stream,
+    sngd,
     sngd_minibatch_bound,
 )
 from slqcopt import core
-from slqcopt.core import _BLOCK_WORDS, _CSV_CHUNK, BlockDraws, build_trace, in_range
+from slqcopt.core import _CSV_CHUNK, _DRAW_CHUNK, ChunkDraws, build_trace, in_range
 
 from conftest import (
     constant_distribution,
@@ -86,166 +87,110 @@ def test_substream_path_nesting():
 
 
 # ---------------------------------------------------------------------------
-# block draws
+# chunk draws
 # ---------------------------------------------------------------------------
-
-
-class _RecordingPCG64(np.random.PCG64):
-    """PCG64 that records the size of every random_raw block."""
-
-    def __init__(self, seed):
-        super().__init__(np.random.SeedSequence(seed))
-        self.blocks = []
-
-    def random_raw(self, size=None, output=True):
-        self.blocks.append(size)
-        return super().random_raw(size, output)
-
-
-class _CountingGenerator:
-    """A Generator that counts the draws it answers itself (the fallback path)."""
-
-    def __init__(self, gen):
-        self._gen = gen
-        self.bit_generator = gen.bit_generator
-        self.calls = 0
-
-    def __getattr__(self, name):
-        self.calls += 1
-        return getattr(self._gen, name)
-
-
-def _compare_block_draws(draws, b, T, seed=11, pending=False):
-    """Draw T minibatches from BlockDraws and from a Generator on the same
-    seed; every answer must be byte-equal.  With pending, both generators
-    first draw one 32-bit half, so the run starts with the other one pending.
-    Returns the recorded block sizes and the answers counted by each path."""
-    reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    bitgen = _RecordingPCG64(seed)
-    counting = _CountingGenerator(np.random.Generator(bitgen))
-    if pending:
-        reference.integers(0, 10, size=1)
-        counting.integers(0, 10, size=1)
-        counting.calls = 0
-    blocks = BlockDraws(counting, draws, b, T)
-
-    def answers(gen):
-        return [getattr(gen, name)(*args, size=b) for _ in range(T) for name, *args in draws]
-
-    want, got = answers(reference), answers(blocks)
-    assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
-    assert b"".join(a.tobytes() for a in got) == b"".join(a.tobytes() for a in want)
-    return bitgen.blocks, len(got) - counting.calls, counting.calls
-
 
 GLM_DRAWS = lambda n: (("integers", 0, n), ("uniform", -1.0, 1.0))  # noqa: E731
 
 
-@pytest.mark.parametrize("b", [1, 2, 7, 646])
-@pytest.mark.parametrize("draws", [GLM_DRAWS(1), GLM_DRAWS(1000), GLM_DRAWS(2**32 - 2**22),
-                                   (("integers", 0, 2**31 + 1), ("uniform", -0.3, 1.7))],
-                         ids=["n1", "n1000", "n2^32-2^22", "n2^31+1"])
-def test_block_draws_equal_generator_across_block_ends(draws, b):
-    # a few iterations more than one block holds, so the run crosses a block
-    # end; a small word cap keeps the per-call reference short at small b
-    cap = 2048
-    low, high = draws[0][1:]
-    words = b + (b / 2 if high - low > 1 else 0)  # per iteration
-    with unittest.mock.patch.object(core, "_BLOCK_WORDS", cap):
-        blocks, _, _ = _compare_block_draws(draws, b, int(cap / words) + 3)
-    assert len(blocks) >= 2 and max(blocks) <= cap
+def _chunk_rows(draws, b, T, seed):
+    """The answers of T minibatches from ChunkDraws, one list per request."""
+    drawer = ChunkDraws(seeded_stream(seed).generator(), draws, b)
+    rows = [[] for _ in draws]
+    for _ in range(T):
+        for k, (name, *args) in enumerate(draws):
+            rows[k].append(getattr(drawer, name)(*args, size=b))
+    return rows
 
 
-def test_block_draws_take_both_paths_in_one_run():
-    # n = 2^32 - 2^22 rejects a half with probability 2^-10: a full block of
-    # 21 840 halves (b=7, 21 words per two iterations) falls back, and the
-    # 10-iteration tail block after it holds 70 halves and is clean at this seed
-    per_block = _BLOCK_WORDS // 21 * 2
-    blocks, from_blocks, from_gen = _compare_block_draws(GLM_DRAWS(2**32 - 2**22), 7,
-                                                         per_block + 10, seed=1)
-    assert len(blocks) == 2 and max(blocks) <= _BLOCK_WORDS
-    assert from_gen == 2 * per_block and from_blocks == 2 * 10
+@pytest.mark.parametrize("b", [1, 7, 646, _DRAW_CHUNK + 1])
+@pytest.mark.parametrize("draws", [GLM_DRAWS(1000),
+                                   (("standard_normal",), ("integers", -3, 4), ("random",))],
+                         ids=["glm", "three"])
+def test_chunk_draws_replay_one_call_per_request_and_chunk(draws, b):
+    # each chunk of K iterations is one gen.name(*args, size=(K, b)) call per
+    # request, in the declared order; the run crosses at least two chunk ends
+    K = max(1, _DRAW_CHUNK // b)
+    T = 2 * K + 3
+    gen = seeded_stream(11).generator()
+    want = [[] for _ in draws]
+    for _ in range(-(-T // K)):
+        for k, (name, *args) in enumerate(draws):
+            want[k].extend(getattr(gen, name)(*args, size=(K, b)))
+    for got, chunks in zip(_chunk_rows(draws, b, T, 11), want):
+        assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in chunks[:T]]
+        assert b"".join(a.tobytes() for a in got) == b"".join(a.tobytes() for a in chunks[:T])
 
 
-def test_block_draws_answer_per_call_past_T():
-    # T = 1 at an odd b: the generator takes over with a half pending
-    gen = seeded_stream(2).generator()
-    counting = _CountingGenerator(seeded_stream(2).generator())
-    blocks = BlockDraws(counting, GLM_DRAWS(1000), 3, 1)
-    for _ in range(4):
-        assert (blocks.integers(0, 1000, size=3).tobytes()
-                == gen.integers(0, 1000, size=3).tobytes())
-        assert (blocks.uniform(-1.0, 1.0, size=3).tobytes()
-                == gen.uniform(-1.0, 1.0, size=3).tobytes())
-    assert counting.calls == 2 * 3
+@pytest.mark.parametrize("b", [7, 100, 646])
+def test_shorter_run_is_a_prefix_of_a_longer_one(b):
+    # the chunk size does not depend on T: a 300-step run's rows are the first
+    # 300 rows of a 2000-step run (b = 100 and 646 end a chunk before row 300)
+    F = make_noisy_glm(seeded_stream(5), 4, 2.0, pool_size=200)
+    short, long = (sngd(F, SngdConfig(T=T, eta=0.05, x1=np.full(4, 0.5), b=b,
+                                      stream=seeded_stream(6)))
+                   for T in (300, 2000))
+    for name in ("iterates", "values", "grad_norms"):
+        assert getattr(short, name).tobytes() == getattr(long, name)[:300].tobytes()
 
 
-@given(st.sampled_from([1, 2, 5, 1000, 2**31 + 1, 2**32 - 2**22, 2**32]),
-       st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=60),
-       st.integers(min_value=8, max_value=400), st.integers(min_value=0, max_value=2**32),
-       st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_block_draws_equal_generator_for_any_request_list(n, b, T, cap, seed, pending):
-    # a small word cap puts many block ends, and periods that outgrow a
-    # block, into a short run
-    draws = (("integers", -3, n - 3), ("uniform", 0.1, 0.4))
-    with unittest.mock.patch.object(core, "_BLOCK_WORDS", cap):
-        blocks, _, _ = _compare_block_draws(draws, b, T, seed, pending)
-    assert all(size <= cap for size in blocks)
-
-
-def test_block_draws_start_from_a_half_the_generator_left_pending():
-    # an even count of halves per block keeps a half pending at every block
-    # start; at n = 2^31 + 1 and one iteration per block, about a quarter of
-    # the blocks are clean, so a fallback must restore the half a clean block
-    # left, not the one the generator's state last held
-    draws = (("integers", 0, 2**31 + 1), ("uniform", -0.3, 1.7))
-    with unittest.mock.patch.object(core, "_BLOCK_WORDS", 3):
-        blocks, from_blocks, from_gen = _compare_block_draws(draws, 2, 60, pending=True)
-    assert from_blocks > 0 and from_gen > 0 and max(blocks) <= 3
-
-
-def test_block_draws_reject_an_undeclared_request():
-    blocks = BlockDraws(seeded_stream(1).generator(), GLM_DRAWS(1000), 4, 10)
+def test_chunk_draws_reject_an_undeclared_request():
+    drawer = ChunkDraws(seeded_stream(1).generator(), GLM_DRAWS(1000), 4)
     with pytest.raises(ValueError, match="not the declared next draw"):
-        blocks.uniform(-1.0, 1.0, size=4)  # integers come first
+        drawer.uniform(-1.0, 1.0, size=4)  # integers come first
     with pytest.raises(ValueError, match="not the declared next draw"):
-        blocks.integers(0, 999, size=4)
+        drawer.integers(0, 999, size=4)
     with pytest.raises(ValueError, match="not the declared next draw"):
-        blocks.integers(0, 1000, size=5)
-    blocks.integers(0, 1000, size=4)
+        drawer.integers(0, 1000, size=5)
     with pytest.raises(ValueError, match="not the declared next draw"):
-        blocks.integers(0, 1000, size=4)  # uniform comes next
+        drawer.integers(0, 1000, 4)  # size by position
+    drawer.integers(0, 1000, size=4)
+    with pytest.raises(ValueError, match="not the declared next draw"):
+        drawer.integers(0, 1000, size=4)  # uniform comes next
     for name in ("random", "standard_normal"):
-        with pytest.raises(AttributeError):
-            getattr(blocks, name)(4)
-    with pytest.raises(ValueError, match="2\\^32"):
-        BlockDraws(seeded_stream(1).generator(), (("integers", 0, 2**32 + 1),
-                                                  ("uniform", -1.0, 1.0)), 4, 10)
-    with pytest.raises(ValueError, match="low <= high"):
-        BlockDraws(seeded_stream(1).generator(), (("integers", 0, 10),
-                                                  ("uniform", 1.0, -1.0)), 4, 10)
-    # any other request list names itself
-    for draws in [(("standard_normal",),), (("random",),), GLM_DRAWS(10)[::-1],
-                  GLM_DRAWS(10)[:1], GLM_DRAWS(10) + (("random",),)]:
-        with pytest.raises(ValueError, match=f"cannot draw {re.escape(repr(draws))}"):
-            BlockDraws(seeded_stream(1).generator(), draws, 4, 10)
+        with pytest.raises(ValueError, match="not the declared next draw"):
+            getattr(drawer, name)(size=4)
+    drawer.uniform(-1.0, 1.0, size=4)
+    drawer.integers(0, 1000, size=4)
 
 
-def test_minibatch_draws_are_declared_for_block_draws():
-    # the samplers stay the definition of the draws: a run that draws from
-    # blocks replays under the plain generator
-    # (lower_bound declares none: its one random() call per draw stays per call)
+def test_minibatch_draws_are_declared():
+    # noisy_glm's sampler makes exactly its declared requests; lower_bound
+    # declares none, so its one random() call per draw stays per call
     F = make_noisy_glm(seeded_stream(5), 3, 2.0, pool_size=50)
     assert F.draws == GLM_DRAWS(50)
     assert make_lower_bound_distribution(0.1).draws == ()
-    x = np.full(F.dim, -2.5)
-    blocks = BlockDraws(seeded_stream(6).generator(), F.draws, 9, 40)
-    gen = seeded_stream(6).generator()
+    drawer = ChunkDraws(seeded_stream(6).generator(), F.draws, 9)
     for _ in range(40):
-        want, got = F.sample_minibatch(gen, 9), F.sample_minibatch(blocks, 9)
-        assert got.value(x) == want.value(x)
-        assert got.gradient(x).tobytes() == want.gradient(x).tobytes()
+        F.sample_minibatch(drawer, 9)
+
+
+def test_chunk_draws_are_independent_across_a_chunk_end(seed_offset):
+    # at b = 646 a chunk holds K = 25 iterations; over 400 chunks, the last
+    # row of chunk c and the first row of chunk c + 1 must look like two
+    # independent minibatches: 399 * 646 = 257 754 entry pairs.  Each check
+    # is at its 0.1% level, so the three fail together w.p. at most 0.3%:
+    # - chi-square over the 10 x 10 joint index table (pool of 10), against
+    #   the chi2(99) critical value 148.23;
+    # - KS of the uniforms of both rows against U[-1, 1), at the asymptotic
+    #   critical value sqrt(-ln(0.0005) / 2) / sqrt(n);
+    # - the sample correlation of the uniforms across the end, about
+    #   N(0, 1/n), within 3.29 / sqrt(n).
+    # K = 1..300: 0 failed
+    b, n_pool, chunks = 646, 10, 400
+    K = _DRAW_CHUNK // b
+    idx, u = (np.array(rows) for rows in _chunk_rows(GLM_DRAWS(n_pool), b, chunks * K,
+                                                     70 + seed_offset))
+    last, first = slice(K - 1, -1, K), slice(K, None, K)
+    table = np.bincount((idx[last] * n_pool + idx[first]).ravel(), minlength=n_pool ** 2)
+    expected = table.sum() / n_pool ** 2
+    assert ((table - expected) ** 2 / expected).sum() < 148.23
+    x = np.sort((np.concatenate([u[last], u[first]]).ravel() + 1.0) / 2.0)
+    m = len(x)
+    ks = max(np.max(np.arange(1, m + 1) / m - x), np.max(x - np.arange(m) / m))
+    assert ks < math.sqrt(-math.log(0.0005) / 2.0) / math.sqrt(m)
+    r = np.corrcoef(u[last].ravel(), u[first].ravel())[0, 1]
+    assert abs(r) * math.sqrt(u[last].size) < 3.29
 
 
 # ---------------------------------------------------------------------------

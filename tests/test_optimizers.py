@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from slqcopt import (
     seeded_stream,
     sngd,
 )
-from slqcopt.core import GRAD_TOL
+from slqcopt.core import _DRAW_CHUNK, GRAD_TOL
 
 from conftest import constant_distribution, make_cone, make_quadratic, scaled
 
@@ -308,10 +309,16 @@ def test_sngd_records_minibatch_values():
     F = make_noisy_glm(seeded_stream(2), d=3, W=1.5)
     tr = sngd(F, SngdConfig(T=50, eta=0.05, x1=np.zeros(3), b=8,
                             stream=seeded_stream(3)))
-    # iteration t records the t-th draw from the stream, scored at x_t
+    # iteration t records the sampler over row t of the first chunk's draws
+    # (one integers, then one uniform call of _DRAW_CHUNK // 8 rows), scored
+    # at x_t
     gen = seeded_stream(3).generator()
-    for t in range(50):
-        assert tr.values[t] == F.sample_minibatch(gen, 8).value(tr.iterates[t])
+    K = _DRAW_CHUNK // 8
+    rows = zip(gen.integers(0, 1000, size=(K, 8)), gen.uniform(-1.0, 1.0, size=(K, 8)))
+    for t, (idx, u) in zip(range(50), rows):
+        replay = types.SimpleNamespace(integers=lambda low, high, size: idx,
+                                       uniform=lambda low, high, size: u)
+        assert tr.values[t] == F.sample_minibatch(replay, 8).value(tr.iterates[t])
     # recorded values are minibatch scores, not the population objective
     pop = evaluate_iterates(tr, F.expected)
     assert not np.allclose(tr.values, pop)

@@ -43,18 +43,18 @@ CASES = {
         "optimizer": {"name": "sngd", "params": {"T": 300, "eta": 0.05, "x1": X1_GLM}},
         "sweep": {"param": "b", "values": [1, 10]},
     },
-    # an odd b: the unused half of a 64-bit draw is carried across iterations
+    # an odd b: all 300 minibatches are rows of one chunk of 2340
     "sngd_odd_b": {
         "problem": GLM,
         "optimizer": {"name": "sngd", "params": {"T": 300, "eta": 0.05, "x1": X1_GLM, "b": 7}},
     },
-    # draws large enough to span several random_raw blocks per run
+    # 25 minibatches a chunk: a run spans 12 chunks
     "sngd_many_blocks": {
         "problem": GLM,
         "optimizer": {"name": "sngd",
                       "params": {"T": 300, "eta": 0.05, "x1": X1_GLM, "b": 646}},
     },
-    # an odd b over about ten full 2^15-word blocks, each of two-iteration rows
+    # an odd b that spans 12 chunks of 25 minibatches
     "sngd_odd_b_many_blocks": {
         "problem": GLM,
         "optimizer": {"name": "sngd",
