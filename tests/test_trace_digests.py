@@ -102,21 +102,21 @@ DIGESTS = {
     },
     "msgd": {
         "trace_trial000.csv":
-            "625d2b02f9a6432769212cfe7e91a06081ff405f06a65ccb63cf6e654ca2d431",
+            "3f42c92baf086c7c7c06a14c32e9e929b3398e1150091930acf8d4f2f2ed6ef8",
         "trace_trial001.csv":
-            "f94c73d7cb11edf1a374c672f5397a7b10d0251c0e509fc894535fc8f39cdd49",
+            "f918d3181506fdeff1a2807735e86edf4b9aff2d9517336ac79027fcb7c4723a",
     },
     "nesterov_momentum": {
         "trace_trial000.csv":
-            "2ffa17c0e21155aedfdf82f2068be66dc9b50ea303e51fe2a23c6e12022b41be",
+            "3f163e4737798c7259126a8836599bf6d3e3f26d0faecb5a89f7a52c9ef719a9",
         "trace_trial001.csv":
-            "e497ef98ce29c72e8bb68bcd0cbb0404ab7217207cd18d21bbeef6014939c0cc",
+            "58a608c3434709181429e0bb43996d95f51f2c72ade9a2d2c5659183c131e036",
     },
     "nesterov_zero_momentum": {
         "trace_trial000.csv":
-            "625d2b02f9a6432769212cfe7e91a06081ff405f06a65ccb63cf6e654ca2d431",
+            "3f42c92baf086c7c7c06a14c32e9e929b3398e1150091930acf8d4f2f2ed6ef8",
         "trace_trial001.csv":
-            "f94c73d7cb11edf1a374c672f5397a7b10d0251c0e509fc894535fc8f39cdd49",
+            "f918d3181506fdeff1a2807735e86edf4b9aff2d9517336ac79027fcb7c4723a",
     },
     "ngd_idealized_glm": {
         "trace_trial000.csv":
@@ -144,37 +144,37 @@ DIGESTS = {
     },
     "sgd": {
         "trace_trial000.csv":
-            "f3f587cb43e1c888b88f76e0a4b0e337e8629f0690fbfdcbf949d2a151491c66",
+            "282a4693ca41f7a83c57cab04635b50d2b9201f2ad365f245398ae91f320eb90",
         "trace_trial001.csv":
-            "b6e76bb1ea87ffe486f8b98187833792e422f0c0771de75990c388dc639544bb",
+            "84144f5db1b3e3de0417a67d20050f3393fa65485e0b74c8f56f985e95783290",
     },
     "sngd": {
         "trace_trial000_b-1.csv":
-            "0802e345dda8e1a41710658c4eab2e7a5e798952148f289a65de6d342be2a3db",
+            "1f479af26fb16a4219cd50a89e48e0f419b38dd5adc22579c72feece337ed087",
         "trace_trial000_b-10.csv":
-            "ec6ac398b6afddaf6771b6957a849e691b162e9572cd7a0b9f5df69fd4b8086d",
+            "fc30e908dc95d105144104f51e9d2c2d2a214393ce078d3e489c814d450b0755",
         "trace_trial001_b-1.csv":
-            "a27eb923902688e26cfa7afede41307f702656c59fa5239cf018d11d6b30ee24",
+            "7226681a627d445ede00fc74dcc3b4cd0316cbded1c5067bffd58cd52d9d2c4e",
         "trace_trial001_b-10.csv":
-            "a0de318798ba39a346d60540960bbade9101f17a36f0b506e5b5394e054b807f",
+            "b66a17387759b57e71ad3233c786b0ba03b42f29b355f0e346f810600a6c139c",
     },
     "sngd_many_blocks": {
         "trace_trial000.csv":
-            "a2ce90ea3888178eb1ee83d8a62cdc22bb0ab2c84180c2c3bad8f9d1af999234",
+            "8360191a498df89792410387e4b3c3aa7c0d5d99d1ef1b8d90cb2ac0408aa744",
         "trace_trial001.csv":
-            "aecb00922c51dd998fa672bf18b4675f96080d4cba78bb6401eec8871ae6e7dd",
+            "60587eef693918584ba033d5873cb0d12065d6a595a0de5a48d8f63ab2759bde",
     },
     "sngd_odd_b_many_blocks": {
         "trace_trial000.csv":
-            "c9c7e4d96976f119fb6c8e261178052d1b52130e68bf6dc288ce8480c0805e5a",
+            "d123ef296802bf61b3e9b1306d3257e8a14c1942b5b58433097566b3230de31b",
         "trace_trial001.csv":
-            "b8865d97451952d0a03ac5b88085e4037d94e98426ded00f3b1ddeceec78381e",
+            "5dc5bdeb5c02ee4c4529ee85a70e4b381e724947c76a37d7ae4a9e5dea329dc3",
     },
     "sngd_odd_b": {
         "trace_trial000.csv":
-            "3b80d661db5482036bdfcc429f0806836c2ad47c3ec7c3bcb62cb087d3477b50",
+            "512b28f4cd10b855ac897ce9b88939d48f5cb6d5d83ffe41a3cd51e8a52babe1",
         "trace_trial001.csv":
-            "9363af9a94aa2eb0739ac07b52c01a7f373c156de17b90ba5f526c66b836a050",
+            "4d4f6bc0c40ff7ece2932feb35020729486699ba90a7afca53c1808cf30feb6d",
     },
     "sngd_lower_bound": {
         "trace_trial000.csv":
