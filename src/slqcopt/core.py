@@ -77,15 +77,16 @@ _DRAW_CHUNK = 1 << 14  # entries per declared request in one chunk; fixed, as it
 
 
 class ChunkDraws:
-    """A run's Generator, answering its declared minibatch requests a chunk at a time.
+    """A run's Generator, answering its declared minibatch draws a chunk at a time.
 
     draws lists in order the requests (name, *args) of one minibatch, each
-    of size b.  For each chunk of K = max(1, _DRAW_CHUNK // b) iterations,
-    every request is drawn once, gen.name(*args, size=(K, b)), in the
-    declared order, and each minibatch is answered with the next row of
-    each.  K does not depend on the run's length, so a shorter run's draws
-    are the first rows of a longer one's.  A call that is not the next
-    declared request of size b raises.
+    a call gen.name(*args, size=b) with name integers or uniform.  For each
+    chunk of K = max(1, _DRAW_CHUNK // b) iterations, every request is
+    drawn once, gen.name(*args, size=(K, b)), in the declared order, and
+    each minibatch is answered with the next row of each.  K does not
+    depend on the run's length, so a shorter run's draws are the first rows
+    of a longer one's.  A call that is not the next declared request of
+    size b raises.
     """
 
     def __init__(self, gen: np.random.Generator, draws: tuple, b: int):
@@ -110,8 +111,11 @@ class ChunkDraws:
             self._row += 1
         return answer
 
-    def __getattr__(self, name):
-        return lambda *args, size=None: self._answer((name, *args), size)
+    def integers(self, low, high, size):
+        return self._answer(("integers", low, high), size)
+
+    def uniform(self, low, high, size):
+        return self._answer(("uniform", low, high), size)
 
 
 def sample_in_ball(gen: np.random.Generator, dim: int, radius: float = 1.0,
@@ -243,10 +247,11 @@ class StochasticObjective:
     bound_M is a uniform bound on |component value| (inf if unbounded).
     draws, when not empty, lists in order the generator requests
     (name, *args) that sample_minibatch makes for one minibatch, each as
-    gen.name(*args, size=b); noisy_glm declares (("integers", 0, n),
-    ("uniform", -1.0, 1.0)).  The optimizers then answer them a chunk of
-    iterations at a time from ChunkDraws, which refuses any other call; a
-    sampler that makes other requests must leave draws empty.
+    gen.name(*args, size=b) with name integers or uniform; noisy_glm
+    declares (("integers", 0, n), ("uniform", -1.0, 1.0)).  The optimizers
+    then answer them a chunk of iterations at a time from ChunkDraws, which
+    refuses any other call; a sampler that makes other requests must leave
+    draws empty.
     """
 
     dim: int

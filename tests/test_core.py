@@ -104,9 +104,8 @@ def _chunk_rows(draws, b, T, seed):
 
 
 @pytest.mark.parametrize("b", [1, 7, 646, _DRAW_CHUNK + 1])
-@pytest.mark.parametrize("draws", [GLM_DRAWS(1000),
-                                   (("standard_normal",), ("integers", -3, 4), ("random",))],
-                         ids=["glm", "three"])
+@pytest.mark.parametrize("draws", [GLM_DRAWS(1000), (("uniform", 0.1, 0.4), ("integers", -3, 4))],
+                         ids=["glm", "reversed"])
 def test_chunk_draws_replay_one_call_per_request_and_chunk(draws, b):
     # each chunk of K iterations is one gen.name(*args, size=(K, b)) call per
     # request, in the declared order; the run crosses at least two chunk ends
@@ -142,13 +141,11 @@ def test_chunk_draws_reject_an_undeclared_request():
         drawer.integers(0, 999, size=4)
     with pytest.raises(ValueError, match="not the declared next draw"):
         drawer.integers(0, 1000, size=5)
-    with pytest.raises(ValueError, match="not the declared next draw"):
-        drawer.integers(0, 1000, 4)  # size by position
     drawer.integers(0, 1000, size=4)
     with pytest.raises(ValueError, match="not the declared next draw"):
         drawer.integers(0, 1000, size=4)  # uniform comes next
     for name in ("random", "standard_normal"):
-        with pytest.raises(ValueError, match="not the declared next draw"):
+        with pytest.raises(AttributeError):
             getattr(drawer, name)(size=4)
     drawer.uniform(-1.0, 1.0, size=4)
     drawer.integers(0, 1000, size=4)
