@@ -73,49 +73,55 @@ def seeded_stream(seed: int) -> RandomStream:
     return RandomStream(int(seed))
 
 
-_DRAW_CHUNK = 1 << 14  # entries per declared request in one chunk; fixed, as it sets the draws
+_DRAW_CHUNK = 1 << 14  # entries in one chunk of a method's draws; fixed, as it sets the draws
 
 
 class ChunkDraws:
-    """A run's Generator, answering its declared minibatch draws a chunk at a time.
+    """A run's Generator, answering its size-b draws a chunk of minibatches at a time.
 
-    draws lists in order the requests (name, *args) of one minibatch, each
-    a call gen.name(*args, size=b) with name integers or uniform.  For each
-    chunk of K = max(1, _DRAW_CHUNK // b) iterations, every request is
-    drawn once, gen.name(*args, size=(K, b)), in the declared order, and
-    each minibatch is answered with the next row of each.  K does not
-    depend on the run's length, so a shorter run's draws are the first rows
-    of a longer one's.  A call that is not the next declared request of
-    size b raises.
+    For each of integers, uniform and random, the first call with size b,
+    gen.name(*args, size=b), draws gen.name(*args, size=(K, b)) with
+    K = max(1, _DRAW_CHUNK // b); later calls with the same args take the
+    next row, and the call after the last row draws a fresh chunk.  K does
+    not depend on the run's length, so a shorter run's draws are the first
+    rows of a longer one's.  A call with other args (arrays included), another
+    size, dtype, endpoint or out, and any other method, goes to the Generator
+    itself, so at most one chunk per method is held.
     """
 
-    def __init__(self, gen: np.random.Generator, draws: tuple, b: int):
-        self._gen, self._draws, self._b = gen, draws, b
-        self._K = max(1, _DRAW_CHUNK // b)
-        self._chunk = []     # per request, the current chunk's (K, b) answers
-        self._row = self._K  # row of the next minibatch in the chunk
-        self._k = 0          # next request within the minibatch
+    def __init__(self, gen: np.random.Generator, b: int):
+        self._gen, self._b, self._K = gen, b, max(1, _DRAW_CHUNK // b)
+        self._chunks = {}  # (name, args, b) of a method's first size-b call -> [answers, next row]
 
-    def _answer(self, request: tuple, size):
-        k = self._k
-        if request != self._draws[k] or size != self._b:
-            raise ValueError(f"draw {request} of size {size} is not the declared next "
-                             f"draw {self._draws[k]} of size {self._b}")
-        if k == 0 and self._row == self._K:
-            self._chunk = [getattr(self._gen, name)(*args, size=(self._K, self._b))
-                           for name, *args in self._draws]
-            self._row = 0
-        answer = self._chunk[k][self._row]
-        self._k = (k + 1) % len(self._draws)
-        if self._k == 0:
-            self._row += 1
-        return answer
+    def __getattr__(self, name: str):  # reached only for names not defined here
+        return getattr(self._gen, name)
 
-    def integers(self, low, high, size):
-        return self._answer(("integers", low, high), size)
+    def _answer(self, name: str, args: tuple, size):
+        try:
+            chunk = self._chunks[name, args, size]
+        except TypeError:  # an array argument
+            return getattr(self._gen, name)(*args, size)
+        except KeyError:
+            if size != self._b or any(key[0] == name for key in self._chunks):
+                return getattr(self._gen, name)(*args, size)
+            chunk = self._chunks[name, args, size] = [None, self._K]
+        if chunk[1] == self._K:
+            chunk[:] = getattr(self._gen, name)(*args, size=(self._K, self._b)), 0
+        chunk[1] += 1
+        return chunk[0][chunk[1] - 1]
 
-    def uniform(self, low, high, size):
-        return self._answer(("uniform", low, high), size)
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        if dtype is not np.int64 or endpoint:
+            return self._gen.integers(low, high, size, dtype, endpoint)
+        return self._answer("integers", (low, high), size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return self._answer("uniform", (low, high), size)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        if dtype is not np.float64 or out is not None:
+            return self._gen.random(size, dtype, out)
+        return self._answer("random", (), size)
 
 
 def sample_in_ball(gen: np.random.Generator, dim: int, radius: float = 1.0,
@@ -242,16 +248,10 @@ class StochasticObjective:
 
     sample_minibatch(gen, b) returns the mean of b independent component
     draws: any object with value(x) and gradient(x), in practice the
-    family's own loss over the drawn rows.
+    family's own loss over the drawn rows.  gen is a Generator, or from the
+    minibatch optimizers a ChunkDraws over one.
     expected, when known in closed form, is the population objective;
     bound_M is a uniform bound on |component value| (inf if unbounded).
-    draws, when not empty, lists in order the generator requests
-    (name, *args) that sample_minibatch makes for one minibatch, each as
-    gen.name(*args, size=b) with name integers or uniform; noisy_glm
-    declares (("integers", 0, n), ("uniform", -1.0, 1.0)).  The optimizers
-    then answer them a chunk of iterations at a time from ChunkDraws, which
-    refuses any other call; a sampler that makes other requests must leave
-    draws empty.
     """
 
     dim: int
@@ -259,7 +259,6 @@ class StochasticObjective:
     expected: Objective | None = None
     bound_M: float = math.inf
     minimizer: Point | None = None
-    draws: tuple = ()
 
 
 # ---------------------------------------------------------------------------

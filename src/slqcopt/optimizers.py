@@ -134,14 +134,10 @@ def _descent(x: Point, T: int, query, step, lookahead=None, stationary=False) ->
 def _minibatches(F: StochasticObjective, b: int, stream: RandomStream):
     """query drawing one fresh size-b minibatch per iteration from stream.
 
-    F.sample_minibatch is called once per iteration.  A family that declares
-    its draws has them answered from ChunkDraws, one generator call per
-    request for a chunk of iterations; any other family draws from the
-    stream's generator directly.
+    F.sample_minibatch is called once per iteration, with a ChunkDraws over
+    the stream's generator, so its size-b draws come a chunk at a time.
     """
-    gen = stream.generator()
-    if F.draws:
-        gen = ChunkDraws(gen, F.draws, b)
+    gen = ChunkDraws(stream.generator(), b)
 
     def query():
         fb = F.sample_minibatch(gen, b)

@@ -304,8 +304,7 @@ def make_noisy_glm(stream: RandomStream, d: int, W: float, noise_scale: float = 
         return SigmoidLoss(X.take(idx, axis=0), sig_star.take(idx) + xi)
 
     return StochasticObjective(dim=d, sample_minibatch=sample, expected=expected,
-                               bound_M=1.0, minimizer=w_star,
-                               draws=(("integers", 0, pool_size), ("uniform", -1.0, 1.0)))
+                               bound_M=1.0, minimizer=w_star)
 
 
 # ---------------------------------------------------------------------------

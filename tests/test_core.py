@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from slqcopt import (
     NgdConfig,
     SngdConfig,
     StepSchedule,
+    StochasticObjective,
     all_linear_prob,
     as_point,
     check_local_lipschitz,
@@ -27,6 +29,7 @@ from slqcopt import (
     make_lower_bound_distribution,
     make_noisy_glm,
     make_sigmoid_sum,
+    msgd,
     ngd_budget,
     seeded_stream,
     sngd,
@@ -34,6 +37,7 @@ from slqcopt import (
 )
 from slqcopt import core
 from slqcopt.core import _CSV_CHUNK, _DRAW_CHUNK, ChunkDraws, build_trace, in_range
+from slqcopt.optimizers import _minibatches
 
 from conftest import (
     constant_distribution,
@@ -93,73 +97,138 @@ def test_substream_path_nesting():
 GLM_DRAWS = lambda n: (("integers", 0, n), ("uniform", -1.0, 1.0))  # noqa: E731
 
 
-def _chunk_rows(draws, b, T, seed):
-    """The answers of T minibatches from ChunkDraws, one list per request."""
-    drawer = ChunkDraws(seeded_stream(seed).generator(), draws, b)
-    rows = [[] for _ in draws]
+class _LoggedGenerator:
+    """A Generator that logs the name and size of each call made to it."""
+
+    def __init__(self, gen):
+        self.gen, self.log = gen, []
+
+    def __getattr__(self, name):
+        def call(*args, size=None):
+            self.log.append((name, size))
+            return getattr(self.gen, name)(*args, size=size)
+        return call
+
+
+def _chunk_rows(calls, b, T, gen):
+    """The answers of T minibatches that each make calls, (name, *args) with
+    size b, through ChunkDraws over gen, one list per call."""
+    drawer = ChunkDraws(gen, b)
+    rows = [[] for _ in calls]
     for _ in range(T):
-        for k, (name, *args) in enumerate(draws):
+        for k, (name, *args) in enumerate(calls):
             rows[k].append(getattr(drawer, name)(*args, size=b))
     return rows
 
 
 @pytest.mark.parametrize("b", [1, 7, 646, _DRAW_CHUNK + 1])
-@pytest.mark.parametrize("draws", [GLM_DRAWS(1000), (("uniform", 0.1, 0.4), ("integers", -3, 4))],
-                         ids=["glm", "reversed"])
-def test_chunk_draws_replay_one_call_per_request_and_chunk(draws, b):
+@pytest.mark.parametrize("calls", [GLM_DRAWS(1000), (("uniform", 0.1, 0.4), ("integers", -3, 4)),
+                                   (("random",),)],
+                         ids=["glm", "reversed", "random"])
+def test_chunk_draws_replay_one_call_per_request_and_chunk(calls, b):
     # each chunk of K iterations is one gen.name(*args, size=(K, b)) call per
-    # request, in the declared order; the run crosses at least two chunk ends
+    # method, in the order of the first minibatch's calls, and no other call;
+    # the run crosses at least two chunk ends
     K = max(1, _DRAW_CHUNK // b)
     T = 2 * K + 3
     gen = seeded_stream(11).generator()
-    want = [[] for _ in draws]
+    want = [[] for _ in calls]
     for _ in range(-(-T // K)):
-        for k, (name, *args) in enumerate(draws):
+        for k, (name, *args) in enumerate(calls):
             want[k].extend(getattr(gen, name)(*args, size=(K, b)))
-    for got, chunks in zip(_chunk_rows(draws, b, T, 11), want):
+    logged = _LoggedGenerator(seeded_stream(11).generator())
+    rows = _chunk_rows(calls, b, T, logged)
+    assert logged.log == [(name, (K, b)) for name, *_ in calls] * -(-T // K)
+    for got, chunks in zip(rows, want):
         assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in chunks[:T]]
         assert b"".join(a.tobytes() for a in got) == b"".join(a.tobytes() for a in chunks[:T])
 
 
-@pytest.mark.parametrize("b", [7, 100, 646])
-def test_shorter_run_is_a_prefix_of_a_longer_one(b):
+@pytest.mark.parametrize("b", [1, 2, 7, 32])
+def test_chunked_random_rows_are_the_per_call_draws(b):
+    # a double takes one word of the bit stream, in order, so the rows of
+    # random((K, b)) are the bytes of K successive random(b) calls: a sampler
+    # drawing only random (lower_bound) draws what it drew per call
+    T = 2 * (_DRAW_CHUNK // b) + 3
+    gen = seeded_stream(12).generator()
+    want = b"".join(gen.random(b).tobytes() for _ in range(T))
+    (got,) = _chunk_rows((("random",),), b, T, seeded_stream(12).generator())
+    assert b"".join(a.tobytes() for a in got) == want
+
+
+def test_chunk_draws_pass_other_calls_to_the_generator():
+    # a call with other args, another size or more options, and any other
+    # method, is the Generator's own call, in the order made: a raw Generator
+    # that makes the chunk call where ChunkDraws does replays every answer
+    b, high = 5, np.arange(2, 7)
+    others = [
+        ("integers", (0, 11), {"size": b}),
+        ("integers", (0, 10), {"size": b + 1}),
+        ("integers", (0, 10), {"size": (b,)}),
+        ("integers", (0, 10), {}),
+        ("integers", (0, 10, b, np.int32), {}),
+        ("integers", (0, 10), {"size": b, "endpoint": True}),
+        ("integers", (0, high), {"size": b}),
+        ("uniform", (), {"size": None}),
+        ("uniform", (-1.0, high), {"size": b}),
+        ("random", (), {}),
+        ("random", (b,), {"dtype": np.float32}),
+        ("random", (np.array([b]),), {}),
+        ("standard_normal", (3,), {}),
+        ("normal", (1.0, 2.0), {"size": b}),
+    ]
+    drawer = ChunkDraws(seeded_stream(13).generator(), b)
+    raw = seeded_stream(13).generator()
+    chunk = raw.integers(0, 10, size=(_DRAW_CHUNK // b, b))
+    assert drawer.integers(0, 10, size=b).tobytes() == chunk[0].tobytes()
+    for name, args, kw in others:
+        got, want = (np.asarray(getattr(g, name)(*args, **kw)) for g in (drawer, raw))
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (name, args, kw)
+    assert drawer.integers(0, 10, size=b).tobytes() == chunk[1].tobytes()
+
+
+def test_chunk_draws_hold_one_chunk_per_method():
+    # a sampler whose args change every minibatch draws each call with other
+    # args from the Generator, and ChunkDraws keeps only the chunk of its
+    # first args: 10^4 minibatches at b = 8 peak at about one integers chunk
+    # (128 KB), where a chunk per distinct args would hold 1000 (125 MB)
+    f, t = make_quadratic(2), itertools.count()
+
+    def sample(gen, b):
+        gen.integers(0, 2 + next(t) % 1000, size=b)
+        return f
+
+    query = _minibatches(StochasticObjective(dim=2, sample_minibatch=sample), 8,
+                         seeded_stream(14))
+    tracemalloc.start()
+    try:
+        for _ in range(10_000):
+            query()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("family, method, b", [
+    ("glm", "sngd", 7), ("glm", "sngd", 100), ("glm", "sngd", 646),
+    ("lower_bound", "sngd", 2), ("lower_bound", "msgd", 32),
+], ids=["7", "100", "646", "lower_bound-sngd-2", "lower_bound-msgd-32"])
+def test_shorter_run_is_a_prefix_of_a_longer_one(family, method, b):
     # the chunk size does not depend on T: a 300-step run's rows are the first
-    # 300 rows of a 2000-step run (b = 100 and 646 end a chunk before row 300)
-    F = make_noisy_glm(seeded_stream(5), 4, 2.0, pool_size=200)
-    short, long = (sngd(F, SngdConfig(T=T, eta=0.05, x1=np.full(4, 0.5), b=b,
-                                      stream=seeded_stream(6)))
-                   for T in (300, 2000))
+    # 300 rows of a 2000-step run (b = 100 and 646 end a chunk before row 300,
+    # b = 32 before row 2000)
+    if family == "glm":
+        F, x1 = make_noisy_glm(seeded_stream(5), 4, 2.0, pool_size=200), np.full(4, 0.5)
+    else:
+        F, x1 = make_lower_bound_distribution(0.1), np.full(1, 2.0)
+    runs = [sngd(F, SngdConfig(T=T, eta=0.05, x1=x1, b=b, stream=seeded_stream(6)))
+            if method == "sngd" else
+            msgd(F, StepSchedule(eta0=0.05, gamma=1e-3), T, x1, b, seeded_stream(6))
+            for T in (300, 2000)]
+    short, long = runs
     for name in ("iterates", "values", "grad_norms"):
         assert getattr(short, name).tobytes() == getattr(long, name)[:300].tobytes()
-
-
-def test_chunk_draws_reject_an_undeclared_request():
-    drawer = ChunkDraws(seeded_stream(1).generator(), GLM_DRAWS(1000), 4)
-    with pytest.raises(ValueError, match="not the declared next draw"):
-        drawer.uniform(-1.0, 1.0, size=4)  # integers come first
-    with pytest.raises(ValueError, match="not the declared next draw"):
-        drawer.integers(0, 999, size=4)
-    with pytest.raises(ValueError, match="not the declared next draw"):
-        drawer.integers(0, 1000, size=5)
-    drawer.integers(0, 1000, size=4)
-    with pytest.raises(ValueError, match="not the declared next draw"):
-        drawer.integers(0, 1000, size=4)  # uniform comes next
-    for name in ("random", "standard_normal"):
-        with pytest.raises(AttributeError):
-            getattr(drawer, name)(size=4)
-    drawer.uniform(-1.0, 1.0, size=4)
-    drawer.integers(0, 1000, size=4)
-
-
-def test_minibatch_draws_are_declared():
-    # noisy_glm's sampler makes exactly its declared requests; lower_bound
-    # declares none, so its one random() call per draw stays per call
-    F = make_noisy_glm(seeded_stream(5), 3, 2.0, pool_size=50)
-    assert F.draws == GLM_DRAWS(50)
-    assert make_lower_bound_distribution(0.1).draws == ()
-    drawer = ChunkDraws(seeded_stream(6).generator(), F.draws, 9)
-    for _ in range(40):
-        F.sample_minibatch(drawer, 9)
 
 
 def test_chunk_draws_are_independent_across_a_chunk_end(seed_offset):
@@ -176,8 +245,8 @@ def test_chunk_draws_are_independent_across_a_chunk_end(seed_offset):
     # K = 1..300: 0 failed
     b, n_pool, chunks = 646, 10, 400
     K = _DRAW_CHUNK // b
-    idx, u = (np.array(rows) for rows in _chunk_rows(GLM_DRAWS(n_pool), b, chunks * K,
-                                                     70 + seed_offset))
+    idx, u = (np.array(rows) for rows in _chunk_rows(
+        GLM_DRAWS(n_pool), b, chunks * K, seeded_stream(70 + seed_offset).generator()))
     last, first = slice(K - 1, -1, K), slice(K, None, K)
     table = np.bincount((idx[last] * n_pool + idx[first]).ravel(), minlength=n_pool ** 2)
     expected = table.sum() / n_pool ** 2

@@ -226,9 +226,12 @@ def test_sublevel_sigmoid_sum_violation():
                                [math.log(2.0), math.log(2.0)], rtol=1e-12)
 
 
-def test_sublevel_sigmoid_sum_violation_by_sampling():
+def test_sublevel_sigmoid_sum_violation_by_sampling(seed_offset):
     f = make_sigmoid_sum()
-    rep = check_sublevel_convex(f, alpha=1.2, trials=10_000, stream=seeded_stream(8))
+    rep = check_sublevel_convex(f, alpha=1.2, trials=10_000,
+                                stream=seeded_stream(10_000 * seed_offset + 8))
+    # at K = 0..40 the first violation came at trial 1 to 66 (mean 18.8), so
+    # 10^4 trials all miss one w.p. about e^-500; K = 1..40: 0 failed
     assert not rep.passed
 
 
