@@ -94,7 +94,7 @@ class ChunkDraws:
         self._chunks = {}  # (name, args, b) of a method's first size-b call -> [answers, next row]
 
     def __getattr__(self, name: str):  # reached only for names not defined here
-        return getattr(self._gen, name)
+        return getattr(self.__dict__.get("_gen"), name)  # no _gen yet while copied
 
     def _answer(self, name: str, args: tuple, size):
         try:

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -157,8 +159,8 @@ def test_chunked_random_rows_are_the_per_call_draws(b):
 
 
 def test_chunk_draws_pass_other_calls_to_the_generator():
-    # a call with other args, another size or more options, and any other
-    # method, is the Generator's own call, in the order made: a raw Generator
+    # a call with other args, another size or a non-default option, and any
+    # other method, is the Generator's own call, in the order made: a raw Generator
     # that makes the chunk call where ChunkDraws does replays every answer
     b, high = 5, np.arange(2, 7)
     others = [
@@ -185,6 +187,17 @@ def test_chunk_draws_pass_other_calls_to_the_generator():
         got, want = (np.asarray(getattr(g, name)(*args, **kw)) for g in (drawer, raw))
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (name, args, kw)
     assert drawer.integers(0, 10, size=b).tobytes() == chunk[1].tobytes()
+
+
+def test_chunk_draws_copy_and_pickle():
+    # a copy or a pickled drawer goes on with the same draws, chunked or not
+    drawer = ChunkDraws(seeded_stream(15).generator(), 3)
+    drawer.uniform(size=3)
+    drawers = [drawer, copy.deepcopy(drawer), pickle.loads(pickle.dumps(drawer))]
+    draws = [b"".join(getattr(d, name)(*args, size=3).tobytes() for name, args in
+                      (("uniform", ()), ("integers", (0, 9)), ("standard_normal", ())))
+             for d in drawers]
+    assert draws[0] == draws[1] == draws[2]
 
 
 def test_chunk_draws_hold_one_chunk_per_method():
@@ -222,11 +235,10 @@ def test_shorter_run_is_a_prefix_of_a_longer_one(family, method, b):
         F, x1 = make_noisy_glm(seeded_stream(5), 4, 2.0, pool_size=200), np.full(4, 0.5)
     else:
         F, x1 = make_lower_bound_distribution(0.1), np.full(1, 2.0)
-    runs = [sngd(F, SngdConfig(T=T, eta=0.05, x1=x1, b=b, stream=seeded_stream(6)))
-            if method == "sngd" else
-            msgd(F, StepSchedule(eta0=0.05, gamma=1e-3), T, x1, b, seeded_stream(6))
-            for T in (300, 2000)]
-    short, long = runs
+    short, long = (sngd(F, SngdConfig(T=T, eta=0.05, x1=x1, b=b, stream=seeded_stream(6)))
+                   if method == "sngd" else
+                   msgd(F, StepSchedule(eta0=0.05, gamma=1e-3), T, x1, b, seeded_stream(6))
+                   for T in (300, 2000))
     for name in ("iterates", "values", "grad_norms"):
         assert getattr(short, name).tobytes() == getattr(long, name)[:300].tobytes()
 
