@@ -266,23 +266,12 @@ class StochasticObjective:
 # ---------------------------------------------------------------------------
 
 
-_CSV_CHUNK = 256  # rows formatted per write; bounds the text held in memory
+_CSV_CHUNK = 256  # rows formatted, or repeats written, at a time; bounds the text held
 
 
-def _format_rows(line: str, rows: list[list[float]], repeats: list[bool]) -> str:
-    """One chunk of CSV rows [t, fields...]; a row flagged in repeats has the
-    field bits of the row before it and reuses that row's text after t."""
-    if not any(repeats):
-        return "".join([line % tuple(r) for r in rows])
-    lines = []
-    for r, same in zip(rows, repeats):
-        if same:
-            lines.append("%d%s" % (r[0], tail))
-        else:
-            text = line % tuple(r)
-            tail = text[text.index(","):]
-            lines.append(text)
-    return "".join(lines)
+def _format_table(line: str, table: np.ndarray) -> list[str]:
+    """The CSV text of each row [t, fields...] of table: every row write_csv formats."""
+    return [line % tuple(r) for r in table.tolist()]
 
 
 @contextmanager
@@ -332,26 +321,37 @@ class OptTrace:
         """Bit-stable CSV: t, value, grad_norm, coord_0..; 17 significant digits.
 
         Rows are formatted _CSV_CHUNK at a time with `%.17g`, which prints
-        exactly what format(x, ".17g") prints (nan, inf and -0 included).
-        Within a chunk, a row whose fields have the bits of the row before it
-        (bits, since -0.0 == 0.0 prints differently) is not formatted again.
+        exactly what format(x, ".17g") prints (nan, inf and -0 included).  A
+        row whose fields have the bits of the row before it (-0.0 == 0.0 prints
+        differently) reuses that row's text after t: a run of repeats is
+        written as its t's joined by that text, _CSV_CHUNK rows at a time.
         """
         cols = ["t", "value", "grad_norm"] + [f"coord_{i}" for i in range(self.dim)]
         line = "%d," + ",".join(["%.17g"] * (2 + self.dim)) + "\n"
         T = len(self)
+        # bits compared as uint64 and as one void scalar per iterate row: O(T)
+        # bools, where a (T, fields) temporary raised the peak RSS
+        rows = np.ascontiguousarray(self.iterates)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * self.dim))).ravel()
+        runs = np.zeros(T + 1, dtype=bool)  # row 0, each row unlike the row before, T
+        runs[0] = runs[T] = True
+        for a in (self.values.view(np.uint64), self.grad_norms.view(np.uint64), keys):
+            runs[1:T] |= a[1:] != a[:-1]
+        runs = np.flatnonzero(runs)  # row runs[i] repeats until runs[i + 1]
         with atomic_write(path, newline="") as fh:
             fh.write(",".join(cols) + "\n")
-            for start in range(0, T, _CSV_CHUNK):
-                stop = min(start + _CSV_CHUNK, T)
-                table = np.column_stack([np.arange(start, stop), self.values[start:stop],
-                                         self.grad_norms[start:stop], self.iterates[start:stop]])
-                # a row repeats the row before when its fields after t have the
-                # same bytes, compared as one void scalar per row (an all(axis=1)
-                # over fieldwise bits raised the peak RSS of long-trace runs)
-                fields = np.ascontiguousarray(table[:, 1:])
-                keys = fields.view(np.dtype((np.void, fields[0].nbytes))).ravel()
-                repeats = [False] + (keys[1:] == keys[:-1]).tolist()
-                fh.write(_format_rows(line, table.tolist(), repeats))
+            for i in range(0, runs.size - 1, _CSV_CHUNK):
+                s = runs[i:min(i + _CSV_CHUNK, runs.size - 1)]
+                texts = _format_table(line, np.column_stack(
+                    [s, self.values[s], self.grad_norms[s], self.iterates[s]]))
+                done = 0
+                for k in np.flatnonzero(np.diff(runs[i:i + _CSV_CHUNK + 1]) > 1).tolist():
+                    fh.write("".join(texts[done:k + 1]))
+                    done, tail = k + 1, texts[k][texts[k].index(","):]
+                    start, end = runs[i + k:i + k + 2].tolist()
+                    for t in range(start + 1, end, _CSV_CHUNK):
+                        fh.write(tail.join(map(str, range(t, min(t + _CSV_CHUNK, end)))) + tail)
+                fh.write("".join(texts[done:]))
 
 
 def build_trace(iterates, values, grad_norms, aborted=False) -> OptTrace:

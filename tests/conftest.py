@@ -82,6 +82,15 @@ def finite_diff_gradient(f: Objective, x, h: float = 1e-5) -> np.ndarray:
     return g
 
 
+def reference_csv(tr) -> str:
+    """The trace CSV written one field at a time with format(x, ".17g")."""
+    lines = [["t", "value", "grad_norm"] + [f"coord_{i}" for i in range(tr.dim)]]
+    for t in range(len(tr)):
+        fields = [tr.values[t], tr.grad_norms[t], *tr.iterates[t]]
+        lines.append([str(t)] + [format(x, ".17g") for x in fields])
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--seed-offset", type=int, default=0, metavar="K",

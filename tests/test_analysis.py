@@ -61,6 +61,7 @@ def test_ngd_smooth_budget_values():
     assert b.T == 1 and b.eta == pytest.approx(1.0)
     b2 = ngd_smooth_budget(0.01, 2.0, 3.0)
     assert b2.T == 900 and b2.eta == pytest.approx(0.1)
+    assert ngd_smooth_budget(0.5, 1.0, 0.0).T == 1  # a start at the minimizer still takes a step
 
 
 def test_smooth_budget_cheaper_when_beta_small():

@@ -13,6 +13,8 @@ import pytest
 from slqcopt import cli, core, optimizers, seeded_stream
 from slqcopt.cli import build_problem, cap_workers, main
 
+from conftest import reference_csv
+
 
 def write_config(path, **overrides):
     cfg = {
@@ -101,18 +103,41 @@ def test_failing_report_write_keeps_previous_report(argv, tmp_path, monkeypatch)
 
 def test_run_failing_trace_write_keeps_previous_trace(tmp_path, monkeypatch):
     chunks = []
-    format_rows = core._format_rows
+    format_table = core._format_table
 
-    def torn_format_rows(line, rows, repeats):
-        chunks.append(len(rows))
-        if len(chunks) > 1:  # the first chunk has been written by now
+    def torn_format_table(line, table):
+        chunks.append(len(table))
+        if len(chunks) > 1:  # the first chunk has been written to the temp file by now
+            assert (tmp_path / "out" / ".trace_trial000.csv.tmp").exists()
             raise OSError("disk full")
-        return format_rows(line, rows, repeats)
+        return format_table(line, table)
 
-    before, after = _rerun_with_torn_write(tmp_path, monkeypatch, core, "_format_rows",
-                                           torn_format_rows)
-    assert chunks == [core._CSV_CHUNK, 400 - core._CSV_CHUNK]  # T = 400 rows, two chunks
+    before, after = _rerun_with_torn_write(tmp_path, monkeypatch, core, "_format_table",
+                                           torn_format_table)
+    # T = 400 rows, of which 284 are distinct: two chunks of rows to format
+    assert chunks == [core._CSV_CHUNK, 284 - core._CSV_CHUNK]
     assert after == before
+
+
+def test_run_projected_ngd_trace_matches_reference(tmp_path, monkeypatch):
+    # ngd from outside sigmoid_sum's box reaches the box corner and stays
+    # there: the tail of the trace is one run of repeated rows, longer than
+    # two chunks, which the CSV writes with the text of the row before it
+    traces, write_csv = [], core.OptTrace.write_csv
+
+    def recording_write_csv(trace, path):
+        traces.append(trace)
+        return write_csv(trace, path)
+
+    monkeypatch.setattr(core.OptTrace, "write_csv", recording_write_csv)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    write_config(cfg_path, optimizer={"name": "ngd",
+                                      "params": {"T": 1000, "eta": 0.1, "x1": [10.0, 10.0]}})
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    [trace] = traces
+    tail = np.flatnonzero(np.any(trace.iterates != trace.iterates[-1], axis=1))[-1] + 1
+    assert len(trace) - tail > 2 * core._CSV_CHUNK
+    assert (out / "trace_trial000.csv").read_bytes() == reference_csv(trace).encode()
 
 
 def test_run_failing_rerun_of_another_config_leaves_no_summary(tmp_path, monkeypatch):

@@ -47,6 +47,7 @@ from conftest import (
     line_restriction,
     make_quadratic,
     project,
+    reference_csv,
     scaled,
 )
 
@@ -532,15 +533,6 @@ def test_trace_csv_round_trips_floats(tmp_path):
     np.testing.assert_array_equal(back[:, 2:], tr.iterates)
 
 
-def _reference_csv(tr) -> str:
-    """The trace CSV written one field at a time with format(x, ".17g")."""
-    lines = [["t", "value", "grad_norm"] + [f"coord_{i}" for i in range(tr.dim)]]
-    for t in range(len(tr)):
-        fields = [tr.values[t], tr.grad_norms[t], *tr.iterates[t]]
-        lines.append([str(t)] + [format(x, ".17g") for x in fields])
-    return "".join(",".join(line) + "\n" for line in lines)
-
-
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
            0.1, 1.0 / 3.0, 123456789.0, 1e22, 1e-7]
 
@@ -565,7 +557,7 @@ def test_trace_csv_matches_per_field_reference(make, tmp_path):
     tr = make()
     path = tmp_path / "t.csv"
     tr.write_csv(path)
-    assert path.read_bytes() == _reference_csv(tr).encode()
+    assert path.read_bytes() == reference_csv(tr).encode()
 
 
 C = _CSV_CHUNK
@@ -589,28 +581,56 @@ def _rows_with_repeats(runs, rows=(), at=C + 3):
 
 @pytest.mark.parametrize("cells, repeats", [
     (_rows_with_repeats([(C, C + 20)]), 19),
-    (_rows_with_repeats([(C - 7, C + 7), (2 * C - 1, 2 * C + 1)]), 6 + 6),
+    (_rows_with_repeats([(C - 7, C + 7), (2 * C - 1, 2 * C + 1)]), 13 + 1),
     (_rows_with_repeats([(2 * C + 30, 2 * C + 90), (3 * C + 10, 3 * C + 40)]), 59 + 29),
     (_rows_with_repeats([], [[0.0] * 5, [-0.0] * 5] * 3), 0),
     (_rows_with_repeats([], SIGNED_ZEROS), 1),
-    (_rows_with_repeats([], [NON_FINITE] * 8 + [[math.inf] * 5] * 3, at=C - 4), 3 + 3 + 2),
+    (_rows_with_repeats([], [NON_FINITE] * 8 + [[math.inf] * 5] * 3, at=C - 4), 7 + 2),
+    (_rows_with_repeats([(0, 3 * C + 1)])[:3 * C + 1], 3 * C),
+    (_rows_with_repeats([(C + 17, 3 * C + 40)]), 2 * C + 22),
+    (_rows_with_repeats([])[:1], 0),
 ], ids=["starts_on_chunk", "crosses_chunks", "ends_mid_chunk", "signed_zero_rows",
-        "signed_zero_fields", "nan_inf"])
+        "signed_zero_fields", "nan_inf", "stationary", "fixed_point_tail", "one_row"])
 def test_trace_csv_repeated_rows_match_reference(cells, repeats, tmp_path, monkeypatch):
-    # within a chunk, a row is reused only when every field has the bits of
-    # the row before it; the first row of a chunk is always formatted
+    # a row is formatted only when some field differs in its bits from the
+    # row before it, within a chunk or across a chunk start; a repeated row
+    # reuses the text of the row before it
     tr = build_trace(cells[:, 2:], cells[:, 0], cells[:, 1])
-    flagged, format_rows = [], core._format_rows
+    formatted, format_table = [], core._format_table
 
-    def counting_format_rows(line, rows, repeats):
-        flagged.append(sum(repeats))
-        return format_rows(line, rows, repeats)
+    def counting_format_table(line, table):
+        formatted.append(len(table))
+        return format_table(line, table)
 
-    monkeypatch.setattr(core, "_format_rows", counting_format_rows)
+    monkeypatch.setattr(core, "_format_table", counting_format_table)
     path = tmp_path / "t.csv"
     tr.write_csv(path)
-    assert path.read_bytes() == _reference_csv(tr).encode()
-    assert sum(flagged) == repeats
+    assert path.read_bytes() == reference_csv(tr).encode()
+    assert len(tr) - sum(formatted) == repeats
+    assert max(formatted) <= C
+
+
+@pytest.mark.parametrize("stationary, bound", [(True, 400_000), (False, 2_000_000)],
+                         ids=["stationary", "distinct"])
+def test_trace_csv_memory_is_bounded(stationary, bound, tmp_path):
+    # 10^5 rows at dim 2: the writer holds one chunk of text, T + 1 bools and
+    # 8 bytes per distinct row.  Peaks measured with tracemalloc (stationary /
+    # distinct): 146 / 145 KB for the writer that formatted every chunk,
+    # 203 / 949 KB for this one.  Each bound is about twice this one's peak;
+    # writing the stationary run's 10^5 repeats as one string would take 4 MB.
+    T = 10 ** 5
+    gen = seeded_stream(12).generator()
+    x, v, g = gen.normal(size=(T, 2)), gen.normal(size=T), gen.normal(size=T)
+    if stationary:
+        x[:], v[:], g[:] = x[0], v[0], g[0]
+    tr = build_trace(x, v, g)
+    tracemalloc.start()
+    try:
+        tr.write_csv(tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,15 @@ def test_cliff_plateau_validation():
         make_cliff_plateau(plateau_slope=-1e-9)
 
 
+def test_cliff_plateau_gentle_cliff_builds():
+    # any positive cliff_slope is allowed, a gentle one too: the cliff of
+    # height 1 at slope 0.5 spans 2 in |x|
+    f = make_cliff_plateau(cliff_slope=0.5)
+    a, top = cliff_plateau_kinks(cliff_slope=0.5)
+    assert top - a == 2.0
+    assert f.value(np.array([top])) == pytest.approx(a + 1.0)
+
+
 # ---------------------------------------------------------------------------
 # idealized sigmoid regression
 # ---------------------------------------------------------------------------
@@ -512,6 +521,12 @@ def test_perceptron_gamma_validation():
 def test_glm_dataset_label_validation():
     with pytest.raises(ValueError):
         GlmDataset(X=np.zeros((2, 2)), y=np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_glm_dataset_label_count_validation(m):
+    with pytest.raises(ValueError, match="matching y of length m"):
+        GlmDataset(X=np.zeros((3, 2)), y=np.full(m, 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,16 @@ def test_slqc_clause1_margin():
     assert rep.margin == pytest.approx(eps / 2.0, rel=1e-12)
 
 
+def test_slqc_gap_is_measured_from_f_z():
+    # f = ||x||^2 + 5, so f(z) = 5 at z = 0: the gap f(x) - f(z) = 1e-4 is
+    # below eps and clause 1 holds, while clause 2 fails this close to z
+    # (<g, z - x> + eps * ||g|| = -2e-4 + 0.02 > 0); f(x) + f(z) would fail
+    f = Objective(dim=1, value=lambda x: float(x @ x) + 5.0, gradient=lambda x: 2.0 * x)
+    rep = check_slqc(f, SlqcQuery(eps=0.1, kappa=1.0, z=np.zeros(1), x=np.array([0.01])))
+    assert rep.holds and rep.clause == 1
+    assert rep.margin == pytest.approx(0.1 - 1e-4, rel=1e-9)
+
+
 def test_slqc_fails_when_gradient_points_at_ball():
     # value well above f(z) but the (synthetic) gradient points toward z:
     # neither clause can hold
