@@ -617,7 +617,7 @@ def test_trace_csv_memory_is_bounded(stationary, bound, tmp_path):
     # 8 bytes per distinct row.  Peaks measured with tracemalloc (stationary /
     # distinct): 146 / 145 KB for the writer that formatted every chunk,
     # 203 / 949 KB for this one.  Each bound is about twice this one's peak;
-    # writing the stationary run's 10^5 repeats as one string would take 4 MB.
+    # writing the stationary run's 10^5 repeats as one string would take 9 MB.
     T = 10 ** 5
     gen = seeded_stream(12).generator()
     x, v, g = gen.normal(size=(T, 2)), gen.normal(size=T), gen.normal(size=T)
