@@ -226,11 +226,14 @@ class Objective:
     direction (useful for piecewise-constant losses such as the zero-one
     error, where the true gradient vanishes almost everywhere).
 
-    values and gradients, when present, evaluate an (n, dim) stack of points
-    in one call: row i of values(P), shape (n,), and of gradients(P), shape
-    (n, dim), must equal value(P[i]) and gradient(P[i]) byte for byte.  The
-    sampled Lipschitz and smoothness checks and the SLQC batch use them;
-    without them those checks call value and gradient once per point.
+    values, gradients and directions, when present, evaluate an (n, dim)
+    stack of points in one call: row i of values(P), shape (n,), and of
+    gradients(P) and directions(P), shape (n, dim), must equal value(P[i]),
+    gradient(P[i]) and direction_oracle(P[i]) byte for byte.  The sampled
+    Lipschitz and smoothness checks and the SLQC batch use them; without
+    them those checks call the per-point oracles once per point.  The GLM
+    losses and sigmoid_sum set values and gradients, the perceptron values
+    and directions.
     """
 
     dim: int
@@ -240,6 +243,7 @@ class Objective:
     domain: FeasibleRegion | None = None
     values: Callable[[np.ndarray], np.ndarray] | None = None
     gradients: Callable[[np.ndarray], np.ndarray] | None = None
+    directions: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)

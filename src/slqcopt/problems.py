@@ -68,7 +68,22 @@ def make_sigmoid_sum() -> Objective:
         s1 = _sig(float(x[1]))
         return np.array([s0 * (1.0 - s0), s1 * (1.0 - s1)])
 
-    return Objective(dim=2, value=value, gradient=gradient, domain=SIGMOID_SUM_DOMAIN)
+    # The stacks apply the same _sig to each coordinate as a Python float and
+    # then the same IEEE add and products, so row i has the bytes of value and
+    # gradient at P[i]; np.exp would round differently from math.exp.
+    def sigmoids(P: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(_sig, np.ravel(P).tolist()), np.float64).reshape(np.shape(P))
+
+    def values(P: np.ndarray) -> np.ndarray:
+        S = sigmoids(P)
+        return S[:, 0] + S[:, 1]
+
+    def gradients(P: np.ndarray) -> np.ndarray:
+        S = sigmoids(P)
+        return S * (1.0 - S)
+
+    return Objective(dim=2, value=value, gradient=gradient, domain=SIGMOID_SUM_DOMAIN,
+                     values=values, gradients=gradients)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +442,20 @@ def perceptron_objective(ds: PerceptronDataset) -> Objective:
         pred = (X @ w >= 0).astype(np.float64)
         return (X.T @ (pred - y)) / m
 
-    return Objective(dim=ds.dim, value=value, gradient=gradient, direction_oracle=oracle)
+    # Row i of the stacks has the bytes of value and oracle at P[i]: stacked
+    # gemv and rowdot, as SigmoidLoss's stacks (never gemm or einsum).
+    def preds(P: np.ndarray) -> np.ndarray:
+        return (np.matmul(X, P[:, :, None])[:, :, 0] >= 0).astype(np.float64)
+
+    def values(P: np.ndarray) -> np.ndarray:
+        R = y - preds(P)
+        return rowdot(R, R) / m
+
+    def directions(P: np.ndarray) -> np.ndarray:
+        return np.matmul(X.T, (preds(P) - y)[:, :, None])[:, :, 0] / m
+
+    return Objective(dim=ds.dim, value=value, gradient=gradient, direction_oracle=oracle,
+                     values=values, directions=directions)
 
 
 _MAX_BATCHES = 1000  # rejection-sampling batches make_perceptron draws at most

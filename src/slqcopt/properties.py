@@ -69,33 +69,13 @@ def _direction(f: Objective, use_oracle: bool):
 
 
 def _stacked(stacked, single):
-    """The objective's stacked oracle, or one calling single on each row."""
-    return stacked or (lambda P: np.array([single(p) for p in P]))
-
-
-def _slqc_verdict(gap: float, g: Point, gn: float, zx: Point, eps: float,
-                  kappa: float) -> SlqcReport:
-    """Decide SLQC at x from gap = f(x) - f(z), direction g, gn = ||g||, zx = z - x.
-
-    Clause 2 is decided in closed form: the maximand <g, y - x> is linear in
-    y, so its maximum over the ball B(z, r) is <g, z - x> + r*||g||.  Clause 2
-    holds iff ||g|| > GRAD_TOL and that maximum is <= 0.
-    """
-    if gap <= eps:
-        return SlqcReport(holds=True, clause=1, margin=eps - gap, grad_norm=gn)
-    if gn <= GRAD_TOL:
-        return SlqcReport(holds=False, clause=None, margin=eps - gap, grad_norm=gn)
-    ball_max = float(np.dot(g, zx)) + (eps / kappa) * gn
-    if ball_max <= 0.0:
-        return SlqcReport(holds=True, clause=2, margin=-ball_max, grad_norm=gn)
-    return SlqcReport(holds=False, clause=None, margin=-ball_max, grad_norm=gn)
-
-
-def check_slqc(f: Objective, q: SlqcQuery) -> SlqcReport:
-    """Decide an SLQC query exactly (see `_slqc_verdict`)."""
-    g = _direction(f, q.use_oracle)(q.x)
-    return _slqc_verdict(f.value(q.x) - f.value(q.z), g, float(np.linalg.norm(g)),
-                         q.z - q.x, q.eps, q.kappa)
+    """The objective's stacked oracle, evaluated PAIR_CHUNK rows at a time so
+    its temporaries stay at PAIR_CHUNK * m floats, or one calling single on
+    each row."""
+    if stacked is None:
+        return lambda P: np.array([single(p) for p in P])
+    return lambda P: np.concatenate([stacked(P[i:i + PAIR_CHUNK])
+                                     for i in range(0, len(P), PAIR_CHUNK)])
 
 
 @dataclass
@@ -106,10 +86,12 @@ class BatchSlqcResult:
 
 def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
                      use_oracle: bool = False) -> BatchSlqcResult:
-    """`check_slqc` on each (eps, x) pair, eps-major.  No evaluation depends on
-    eps, so f(z) is evaluated once and f(x) and the direction once per point,
-    by the stacked oracles where f has them; each eps is then decided for all
-    points at once, by `_slqc_verdict`'s arithmetic on arrays."""
+    """Decide each (eps, x) SLQC query exactly, eps-major.  f(z) is evaluated
+    once and f(x) and the direction g once per point, by the stacked oracles
+    where f has them; each eps is then decided for all points on arrays.
+    Clause 2 is decided in closed form: <g, y - x> is linear in y, so its
+    maximum over B(z, eps/kappa) is <g, z - x> + (eps/kappa)*||g||, and
+    clause 2 holds iff ||g|| > GRAD_TOL and that maximum is <= 0."""
     z = as_point(z, f.dim)
     in_range("kappa", kappa, 0, ends="()")
     eps_values = [float(in_range("eps", eps, 0, ends="()")) for eps in eps_values]
@@ -120,7 +102,7 @@ def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
         raise ValueError(f"dimension mismatch: expected {z.size}, got {points.shape[1]}")
     if not np.all(np.isfinite(points)):
         raise ValueError("point has non-finite coordinates")
-    G = _stacked(None if use_oracle else f.gradients, _direction(f, use_oracle))(points)
+    G = _stacked(f.directions if use_oracle else f.gradients, _direction(f, use_oracle))(points)
     gap = _stacked(f.values, f.value)(points) - f.value(z)
     gn = np.sqrt(rowdot(G, G))  # np.linalg.norm's formula for one vector
     tilt = rowdot(G, z - points)
@@ -134,6 +116,12 @@ def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
         reports += [{"eps": eps, "x": x, "holds": c > 0, "clause": c or None, "margin": m,
                      "grad_norm": g} for x, c, m, g in zip(xs, clause, margin, gns)]
     return BatchSlqcResult(all_hold=all(r["holds"] for r in reports), reports=reports)
+
+
+def check_slqc(f: Objective, q: SlqcQuery) -> SlqcReport:
+    """Decide one SLQC query exactly: `check_slqc_batch` at the one point."""
+    r = check_slqc_batch(f, q.z, q.kappa, [q.eps], [q.x], q.use_oracle).reports[0]
+    return SlqcReport(r["holds"], r["clause"], r["margin"], r["grad_norm"])
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +195,13 @@ def check_sublevel_convex(f: Objective, alpha: float, trials: int,
 
 
 PAIR_SLACK = 1e-9  # relative slack of the sampled-pair bounds, for float rounding
-# pairs drawn and evaluated at a time: bounds the chunk at 2 * PAIR_CHUNK * d
-# floats and a stacked GLM oracle's temporaries at PAIR_CHUNK * m floats each
-# (m data rows).  On the 100-row GLM, 128 to 256 ran fastest; 64 was about
-# 10% and 512 or 1024 about 40% slower.  Part of the draw contract, as
-# analysis._CHUNK is for lowerbound: chunk c is drawn from substream c, so
-# another size draws other pairs and moves every failing report.
+# pairs drawn and evaluated at a time, and rows per stacked oracle call
+# (_stacked): bounds the chunk at 2 * PAIR_CHUNK * d floats and a stacked
+# oracle's temporaries at PAIR_CHUNK * m floats each (m data rows).  On the
+# 100-row GLM, 128 to 256 ran fastest; 64 was about 10% and 512 or 1024 about
+# 40% slower.  Part of the draw contract, as analysis._CHUNK is for
+# lowerbound: chunk c is drawn from substream c, so another size draws other
+# pairs and moves every failing report.
 PAIR_CHUNK = 128
 
 

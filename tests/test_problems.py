@@ -315,7 +315,50 @@ def test_glm_objective_carries_the_stacked_oracles():
     P = np.random.default_rng(8).normal(size=(5, 3))
     assert f.values(P).tobytes() == np.array([f.value(p) for p in P]).tobytes()
     assert f.gradients(P).tobytes() == np.array([f.gradient(p) for p in P]).tobytes()
-    assert make_sigmoid_sum().values is None and make_sigmoid_sum().gradients is None
+    # every objective the certify checks evaluate in bulk answers stacked
+    s = make_sigmoid_sum()
+    assert s.values is not None and s.gradients is not None and s.directions is None
+    p = make_perceptron(seeded_stream(8), d=3, m=30, gamma=0.2)[1]
+    assert p.values is not None and p.directions is not None and p.gradients is None
+    assert f.directions is None
+
+
+def _sigmoid_sum_stacks():
+    f = make_sigmoid_sum()
+    # both branches of _sig at +-0.0, +-700 and +-1e308
+    edges = np.array([[0.0, -0.0], [-0.0, 0.0], [700.0, -700.0], [-700.0, 700.0],
+                      [1e308, -1e308], [-1e308, 1e308]])
+    return f, edges, ((f.values, f.value), (f.gradients, f.gradient))
+
+
+def _perceptron_stacks():
+    ds, f = make_perceptron(seeded_stream(7), d=5, m=200, gamma=0.2)
+    # w = 0 lies on the separator, where every prediction is 1
+    assert f.value(np.zeros(5)) == np.count_nonzero(ds.y == 0.0) / ds.m
+    edges = np.array([np.zeros(5), -np.zeros(5), ds.planted, -ds.planted])
+    return f, edges, ((f.values, f.value), (f.directions, f.direction_oracle))
+
+
+@pytest.mark.parametrize("make", [_sigmoid_sum_stacks, _perceptron_stacks],
+                         ids=["sigmoid_sum", "perceptron"])
+def test_sigmoid_sum_and_perceptron_stacks_match_per_point_bytes(make):
+    # row i of each stack must be its per-point oracle at row i to the byte.
+    # sigmoid_sum's stacks apply the scalar _sig to Python floats, because
+    # np.exp and math.exp round differently; the perceptron's are stacked
+    # gemv and rowdot, as SigmoidLoss's are.
+    f, edges, stacks = make()
+    gen = np.random.default_rng(f.dim)
+    cases = [edges]
+    for n in (1, 2, 2 * PAIR_CHUNK + 1):
+        pairs = gen.normal(scale=3.0, size=(n, 2, f.dim))
+        # strided rows, as the sampled checks pass them, and contiguous ones
+        cases += [pairs[:, 0], pairs.reshape(2 * n, f.dim)]
+    for P in cases:
+        for stacked, single in stacks:
+            out = stacked(P)
+            assert out.shape == (len(P),) + np.shape(single(P[0]))
+            for i, p in enumerate(P):
+                assert out[i].tobytes() == np.asarray(single(p), dtype=np.float64).tobytes()
 
 
 def test_noisy_glm_bound_and_minibatch_mean():

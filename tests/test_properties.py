@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from slqcopt import (
     Box,
     Objective,
     SlqcQuery,
+    SlqcReport,
     check_local_lipschitz,
     check_local_smooth,
     check_quasiconvex_grad,
@@ -26,7 +28,7 @@ from slqcopt import (
     sample_in_ball,
     seeded_stream,
 )
-from slqcopt.core import sample_region
+from slqcopt.core import GRAD_TOL, sample_region
 from slqcopt.problems import (
     NONQC_GRAD_WITNESS,
     NONQC_SUBLEVEL_WITNESS,
@@ -219,6 +221,14 @@ def test_quasiconvex_grad_counterexample_random_search():
             found = True
             break
     assert found
+
+
+def test_quasiconvex_grad_allows_an_inner_product_up_to_grad_tol():
+    # f(y) == f(x), so the implication is tested: <g, y - x> == GRAD_TOL passes
+    # and 2 * GRAD_TOL fails
+    f = Objective(dim=1, value=lambda x: 0.0, gradient=lambda x: np.array([GRAD_TOL]))
+    assert check_quasiconvex_grad(f, np.zeros(1), np.ones(1))
+    assert not check_quasiconvex_grad(f, np.zeros(1), np.full(1, 2.0))
 
 
 def test_quasiconvex_grad_constant_function():
@@ -595,32 +605,69 @@ def test_batch_slqc_glm_certification():
 
 
 def test_batch_slqc_evaluates_each_point_once():
-    # f(z) once, then each point's value and gradient once, whether the GLM's
-    # stacked oracles take them as rows or, without those, the per-point
-    # oracles one call each; both ways give the same reports
-    ds, f = make_idealized_glm(seeded_stream(31), d=3, m=50, W=2.0)
-    points = sample_in_ball(seeded_stream(32).generator(), 3, 2.0, n=40)
+    # f(z) once, then each point's value and direction once, whether the
+    # stacked oracles take them as rows, PAIR_CHUNK at a time (2 * PAIR_CHUNK
+    # + 1 points cross two chunk edges), or, without those, the per-point
+    # oracles one call each; both ways give the same reports.  The GLM's
+    # direction is its gradient, the perceptron's its direction oracle.
+    points = sample_in_ball(seeded_stream(32).generator(), 3, 2.0, n=2 * PAIR_CHUNK + 1)
     once = sorted(map(tuple, points))
-    reports = []
-    for stacked in (True, False):
-        seen = {"value": [], "gradient": []}
+    for ds, f, kappa, single, stack in [
+            (*make_idealized_glm(seeded_stream(31), d=3, m=50, W=2.0), math.exp(2.0),
+             "gradient", "gradients"),
+            (*make_perceptron(seeded_stream(33), d=3, m=50, gamma=0.2), 10.0,
+             "direction_oracle", "directions")]:
+        reports = []
+        for stacked in (True, False):
+            seen, rows = {"value": [], "direction": []}, []
 
-        def counted(kind, fn, rows):
-            def call(x):
-                seen[kind].extend(map(tuple, x) if rows else [tuple(x)])
-                return fn(x)
-            return call
+            def counted(kind, fn, stack):
+                def call(x):
+                    seen[kind].extend(map(tuple, x) if stack else [tuple(x)])
+                    rows.extend([len(x)] if stack else [])
+                    return fn(x)
+                return call
 
-        g = dataclasses.replace(
-            f, value=counted("value", f.value, False), gradient=counted("gradient", f.gradient, False),
-            values=counted("value", f.values, True) if stacked else None,
-            gradients=counted("gradient", f.gradients, True) if stacked else None)
-        batch = check_slqc_batch(g, ds.planted, math.exp(2.0), [0.01, 0.1, 0.5], points)
-        assert len(batch.reports) == 120
-        assert sorted(seen["value"]) == sorted(once + [tuple(ds.planted)])
-        assert sorted(seen["gradient"]) == once
-        reports.append(batch.reports)
-    assert reports[0] == reports[1]
+            g = dataclasses.replace(f, value=counted("value", f.value, False), **{
+                single: counted("direction", getattr(f, single), False),
+                "values": counted("value", f.values, True) if stacked else None,
+                stack: counted("direction", getattr(f, stack), True) if stacked else None})
+            batch = check_slqc_batch(g, ds.planted, kappa, [0.01, 0.1, 0.5], points,
+                                     use_oracle=single == "direction_oracle")
+            assert len(batch.reports) == 3 * len(points)
+            assert sorted(seen["value"]) == sorted(once + [tuple(ds.planted)])
+            assert sorted(seen["direction"]) == once
+            assert rows == ([PAIR_CHUNK, PAIR_CHUNK, 1] * 2 if stacked else [])
+            reports.append(batch.reports)
+        assert reports[0] == reports[1], single
+
+
+def test_batch_slqc_memory_is_bounded_by_the_chunk():
+    # the perceptron's stacks see PAIR_CHUNK rows at a time, so their (rows, m)
+    # temporaries stay at PAIR_CHUNK * m floats.  tracemalloc peaks of this
+    # batch: 0.79 MB with one oracle call per point, 4.2 MB chunked, and
+    # 38.5 MB with all 1200 rows in one stacked call.
+    ds, f = make_perceptron(seeded_stream(34), d=5, m=2000, gamma=0.2)
+    points = sample_in_ball(seeded_stream(35).generator(), 5, 2.0, n=1200)
+    tracemalloc.start()
+    try:
+        check_slqc_batch(f, ds.planted, 10.0, [0.1], points, use_oracle=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def _slqc_reference(f, q):
+    """One SLQC query decided on scalars, one oracle call per point."""
+    g = (f.direction_oracle if q.use_oracle else f.gradient)(q.x)
+    gap, gn = f.value(q.x) - f.value(q.z), float(np.linalg.norm(g))
+    if gap <= q.eps or gn <= GRAD_TOL:
+        return {"holds": gap <= q.eps, "clause": 1 if gap <= q.eps else None,
+                "margin": q.eps - gap, "grad_norm": gn}
+    ball_max = float(np.dot(g, q.z - q.x)) + (q.eps / q.kappa) * gn
+    return {"holds": ball_max <= 0.0, "clause": 2 if ball_max <= 0.0 else None,
+            "margin": -ball_max, "grad_norm": gn}
 
 
 @pytest.mark.parametrize("use_oracle", [False, True], ids=["gradient", "oracle"])
@@ -632,16 +679,24 @@ def test_batch_slqc_equals_per_query_checks(use_oracle):
     points = np.vstack([ds.planted, sample_in_ball(seeded_stream(6).generator(), 3, 2.0, n=12)])
     eps_values, kappa = [0.05, 0.3], 0.1
     batch = check_slqc_batch(f, ds.planted, kappa, eps_values, points, use_oracle=use_oracle)
-    expected = [
-        {"eps": eps, "x": x.tolist(), **vars(check_slqc(f, SlqcQuery(
-            eps=eps, kappa=kappa, z=ds.planted, x=x, use_oracle=use_oracle)))}
-        for eps in eps_values for x in points
-    ]
+    queries = [SlqcQuery(eps=eps, kappa=kappa, z=ds.planted, x=x, use_oracle=use_oracle)
+               for eps in eps_values for x in points]
+    expected = [{"eps": q.eps, "x": q.x.tolist(), **_slqc_reference(f, q)} for q in queries]
     assert batch.reports == expected
+    assert [vars(check_slqc(f, q)) for q in queries] == [_slqc_reference(f, q) for q in queries]
     assert batch.all_hold == all(r["holds"] for r in expected)
     kinds = {(r["clause"], r["grad_norm"] > 0) for r in batch.reports}
     assert kinds >= ({(1, True), (2, True), (None, True)} if use_oracle
                      else {(1, False), (None, False)})
+
+
+def test_batch_slqc_direction_norm_at_grad_tol_has_vanished():
+    # ||g|| == GRAD_TOL counts as vanished: g points away from the ball, so
+    # clause 2 would hold at any larger norm, but here neither clause holds
+    # and the margin is clause 1's
+    f = Objective(dim=1, value=lambda x: float(x[0]) ** 2, gradient=lambda x: np.array([GRAD_TOL]))
+    rep = check_slqc(f, SlqcQuery(eps=0.1, kappa=1.0, z=np.zeros(1), x=np.array([5.0])))
+    assert rep == SlqcReport(holds=False, clause=None, margin=0.1 - 25.0, grad_norm=GRAD_TOL)
 
 
 def test_batch_slqc_validates_eps_and_kappa(quadratic):
