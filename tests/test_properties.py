@@ -621,10 +621,10 @@ def test_batch_slqc_evaluates_each_point_once():
         for stacked in (True, False):
             seen, rows = {"value": [], "direction": []}, []
 
-            def counted(kind, fn, stack):
+            def counted(kind, fn, many):
                 def call(x):
-                    seen[kind].extend(map(tuple, x) if stack else [tuple(x)])
-                    rows.extend([len(x)] if stack else [])
+                    seen[kind].extend(map(tuple, x) if many else [tuple(x)])
+                    rows.extend([len(x)] if many else [])
                     return fn(x)
                 return call
 
