@@ -270,7 +270,9 @@ class StochasticObjective:
 # ---------------------------------------------------------------------------
 
 
-_CSV_CHUNK = 256  # rows formatted, or repeats written, at a time; bounds the text held
+_CSV_CHUNK = 256  # rows formatted at a time; bounds the text held
+# t % 100 as it ends str(t): unpadded below 100, two digits after str(t // 100)
+_ENDINGS = ([str(e) for e in range(100)], [f"{e:02d}" for e in range(100)])
 
 
 def _format_table(line: str, table: np.ndarray) -> list[str]:
@@ -327,8 +329,10 @@ class OptTrace:
         Rows are formatted _CSV_CHUNK at a time with `%.17g`, which prints
         exactly what format(x, ".17g") prints (nan, inf and -0 included).  A
         row whose fields have the bits of the row before it (-0.0 == 0.0 prints
-        differently) reuses that row's text after t: a run of repeats is
-        written as its t's joined by that text, _CSV_CHUNK rows at a time.
+        differently) reuses that row's text after t, its tail.  A run of repeats
+        is written a hundred t's at a time: the t's 100p..100p+99 share the
+        prefix str(p) (none when p = 0), so a hundred, or the part of one that
+        the run covers, is one join of their last digits with tail + str(p).
         """
         cols = ["t", "value", "grad_norm"] + [f"coord_{i}" for i in range(self.dim)]
         line = "%d," + ",".join(["%.17g"] * (2 + self.dim)) + "\n"
@@ -353,8 +357,10 @@ class OptTrace:
                     fh.write("".join(texts[done:k + 1]))
                     done, tail = k + 1, texts[k][texts[k].index(","):]
                     start, end = runs[i + k:i + k + 2].tolist()
-                    for t in range(start + 1, end, _CSV_CHUNK):
-                        fh.write(tail.join(map(str, range(t, min(t + _CSV_CHUNK, end)))) + tail)
+                    for p in range((start + 1) // 100, (end + 99) // 100):
+                        ps = str(p) if p else ""
+                        ends = _ENDINGS[p > 0][max(start + 1 - 100 * p, 0):end - 100 * p]
+                        fh.write(ps + (tail + ps).join(ends) + tail)
                 fh.write("".join(texts[done:]))
 
 

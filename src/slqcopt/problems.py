@@ -406,7 +406,7 @@ class PerceptronDataset:
         self.y = np.asarray(self.y, dtype=np.float64)
         self.planted = as_point(self.planted, self.X.shape[1])
         in_range("gamma", self.gamma, 0, ends="()")
-        if not set(np.unique(self.y)) <= {0.0, 1.0}:
+        if not np.all((self.y == 0.0) | (self.y == 1.0)):
             raise ValueError("labels must be 0/1")
         signed = (2.0 * self.y - 1.0) * (self.X @ self.planted)
         if np.any(signed < self.gamma - 1e-12):

@@ -146,6 +146,16 @@ def test_chain_spec_validation():
         ChainSpec(p=0.2, start_state=1, max_steps=0)
 
 
+def test_chain_spec_default_horizon_is_10_000_steps():
+    # at p = 1 - 1e-12 a walk steps toward 0 every time but w.p. about 1e-8
+    # per 10^4 steps, so it reaches 0 from 10^4 within the default horizon and
+    # never from 10^4 + 1; all 100 walks are absorbed w.p. 1 - 1e-6
+    for start, absorbed in ((10_000, 1.0), (10_001, 0.0)):
+        est, _ = absorb_probability_mc(ChainSpec(p=1.0 - 1e-12, start_state=start),
+                                       trials=100, stream=seeded_stream(0))
+        assert est == absorbed
+
+
 # The seeded tests below take --seed-offset K (default 0, the recorded seeds);
 # "K = 1..40: n failed" notes how many of those 40 fresh draws failed.
 
@@ -352,6 +362,17 @@ def test_lower_bound_experiment_hits_match_dp(seed_offset):
     # failed (z over K = 0..40: mean 0.07, sd 0.84)
     assert rep.p_events == trials * (T - 1)
     assert abs(rep.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / rep.p_events)
+
+
+@pytest.mark.parametrize("hits, passed", [(3, True), (4, False)])
+def test_lower_bound_experiment_passes_at_its_ceiling(hits, passed, monkeypatch):
+    # with a 0 analytic ceiling, hit_ceiling is 3/trials: a hit fraction
+    # equal to it still passes
+    monkeypatch.setattr(analysis, "absorb_probability", lambda spec: 0.0)
+    monkeypatch.setattr(analysis, "_walk_hits", lambda gen, n, m, p, i: (hits, 0))
+    rep = lower_bound_experiment(0.1, trials=100, T=10, stream=seeded_stream(0))
+    assert rep.hit_ceiling == 0.03 and rep.hit_fraction == hits / 100
+    assert rep.passed is passed
 
 
 def test_lower_bound_experiment_validation():

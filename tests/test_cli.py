@@ -392,6 +392,18 @@ def test_cli_import_does_not_load_jsonschema():
     assert done.stdout.strip() == "[]"
 
 
+def test_building_every_problem_does_not_load_numpy_ma():
+    # np.unique imports numpy.ma, about 15 ms of every fresh process that
+    # builds a problem; no problem needs it
+    code = ("import sys\nfrom slqcopt import cli, seeded_stream\n"
+            "for name in cli.PROBLEMS:\n    cli.build_problem(name, None, seeded_stream(0))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_run_list_sweep_values_give_plain_file_names(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, sweep={"param": "x1", "values": [[10, 10], [-2.5, 1e-7]]})
@@ -578,6 +590,22 @@ def test_check_perceptron_slqc_uses_oracle(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert doc["kappa"] == pytest.approx(10.0)  # 2/gamma for the default gamma
+
+
+def test_check_perceptron_slqc_samples_the_ball_of_radius_2(monkeypatch):
+    # the planted separator is a unit vector; the check samples around it out
+    # to twice its norm.  500 uniform points in the 5-ball of radius 2 all lie
+    # within 1.9 of 0 w.p. 0.95^2500, below 1e-55
+    points, check_slqc_batch = [], cli.properties.check_slqc_batch
+
+    def recording_check(f, minimizer, kappa, eps_grid, pts, **kwargs):
+        points.append(pts)
+        return check_slqc_batch(f, minimizer, kappa, eps_grid, pts, **kwargs)
+
+    monkeypatch.setattr(cli.properties, "check_slqc_batch", recording_check)
+    assert main(["check", "perceptron", "slqc", "--eps-grid", "0.1", "--points", "500"]) == 0
+    norms = np.linalg.norm(points[0], axis=1)
+    assert 1.9 < norms.max() <= 2.0
 
 
 def test_check_lipschitz_needs_bound(capsys):

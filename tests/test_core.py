@@ -369,6 +369,16 @@ def test_project_ball_equals_norm_formula_bit_for_bit():
             assert (p is x) == (r <= ball.radius)
 
 
+def test_project_ball_keeps_a_point_on_its_sphere():
+    # r == radius to the bit: x is feasible and comes back unmoved, where
+    # center + d * (radius / r) would move it by an ulp
+    center, x = np.array([-0.7, 0.4]), np.array([0.3, -1.9])
+    d = x - center
+    ball = Ball(center, math.sqrt(float(d @ d)))
+    assert ball.project(x) is x
+    assert (center + d).tolist() != x.tolist()
+
+
 def test_region_validation():
     with pytest.raises(ValueError):
         Ball([0.0], 0.0)
@@ -568,11 +578,11 @@ SIGNED_ZEROS = [[0.0, 1.0, 0.0, 2.0, 0.0], [-0.0, 1.0, 0.0, 2.0, 0.0],
 NON_FINITE = [math.nan, math.inf, -math.inf, math.nan, -0.0]
 
 
-def _rows_with_repeats(runs, rows=(), at=C + 3):
-    """Trace cells [value, grad_norm, coord_0..2] of 3*C + 40 distinct rows,
-    except that rows are written from row `at` on and then each (start, stop)
-    in runs repeats row start down to row stop - 1."""
-    cells = seeded_stream(11).generator().normal(size=(3 * C + 40, 5))
+def _rows_with_repeats(runs, rows=(), at=C + 3, T=3 * C + 40):
+    """Trace cells [value, grad_norm, coord_0..2] of T distinct rows, except
+    that rows are written from row `at` on and then each (start, stop) in runs
+    repeats row start down to row stop - 1, so t = start + 1..stop - 1 repeat."""
+    cells = seeded_stream(11).generator().normal(size=(T, 5))
     cells[at:at + len(rows)] = np.reshape(rows, (-1, 5))
     for start, stop in runs:
         cells[start:stop] = cells[start]
@@ -589,8 +599,17 @@ def _rows_with_repeats(runs, rows=(), at=C + 3):
     (_rows_with_repeats([(0, 3 * C + 1)])[:3 * C + 1], 3 * C),
     (_rows_with_repeats([(C + 17, 3 * C + 40)]), 2 * C + 22),
     (_rows_with_repeats([])[:1], 0),
+    # repeats are written a hundred t's at a time, each hundred cut at a run's ends
+    (_rows_with_repeats([(4, 160)]), 155),
+    (_rows_with_repeats([(199, 500)]), 300),
+    (_rows_with_repeats([(699, 800)]), 100),
+    (_rows_with_repeats([(311, 389), (389, 391)]), 77 + 1),
+    (_rows_with_repeats([(949, 1050)], T=1100), 100),
+    (_rows_with_repeats([(9949, 10101)], T=10_150), 151),
 ], ids=["starts_on_chunk", "crosses_chunks", "ends_mid_chunk", "signed_zero_rows",
-        "signed_zero_fields", "nan_inf", "stationary", "fixed_point_tail", "one_row"])
+        "signed_zero_fields", "nan_inf", "stationary", "fixed_point_tail", "one_row",
+        "crosses_100", "on_hundreds", "one_hundred", "inside_hundred", "crosses_1000",
+        "crosses_10000"])
 def test_trace_csv_repeated_rows_match_reference(cells, repeats, tmp_path, monkeypatch):
     # a row is formatted only when some field differs in its bits from the
     # row before it, within a chunk or across a chunk start; a repeated row
@@ -608,6 +627,30 @@ def test_trace_csv_repeated_rows_match_reference(cells, repeats, tmp_path, monke
     assert path.read_bytes() == reference_csv(tr).encode()
     assert len(tr) - sum(formatted) == repeats
     assert max(formatted) <= C
+
+
+@st.composite
+def _run_layouts(draw):
+    """Trace cells of up to 12 000 rows with runs of repeats, their ends drawn
+    anywhere or near a multiple of 100."""
+    T = draw(st.integers(1, 12_000))
+    near_hundred = st.builds(lambda h, d: 100 * h + d, st.integers(0, T // 100),
+                             st.integers(-2, 2))
+    cells = seeded_stream(13).generator().normal(size=(T, 5))
+    for start in draw(st.lists(st.integers(0, T - 1) | near_hundred, max_size=6)):
+        start = min(max(start, 0), T - 1)
+        stop = draw(st.integers(start + 1, T) | near_hundred)
+        cells[start:stop] = cells[start]
+    return cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(_run_layouts())
+def test_trace_csv_run_layouts_match_reference(tmp_path_factory, cells):
+    tr = build_trace(cells[:, 2:], cells[:, 0], cells[:, 1])
+    path = tmp_path_factory.getbasetemp() / "run_layouts.csv"
+    tr.write_csv(path)
+    assert path.read_bytes() == reference_csv(tr).encode()
 
 
 @pytest.mark.parametrize("stationary, bound", [(True, 400_000), (False, 2_000_000)],

@@ -270,6 +270,14 @@ def test_ngd_without_fixed_point_queries_every_iteration():
     assert calls["value"] == calls["gradient"] == cfg.T
 
 
+@pytest.mark.parametrize("gn, moves", [(1e-12, False), (np.nextafter(1e-12, 1.0), True)])
+def test_ngd_skips_updates_at_gradient_norms_up_to_1e_12(gn, moves):
+    f = Objective(dim=1, value=lambda x: gn * float(x[0]), gradient=lambda x: np.array([gn]))
+    tr = ngd(f, NgdConfig(T=2, eta=0.5, x1=np.zeros(1)))
+    assert tr.grad_norms[0] == gn
+    assert tr.iterates[1].tolist() == ([-0.5] if moves else [0.0])
+
+
 def test_sngd_draws_every_minibatch_past_a_skipped_update():
     # at eps = 1/16 and b = 32 a minibatch with one hinge draw has gradient
     # exactly 0 on x > -3, so many updates return x itself

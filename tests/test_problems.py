@@ -556,6 +556,16 @@ def test_perceptron_rejection_budget(monkeypatch):
         make_perceptron(seeded_stream(0), d=2, m=10_000, gamma=0.999)
 
 
+@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, math.nan])
+def test_perceptron_labels_must_be_0_1(bad):
+    # both samples lie on the margin of w* = (1, 0) at gamma 0.5; a label of
+    # -0.0 is a 0 label, and any other label is refused before the margin check
+    X, planted = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 0.0])
+    PerceptronDataset(X=X, y=np.array([1.0, -0.0]), gamma=0.5, planted=planted)
+    with pytest.raises(ValueError, match="labels must be 0/1"):
+        PerceptronDataset(X=X, y=np.array([1.0, bad]), gamma=0.5, planted=planted)
+
+
 def test_perceptron_gamma_validation():
     with pytest.raises(ValueError):
         make_perceptron(seeded_stream(0), d=2, m=10, gamma=1.5)
