@@ -593,8 +593,8 @@ def test_check_perceptron_slqc_uses_oracle(tmp_path):
 
 
 def test_check_perceptron_slqc_samples_the_ball_of_radius_2(monkeypatch):
-    # the planted separator is a unit vector; the check samples around it out
-    # to twice its norm.  500 uniform points in the 5-ball of radius 2 all lie
+    # the check samples the ball of radius 2 around 0, twice the norm of the
+    # unit planted separator.  500 uniform points in that 5-ball all lie
     # within 1.9 of 0 w.p. 0.95^2500, below 1e-55
     points, check_slqc_batch = [], cli.properties.check_slqc_batch
 

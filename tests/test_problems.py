@@ -558,8 +558,8 @@ def test_perceptron_rejection_budget(monkeypatch):
 
 @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, math.nan])
 def test_perceptron_labels_must_be_0_1(bad):
-    # both samples lie on the margin of w* = (1, 0) at gamma 0.5; a label of
-    # -0.0 is a 0 label, and any other label is refused before the margin check
+    # both samples clear the margin 0.5 of w* = (1, 0); a label of -0.0 is a
+    # 0 label, and any other label is refused before the margin check
     X, planted = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 0.0])
     PerceptronDataset(X=X, y=np.array([1.0, -0.0]), gamma=0.5, planted=planted)
     with pytest.raises(ValueError, match="labels must be 0/1"):
