@@ -153,8 +153,16 @@ def _hit_blocks(m: int, i: int, lo: int, hi: int) -> Iterator[tuple[int, np.ndar
     L(k+1) - L(k) = log((k+1) / (k+1-i)) + log((m-k+i) / (m-k)), so a
     cumulative sum of these steps, carried from block to block, gives the
     rest: O(hi - lo + i) time, whatever m.
+
+    L grows with k, and each of its terms is at most the t = 0 one, so
+    L(k) <= i*log(k / (m-k+1)).  When that bound at the largest such k is
+    below -746 (exp underflows to 0.0 below about -745.13, and the margin
+    covers the rounding of the summed L), every r is 0.0 and no log term is
+    summed: a far start costs O(hi - lo), whatever i.
     """
     a, b = max(lo, i), min(hi, (i + m - 1) // 2)  # the k with 0 < r < 1
+    if a <= b and i * math.log(b / (m - b + 1)) < -746.0:
+        a = b + 1
     L = 0.0
     if a <= b:
         for j in range(0, i, _BLOCK):

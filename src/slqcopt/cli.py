@@ -8,6 +8,7 @@ error naming it.  Identical config and seed give byte-identical CSV traces.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -35,14 +36,24 @@ _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"
                "list": ((list,), "an array")}
 
 
+@functools.cache
+def _signature(fn) -> tuple[inspect.Signature, dict]:
+    """fn's signature, and the _JSON_TYPES entry of each param annotated with
+    one; made once per callable, and the callables that reach _checked are
+    the registries' and the config's, so the cache stays small."""
+    sig = inspect.signature(fn)
+    kinds = {key: _JSON_TYPES.get(getattr(param.annotation, "__name__", param.annotation))
+             for key, param in sig.parameters.items()}
+    return sig, kinds
+
+
 def _checked(fn, /, *args, **params):
     """fn(*args, **params), once a TypeError has named any param that fn does
     not take, that is missing, or whose value does not fit its annotation in
     _JSON_TYPES (a float takes any JSON number; none takes a bool or null)."""
-    sig = inspect.signature(fn)
+    sig, kinds = _signature(fn)
     for key, value in sig.bind(*args, **params).arguments.items():
-        annotation = sig.parameters[key].annotation
-        kind = _JSON_TYPES.get(getattr(annotation, "__name__", annotation))
+        kind = kinds[key]
         if kind and type(value) not in kind[0]:
             raise TypeError(f"{key!r} must be {kind[1]}, got {value!r}")
     return fn(*args, **params)
@@ -417,7 +428,7 @@ def cmd_check(args) -> int:
         )
         result.update({"kappa": kappa, "eps_grid": args.eps_grid,
                        "n_points": len(points), "passed": batch.all_hold,
-                       "failures": [r for r in batch.reports if not r["holds"]]})
+                       "failures": batch.failures})
     elif args.property == "sublevel":
         alpha = args.alpha
         if alpha == "auto":
@@ -517,7 +528,10 @@ def _number(parse, low: float, ends: str = "[)"):
     return check
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it was,
+    so main may be called any number of times."""
     ap = argparse.ArgumentParser(prog="slqcopt",
                                  description="Normalized-descent experiment harness")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -78,24 +78,55 @@ def _stacked(stacked, single):
                                      for i in range(0, len(P), PAIR_CHUNK)])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BatchSlqcResult:
-    all_hold: bool
-    reports: list[dict]
+    """Verdicts of check_slqc_batch, held as arrays: clause[e, j] (1 or 2, 0
+    when neither holds) and margin[e, j] of the query at eps_values[e] and
+    points[j], and grad_norm[j], the direction norm at points[j].  Report
+    dicts are built, eps-major, only when `reports` or `failures` is read."""
+
+    eps_values: list[float]
+    points: np.ndarray
+    clause: np.ndarray
+    margin: np.ndarray
+    grad_norm: np.ndarray
+
+    @property
+    def all_hold(self) -> bool:
+        return bool(self.clause.all())
+
+    @property
+    def reports(self) -> list[dict]:
+        """Every query's report, eps-major."""
+        return self._reports(np.full(self.clause.shape, True))
+
+    @property
+    def failures(self) -> list[dict]:
+        """The reports of the queries where neither clause holds, eps-major."""
+        return self._reports(self.clause == 0)
+
+    def _reports(self, mask: np.ndarray) -> list[dict]:
+        e, j = np.nonzero(mask)  # row-major, so eps-major
+        return [{"eps": self.eps_values[a], "x": x, "holds": c > 0, "clause": c or None,
+                 "margin": m, "grad_norm": g}
+                for a, x, c, m, g in zip(e.tolist(), self.points[j].tolist(),
+                                         self.clause[mask].tolist(), self.margin[mask].tolist(),
+                                         self.grad_norm[j].tolist())]
 
 
 def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
                      use_oracle: bool = False) -> BatchSlqcResult:
-    """Decide each (eps, x) SLQC query exactly, eps-major.  f(z) is evaluated
-    once and f(x) and the direction g once per point, by the stacked oracles
-    where f has them; each eps is then decided for all points on arrays.
-    Clause 2 is decided in closed form: <g, y - x> is linear in y, so its
-    maximum over B(z, eps/kappa) is <g, z - x> + (eps/kappa)*||g||, and
-    clause 2 holds iff ||g|| > GRAD_TOL and that maximum is <= 0."""
+    """Decide each (eps, x) SLQC query exactly.  f(z) is evaluated once and
+    f(x) and the direction g once per point, by the stacked oracles where f
+    has them; every eps is then decided for all points at once, on arrays,
+    and the verdicts stay arrays (see BatchSlqcResult).  Clause 2 is decided
+    in closed form: <g, y - x> is linear in y, so its maximum over
+    B(z, eps/kappa) is <g, z - x> + (eps/kappa)*||g||, and clause 2 holds
+    iff ||g|| > GRAD_TOL and that maximum is <= 0."""
     z = as_point(z, f.dim)
     in_range("kappa", kappa, 0, ends="()")
     eps_values = [float(in_range("eps", eps, 0, ends="()")) for eps in eps_values]
-    points = np.asarray(points, dtype=np.float64)
+    points = np.array(points, dtype=np.float64)  # a copy: the result holds it
     if points.ndim != 2 or len(points) == 0:
         raise ValueError(f"points must be a non-empty (n, d) array, got shape {points.shape}")
     if points.shape[1] != z.size:
@@ -106,16 +137,12 @@ def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
     gap = _stacked(f.values, f.value)(points) - f.value(z)
     gn = np.sqrt(rowdot(G, G))  # np.linalg.norm's formula for one vector
     tilt = rowdot(G, z - points)
-    xs, gns, reports = points.tolist(), gn.tolist(), []
-    for eps in eps_values:
-        clause1 = gap <= eps
-        ball_max = tilt + (eps / kappa) * gn
-        clause2 = ~clause1 & (gn > GRAD_TOL) & (ball_max <= 0.0)
-        clause = np.where(clause1, 1, np.where(clause2, 2, 0)).tolist()
-        margin = np.where(clause1 | (gn <= GRAD_TOL), eps - gap, -ball_max).tolist()
-        reports += [{"eps": eps, "x": x, "holds": c > 0, "clause": c or None, "margin": m,
-                     "grad_norm": g} for x, c, m, g in zip(xs, clause, margin, gns)]
-    return BatchSlqcResult(all_hold=all(r["holds"] for r in reports), reports=reports)
+    eps = np.array(eps_values)[:, None]  # one row per eps
+    clause1 = gap <= eps
+    ball_max = tilt + (eps / kappa) * gn
+    clause = np.where(clause1, 1, np.where((gn > GRAD_TOL) & (ball_max <= 0.0), 2, 0))
+    margin = np.where(clause1 | (gn <= GRAD_TOL), eps - gap, -ball_max)
+    return BatchSlqcResult(eps_values, points, clause, margin, gn)
 
 
 def check_slqc(f: Objective, q: SlqcQuery) -> SlqcReport:

@@ -281,6 +281,61 @@ def test_hit_table_matches_path_enumeration(m, monkeypatch):
             assert _hit_table(m, i, lo, hi) == pytest.approx(table[lo:hi + 1], rel=1e-12, abs=0)
 
 
+def test_hit_table_near_underflow_matches_log_gamma():
+    # log r(k), r(k) = C(m, k-i) / C(m, k), crosses exp's underflow (about
+    # -745.13) near k = 2450 here, and the bound i*log(k/(m-k+1)) crosses
+    # -746 near k = 2340.  In 5-entry windows on both sides, the windows
+    # whose bound at their last k is below -746 are skipped; every entry is
+    # 0.0 where the exact log r is below -746, positive above -744, and
+    # agrees with exp of it above -700
+    m, i = 10 ** 5, 200
+
+    def log_r(k):
+        return (math.lgamma(k + 1) + math.lgamma(m - k + 1)
+                - math.lgamma(k - i + 1) - math.lgamma(m - k + i + 1))
+
+    skipped = 0
+    for lo in range(2200, 2600, 5):
+        table, logs = _hit_table(m, i, lo, lo + 4), [log_r(k) for k in range(lo, lo + 5)]
+        skipped += i * math.log((lo + 4) / (m - lo - 3)) < -746
+        for r, exact in zip(table, logs):
+            assert r == 0.0 if exact < -746 else r > 0.0 or exact < -744
+            if exact > -700:
+                assert r == pytest.approx(math.exp(exact), rel=1e-9)
+    assert skipped == 28
+
+
+class _CountingLogs:
+    """numpy for analysis, counting the elements its log and log1p calls take."""
+
+    def __init__(self):
+        self.terms = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x):
+        self.terms += np.size(x)
+        return np.log(x)
+
+    def log1p(self, x):
+        self.terms += np.size(x)
+        return np.log1p(x)
+
+
+@pytest.mark.parametrize("eps, T", [(1e-6, 10 ** 8), (1e-8, 10 ** 9)])
+def test_lower_bound_at_a_far_start_sums_no_log_terms(eps, T, monkeypatch):
+    # walks start 1/eps steps from the segment and about 18% of their T
+    # steps go toward it, so every hit probability underflows to 0.0: no log
+    # term is summed in either chunk, where summing the start distance's
+    # 10^6 or 10^8 terms per chunk took 0.5 s a chunk at eps 1e-8
+    logs = _CountingLogs()
+    monkeypatch.setattr(analysis, "np", logs)
+    rep = lower_bound_experiment(eps, trials=20_000, T=T, stream=seeded_stream(0))
+    assert rep.hits == 0
+    assert logs.terms == 0
+
+
 def test_walk_hits_do_not_depend_on_the_block_size(monkeypatch):
     # 2000 walks whose toward counts span many blocks of 3 are read from the
     # table of the block each falls in, as from the one block they fit in

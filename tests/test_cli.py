@@ -840,6 +840,60 @@ def test_no_command_exits_2():
     assert main([]) == 2
 
 
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_main_called_repeatedly_answers_as_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    # the kept parser, built here outside the captured streams, must give each
+    # call of the sequence the exit code, stdout and stderr that a parser
+    # built afresh for that call gives
+    write_config(tmp_path / "cfg.json")
+    sequence = [["check", "sigmoid_sum", "slqc", "--kappa", "-1"], ["--help"],
+                ["check", "counterexample", "sublevel", "--trials", "100"],
+                ["run", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path / "o")],
+                ["check", "sigmoid_sum", "slqc", "--kappa", "-1"]]
+
+    def outcomes():
+        got = []
+        for argv in sequence:
+            code = main(argv)
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    with capsys.disabled():
+        kept = cli._parser()
+    seen = outcomes()
+    assert cli._parser() is kept
+    fresh = cli._parser.__wrapped__
+    monkeypatch.setattr(cli, "_parser", lambda: fresh())
+    assert seen == outcomes()
+    assert [code for code, _, _ in seen] == [2, 0, 0, 0, 2]
+    assert "argument --kappa:" in seen[0][2] and seen[0] == seen[-1]
+    assert seen[1][1].startswith("usage: slqcopt")
+
+
+def test_checked_names_a_bad_or_missing_param_cold_and_warm():
+    # a new function is a cold cache entry; after one call it is warm
+    def make():
+        def target(*, n: int, x: float = 0.0):
+            return n
+        return target
+
+    cases = [({"n": 1.5}, "'n' must be an integer, got 1.5"),
+             ({"n": 1, "x": "0"}, "'x' must be a number, got '0'"),
+             ({"n": True}, "'n' must be an integer, got True"),
+             ({}, "missing a required argument: 'n'"),
+             ({"n": 1, "y": 2}, "unexpected keyword argument 'y'")]
+    warm = make()
+    assert cli._checked(warm, n=2, x=1) == 2
+    for params, message in cases:
+        for fn in (make(), warm):
+            with pytest.raises(TypeError, match=re.escape(message)):
+                cli._checked(fn, **params)
+    assert cli._checked(warm, n=3) == 3
+
+
 def test_trace_json_roundtrip_via_run(tmp_path):
     # every emitted CSV parses back to the same floats written
     cfg_path = tmp_path / "cfg.json"

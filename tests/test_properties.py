@@ -32,6 +32,7 @@ from slqcopt.core import GRAD_TOL, sample_region
 from slqcopt.problems import (
     NONQC_GRAD_WITNESS,
     NONQC_SUBLEVEL_WITNESS,
+    SIGMOID_SUM_DOMAIN,
     SIGMOID_SUM_MINIMIZER,
     SIGMOID_SUM_SUBLEVEL_WITNESS,
 )
@@ -683,11 +684,55 @@ def test_batch_slqc_equals_per_query_checks(use_oracle):
                for eps in eps_values for x in points]
     expected = [{"eps": q.eps, "x": q.x.tolist(), **_slqc_reference(f, q)} for q in queries]
     assert batch.reports == expected
+    assert batch.failures == [r for r in batch.reports if not r["holds"]]
     assert [vars(check_slqc(f, q)) for q in queries] == [_slqc_reference(f, q) for q in queries]
     assert batch.all_hold == all(r["holds"] for r in expected)
     kinds = {(r["clause"], r["grad_norm"] > 0) for r in batch.reports}
     assert kinds >= ({(1, True), (2, True), (None, True)} if use_oracle
                      else {(1, False), (None, False)})
+
+
+_PERCEPTRON = make_perceptron(seeded_stream(7), d=3, m=40, gamma=0.2)
+
+
+@given(st.sampled_from(["sigmoid_sum", "perceptron"]),
+       st.lists(st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3), min_size=1, max_size=12),
+       st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=4),
+       st.floats(1e-2, 1e2))
+@settings(max_examples=100, deadline=None)
+def test_batch_slqc_verdicts_equal_the_per_query_reference(name, rows, eps_values, kappa):
+    # sigmoid_sum takes the first two coordinates, by its gradient; the
+    # perceptron all three, by its direction oracle.  The points reach past
+    # both objectives' domains, where eps, kappa or both make queries fail
+    if name == "sigmoid_sum":
+        f, z, use_oracle = make_sigmoid_sum(), SIGMOID_SUM_MINIMIZER, False
+        points = np.array(rows)[:, :2]
+    else:
+        (ds, f), use_oracle = _PERCEPTRON, True
+        z, points = ds.planted, np.array(rows)
+    batch = check_slqc_batch(f, z, kappa, eps_values, points, use_oracle=use_oracle)
+    expected = [{"eps": eps, "x": x.tolist(),
+                 **_slqc_reference(f, SlqcQuery(eps, kappa, z, x, use_oracle))}
+                for eps in eps_values for x in points]
+    assert batch.reports == expected
+    assert batch.failures == [r for r in expected if not r["holds"]]
+    assert batch.all_hold is all(r["holds"] for r in expected)
+
+
+def test_batch_slqc_holds_its_verdicts_as_arrays():
+    # a passing 40x40 sigmoid_sum batch at 3 eps: 4 800 report dicts held
+    # 1.6 MB; its arrays hold about 0.1 MB, and reading failures adds none
+    f, grid = make_sigmoid_sum(), box_grid(SIGMOID_SUM_DOMAIN, 40)
+    check_slqc_batch(f, SIGMOID_SUM_MINIMIZER, 1.0, [0.1, 0.5, 1.0], grid[:2]).failures
+    tracemalloc.start()
+    try:
+        batch = check_slqc_batch(f, SIGMOID_SUM_MINIMIZER, 1.0, [0.1, 0.5, 1.0], grid)
+        failures = batch.failures
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert batch.all_hold and failures == []
+    assert held < 256 * 1024
 
 
 def test_batch_slqc_direction_norm_at_grad_tol_has_vanished():
