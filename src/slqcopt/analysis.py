@@ -162,7 +162,7 @@ def _hit_blocks(m: int, i: int, lo: int, hi: int) -> Iterator[tuple[int, np.ndar
     """
     a, b = max(lo, i), min(hi, (i + m - 1) // 2)  # the k with 0 < r < 1
     if a <= b and i * math.log(b / (m - b + 1)) < -746.0:
-        a = b + 1
+        a = b + 1  # every r there is 0.0, as outside the window
     L = 0.0
     if a <= b:
         for j in range(0, i, _BLOCK):
