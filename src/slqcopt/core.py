@@ -226,14 +226,16 @@ class Objective:
     direction (useful for piecewise-constant losses such as the zero-one
     error, where the true gradient vanishes almost everywhere).
 
-    values, gradients and directions, when present, evaluate an (n, dim)
-    stack of points in one call: row i of values(P), shape (n,), and of
-    gradients(P) and directions(P), shape (n, dim), must equal value(P[i]),
-    gradient(P[i]) and direction_oracle(P[i]) byte for byte.  The sampled
-    Lipschitz and smoothness checks and the SLQC batch use them; without
-    them those checks call the per-point oracles once per point.  The GLM
-    losses and sigmoid_sum set values and gradients, the perceptron values
-    and directions.
+    values, values_and_gradients and values_and_directions, when present,
+    evaluate an (n, dim) stack of points in one call.  values(P) has shape
+    (n,); the fused two return (values, G) with G of shape (n, dim), so one
+    evaluation serves both, as the SLQC batch and the smoothness check need
+    both at the same points.  Row i must equal value(P[i]) and gradient(P[i])
+    or direction_oracle(P[i]) byte for byte.  The sampled Lipschitz and
+    smoothness checks and the SLQC batch use them; without them those checks
+    call the per-point oracles once per point.  The GLM losses and
+    sigmoid_sum set values and values_and_gradients, the perceptron values
+    and values_and_directions.
     """
 
     dim: int
@@ -242,8 +244,8 @@ class Objective:
     direction_oracle: Callable[[Point], Point] | None = None
     domain: FeasibleRegion | None = None
     values: Callable[[np.ndarray], np.ndarray] | None = None
-    gradients: Callable[[np.ndarray], np.ndarray] | None = None
-    directions: Callable[[np.ndarray], np.ndarray] | None = None
+    values_and_gradients: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    values_and_directions: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,22 +68,28 @@ def make_sigmoid_sum() -> Objective:
         s1 = _sig(float(x[1]))
         return np.array([s0 * (1.0 - s0), s1 * (1.0 - s1)])
 
-    # The stacks apply the same _sig to each coordinate as a Python float and
-    # then the same IEEE add and products, so row i has the bytes of value and
-    # gradient at P[i]; np.exp would round differently from math.exp.
+    # The stacks call math.exp at the argument _sig passes it, -z for z >= 0
+    # and z otherwise, then make _sig's IEEE add and divide and the same add
+    # and products on arrays, so row i has the bytes of value and gradient at
+    # P[i]; np.exp would round differently from math.exp.  The argument is
+    # chosen by np.where, not -np.abs(P), which would flip a NaN's sign bit.
     def sigmoids(P: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(_sig, np.ravel(P).tolist()), np.float64).reshape(np.shape(P))
+        P = np.asarray(P, dtype=np.float64)
+        up = P >= 0
+        E = np.fromiter(map(math.exp, np.where(up, -P, P).ravel().tolist()), np.float64,
+                        P.size).reshape(P.shape)
+        return np.where(up, 1.0, E) / (1.0 + E)
 
     def values(P: np.ndarray) -> np.ndarray:
         S = sigmoids(P)
         return S[:, 0] + S[:, 1]
 
-    def gradients(P: np.ndarray) -> np.ndarray:
+    def values_and_gradients(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         S = sigmoids(P)
-        return S * (1.0 - S)
+        return S[:, 0] + S[:, 1], S * (1.0 - S)
 
     return Objective(dim=2, value=value, gradient=gradient, domain=SIGMOID_SUM_DOMAIN,
-                     values=values, gradients=gradients)
+                     values=values, values_and_gradients=values_and_gradients)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +225,8 @@ class SigmoidLoss:
     # gradient(P[i]): np.matmul of a matrix with an (n, d, 1) stack makes, per
     # stack, the BLAS gemv call that X @ w and X.T @ q make, and rowdot the
     # ddot that np.dot makes.  P @ X.T would be one gemm, which sums in
-    # another order and moves the last bits.  They skip the memo.
+    # another order and moves the last bits.  They skip the memo; the fused
+    # form derives both parts from one sigmoid stack.
 
     def _sigmoids_at(self, P: np.ndarray) -> np.ndarray:
         """sigmoid(X @ P[i]) in row i, shape (n, m)."""
@@ -229,18 +236,19 @@ class SigmoidLoss:
         R = self.y - self._sigmoids_at(P)
         return rowdot(R, R) / self.y.size
 
-    def gradients(self, P: np.ndarray) -> np.ndarray:
+    def values_and_gradients(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = self.y
         S = self._sigmoids_at(P)
+        R = y - S
         Q = S * (1.0 - S) * (S - y)
-        return (2.0 / y.size) * np.matmul(self.X.T, Q[:, :, None])[:, :, 0]
+        return rowdot(R, R) / y.size, (2.0 / y.size) * np.matmul(self.X.T, Q[:, :, None])[:, :, 0]
 
 
 def glm_objective(ds: GlmDataset) -> Objective:
     """Mean squared sigmoid-regression error over the dataset."""
     loss = SigmoidLoss(ds.X, ds.y)
     return Objective(dim=ds.dim, value=loss.value, gradient=loss.gradient,
-                     values=loss.values, gradients=loss.gradients)
+                     values=loss.values, values_and_gradients=loss.values_and_gradients)
 
 
 def make_idealized_glm(stream: RandomStream, d: int, m: int, W: float,
@@ -443,7 +451,8 @@ def perceptron_objective(ds: PerceptronDataset) -> Objective:
         return (X.T @ (pred - y)) / m
 
     # Row i of the stacks has the bytes of value and oracle at P[i]: stacked
-    # gemv and rowdot, as SigmoidLoss's stacks (never gemm or einsum).
+    # gemv and rowdot, as SigmoidLoss's stacks (never gemm or einsum).  The
+    # fused form squares D = pred - y, not y - pred: (-a)**2 is a**2 exactly.
     def preds(P: np.ndarray) -> np.ndarray:
         return (np.matmul(X, P[:, :, None])[:, :, 0] >= 0).astype(np.float64)
 
@@ -451,11 +460,12 @@ def perceptron_objective(ds: PerceptronDataset) -> Objective:
         R = y - preds(P)
         return rowdot(R, R) / m
 
-    def directions(P: np.ndarray) -> np.ndarray:
-        return np.matmul(X.T, (preds(P) - y)[:, :, None])[:, :, 0] / m
+    def values_and_directions(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        D = preds(P) - y
+        return rowdot(D, D) / m, np.matmul(X.T, D[:, :, None])[:, :, 0] / m
 
     return Objective(dim=ds.dim, value=value, gradient=gradient, direction_oracle=oracle,
-                     values=values, directions=directions)
+                     values=values, values_and_directions=values_and_directions)
 
 
 _MAX_BATCHES = 1000  # rejection-sampling batches make_perceptron draws at most

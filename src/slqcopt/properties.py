@@ -71,11 +71,15 @@ def _direction(f: Objective, use_oracle: bool):
 def _stacked(stacked, single):
     """The objective's stacked oracle, evaluated PAIR_CHUNK rows at a time so
     its temporaries stay at PAIR_CHUNK * m floats, or one calling single on
-    each row."""
+    each row.  A fused oracle's (values, G) pair is joined part by part."""
     if stacked is None:
-        return lambda P: np.array([single(p) for p in P])
-    return lambda P: np.concatenate([stacked(P[i:i + PAIR_CHUNK])
-                                     for i in range(0, len(P), PAIR_CHUNK)])
+        return lambda P: _joined([single(p) for p in P], np.array)
+    return lambda P: _joined([stacked(P[i:i + PAIR_CHUNK])
+                              for i in range(0, len(P), PAIR_CHUNK)], np.concatenate)
+
+
+def _joined(parts, join):
+    return tuple(map(join, zip(*parts))) if isinstance(parts[0], tuple) else join(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +120,11 @@ class BatchSlqcResult:
 
 def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
                      use_oracle: bool = False) -> BatchSlqcResult:
-    """Decide each (eps, x) SLQC query exactly.  f(z) is evaluated once and
-    f(x) and the direction g once per point, by the stacked oracles where f
-    has them; every eps is then decided for all points at once, on arrays,
-    and the verdicts stay arrays (see BatchSlqcResult).  Clause 2 is decided
-    in closed form: <g, y - x> is linear in y, so its maximum over
+    """Decide each (eps, x) SLQC query exactly.  f(z) is evaluated once, and
+    f(x) and the direction g once per point, together, by the fused stacked
+    oracle where f has it; every eps is then decided for all points at once,
+    on arrays, and the verdicts stay arrays (see BatchSlqcResult).  Clause 2
+    is decided in closed form: <g, y - x> is linear in y, so its maximum over
     B(z, eps/kappa) is <g, z - x> + (eps/kappa)*||g||, and clause 2 holds
     iff ||g|| > GRAD_TOL and that maximum is <= 0."""
     z = as_point(z, f.dim)
@@ -133,8 +137,10 @@ def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
         raise ValueError(f"dimension mismatch: expected {z.size}, got {points.shape[1]}")
     if not np.all(np.isfinite(points)):
         raise ValueError("point has non-finite coordinates")
-    G = _stacked(f.directions if use_oracle else f.gradients, _direction(f, use_oracle))(points)
-    gap = _stacked(f.values, f.value)(points) - f.value(z)
+    direction = _direction(f, use_oracle)
+    values, G = _stacked(f.values_and_directions if use_oracle else f.values_and_gradients,
+                         lambda p: (f.value(p), direction(p)))(points)
+    gap = values - f.value(z)
     gn = np.sqrt(rowdot(G, G))  # np.linalg.norm's formula for one vector
     tilt = rowdot(G, z - points)
     eps = np.array(eps_values)[:, None]  # one row per eps
@@ -277,12 +283,12 @@ def check_local_smooth(f: Objective, z, eps_ball: float, beta: float, trials: in
     |f(x) - f(y) - <grad f(y), x - y>| <= (beta/2)*||x - y||^2."""
     in_range("beta", beta, 0)
     values = _stacked(f.values, f.value)
-    gradients = _stacked(f.gradients, f.gradient)
+    values_and_gradients = _stacked(f.values_and_gradients, lambda p: (f.value(p), f.gradient(p)))
 
     def sides(X, Y):
         D = X - Y
-        return (np.abs(values(X) - values(Y) - rowdot(gradients(Y), D)),
-                0.5 * beta * rowdot(D, D))
+        fY, GY = values_and_gradients(Y)  # one evaluation at each y
+        return (np.abs(values(X) - fY - rowdot(GY, D)), 0.5 * beta * rowdot(D, D))
 
     return _check_sampled_pairs(f, z, eps_ball, trials, stream, sides)
 

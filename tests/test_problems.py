@@ -289,13 +289,25 @@ def _glm_dataset(name, d):
     return make_idealized_glm(seeded_stream(d), d=d, m=m, W=2.0)[0]
 
 
+def _assert_stack_rows(value, direction, values, fused, P):
+    """Row i of values(P) and of both parts of fused(P) = (values, G) has the
+    bytes of value(P[i]) and direction(P[i])."""
+    vs, (fv, G) = values(P), fused(P)
+    assert vs.shape == fv.shape == (len(P),) and G.shape == P.shape
+    for i, p in enumerate(P):
+        v = np.float64(value(p)).tobytes()
+        assert vs[i].tobytes() == v and fv[i].tobytes() == v
+        assert G[i].tobytes() == np.asarray(direction(p), dtype=np.float64).tobytes()
+
+
 @pytest.mark.parametrize("name, d", [("counterexample", 2)] + [
     (name, d) for name in ("idealized_glm", "m1000") for d in (1, 2, 3, 20)])
 def test_sigmoid_loss_stacked_oracles_match_per_point_bytes(name, d):
-    # row i of values/gradients must be value/gradient at row i to the byte,
-    # or the sampled Lipschitz/smooth reports would move.  The stacks are
-    # stacked gemv (one X @ w per row), not P @ X.T: that gemm sums in
-    # another order and differs in the last bits at many points.
+    # row i of values and of both parts of values_and_gradients must be
+    # value/gradient at row i to the byte, or the sampled Lipschitz/smooth
+    # reports would move.  The stacks are stacked gemv (one X @ w per row),
+    # not P @ X.T: that gemm sums in another order and differs in the last
+    # bits at many points.
     ds = _glm_dataset(name, d)
     loss = problems.SigmoidLoss(ds.X, ds.y)
     gen = np.random.default_rng(d)
@@ -303,32 +315,33 @@ def test_sigmoid_loss_stacked_oracles_match_per_point_bytes(name, d):
         pairs = gen.normal(scale=3.0, size=(n, 2, d))
         # strided rows, as the sampled checks pass them, and contiguous ones
         for P in (pairs[:, 0], pairs.reshape(2 * n, d)):
-            values, gradients = loss.values(P), loss.gradients(P)
-            assert values.shape == (len(P),) and gradients.shape == P.shape
-            for i, p in enumerate(P):
-                assert values[i].tobytes() == np.float64(loss.value(p)).tobytes()
-                assert gradients[i].tobytes() == loss.gradient(p).tobytes()
+            _assert_stack_rows(loss.value, loss.gradient, loss.values,
+                               loss.values_and_gradients, P)
 
 
 def test_glm_objective_carries_the_stacked_oracles():
     ds, f = make_idealized_glm(seeded_stream(8), d=3, m=30, W=2.0)
     P = np.random.default_rng(8).normal(size=(5, 3))
-    assert f.values(P).tobytes() == np.array([f.value(p) for p in P]).tobytes()
-    assert f.gradients(P).tobytes() == np.array([f.gradient(p) for p in P]).tobytes()
+    _assert_stack_rows(f.value, f.gradient, f.values, f.values_and_gradients, P)
     # every objective the certify checks evaluate in bulk answers stacked
     s = make_sigmoid_sum()
-    assert s.values is not None and s.gradients is not None and s.directions is None
+    assert s.values is not None and s.values_and_gradients is not None
+    assert s.values_and_directions is None
     p = make_perceptron(seeded_stream(8), d=3, m=30, gamma=0.2)[1]
-    assert p.values is not None and p.directions is not None and p.gradients is None
-    assert f.directions is None
+    assert p.values is not None and p.values_and_directions is not None
+    assert p.values_and_gradients is None
+    assert f.values_and_directions is None
 
 
 def _sigmoid_sum_stacks():
     f = make_sigmoid_sum()
-    # both branches of _sig at +-0.0, +-700 and +-1e308
+    # both branches of _sig at +-0.0, +-700 and +-1e308; NaN, +-inf, the
+    # subnormal +-5e-324 and +-745.2, where math.exp underflows to 0.0
     edges = np.array([[0.0, -0.0], [-0.0, 0.0], [700.0, -700.0], [-700.0, 700.0],
-                      [1e308, -1e308], [-1e308, 1e308]])
-    return f, edges, ((f.values, f.value), (f.gradients, f.gradient))
+                      [1e308, -1e308], [-1e308, 1e308], [np.nan, -np.nan],
+                      [np.inf, -np.inf], [-np.inf, np.nan], [5e-324, -5e-324],
+                      [-5e-324, 5e-324], [745.2, -745.2], [-745.2, 745.2]])
+    return f, edges, (f.value, f.gradient, f.values, f.values_and_gradients)
 
 
 def _perceptron_stacks():
@@ -336,17 +349,17 @@ def _perceptron_stacks():
     # w = 0 lies on the separator, where every prediction is 1
     assert f.value(np.zeros(5)) == np.count_nonzero(ds.y == 0.0) / ds.m
     edges = np.array([np.zeros(5), -np.zeros(5), ds.planted, -ds.planted])
-    return f, edges, ((f.values, f.value), (f.directions, f.direction_oracle))
+    return f, edges, (f.value, f.direction_oracle, f.values, f.values_and_directions)
 
 
 @pytest.mark.parametrize("make", [_sigmoid_sum_stacks, _perceptron_stacks],
                          ids=["sigmoid_sum", "perceptron"])
 def test_sigmoid_sum_and_perceptron_stacks_match_per_point_bytes(make):
     # row i of each stack must be its per-point oracle at row i to the byte.
-    # sigmoid_sum's stacks apply the scalar _sig to Python floats, because
-    # np.exp and math.exp round differently; the perceptron's are stacked
-    # gemv and rowdot, as SigmoidLoss's are.
-    f, edges, stacks = make()
+    # sigmoid_sum's stacks call math.exp at _sig's argument, because np.exp
+    # and math.exp round differently; the perceptron's are stacked gemv and
+    # rowdot, as SigmoidLoss's are.
+    f, edges, oracles = make()
     gen = np.random.default_rng(f.dim)
     cases = [edges]
     for n in (1, 2, 2 * PAIR_CHUNK + 1):
@@ -354,11 +367,16 @@ def test_sigmoid_sum_and_perceptron_stacks_match_per_point_bytes(make):
         # strided rows, as the sampled checks pass them, and contiguous ones
         cases += [pairs[:, 0], pairs.reshape(2 * n, f.dim)]
     for P in cases:
-        for stacked, single in stacks:
-            out = stacked(P)
-            assert out.shape == (len(P),) + np.shape(single(P[0]))
-            for i, p in enumerate(P):
-                assert out[i].tobytes() == np.asarray(single(p), dtype=np.float64).tobytes()
+        _assert_stack_rows(*oracles, P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=8))
+def test_sigmoid_sum_stack_rows_equal_the_per_point_oracles(rows):
+    # any float64 pair, NaN (of any payload Hypothesis draws) and inf included
+    f = make_sigmoid_sum()
+    _assert_stack_rows(f.value, f.gradient, f.values, f.values_and_gradients,
+                       np.array(rows, dtype=np.float64))
 
 
 def test_noisy_glm_bound_and_minibatch_mean():

@@ -428,12 +428,38 @@ def test_sampled_pairs_are_uncorrelated(d, seed_offset):
     (check_local_lipschitz, 0.02), (check_local_lipschitz, 1.0),
     (check_local_smooth, 0.01), (check_local_smooth, 2.0)])
 def test_sampled_checks_stacked_equal_per_point(checker, bound):
-    # the GLM's stacked oracles and the per-point adapter give the same report
-    ds, f = make_idealized_glm(seeded_stream(42), d=3, m=80, W=2.0)
-    per_point = dataclasses.replace(f, values=None, gradients=None)
-    reports = [checker(g, ds.planted, 2.0, bound, 3 * PAIR_CHUNK + 5, seeded_stream(43))
-               for g in (f, per_point)]
-    assert reports[0] == reports[1]
+    # the GLM's and sigmoid_sum's stacked oracles and the per-point adapter
+    # give the same report; on both objectives the low bounds fail and the
+    # high ones pass
+    ds, glm = make_idealized_glm(seeded_stream(42), d=3, m=80, W=2.0)
+    for f, z in ((glm, ds.planted), (make_sigmoid_sum(), np.zeros(2))):
+        per_point = dataclasses.replace(f, values=None, values_and_gradients=None)
+        reports = [checker(g, z, 2.0, bound, 3 * PAIR_CHUNK + 5, seeded_stream(43))
+                   for g in (f, per_point)]
+        assert reports[0] == reports[1]
+
+
+def test_smooth_check_evaluates_each_chunk_once():
+    # per chunk, one values call on its x's and one fused values_and_gradients
+    # call on its y's, which serves both f(y) and grad f(y): the y's are not
+    # evaluated a second time for their values
+    ds, f = make_idealized_glm(seeded_stream(48), d=3, m=50, W=2.0)
+    n, calls = 2 * PAIR_CHUNK + 5, []
+
+    def counted(kind, fn):
+        def call(P):
+            calls.append((kind, P.tobytes()))
+            return fn(P)
+        return call
+
+    g = dataclasses.replace(f, values=counted("values", f.values),
+                            values_and_gradients=counted("fused", f.values_and_gradients))
+    assert check_local_smooth(g, ds.planted, 2.0, 2.0, n, seeded_stream(49)).passed
+    chunks = _chunk_draws(seeded_stream(49), 3, 2.0, ds.planted, n)
+    assert len(calls) == 2 * len(chunks) == 6
+    for c, points in enumerate(chunks):
+        assert dict(calls[2 * c:2 * c + 2]) == {"values": points[0::2].tobytes(),
+                                                "fused": points[1::2].tobytes()}
 
 
 @pytest.mark.parametrize("checker, bound", [(check_local_lipschitz, 0.024),
@@ -606,41 +632,52 @@ def test_batch_slqc_glm_certification():
 
 
 def test_batch_slqc_evaluates_each_point_once():
-    # f(z) once, then each point's value and direction once, whether the
-    # stacked oracles take them as rows, PAIR_CHUNK at a time (2 * PAIR_CHUNK
-    # + 1 points cross two chunk edges), or, without those, the per-point
-    # oracles one call each; both ways give the same reports.  The GLM's
-    # direction is its gradient, the perceptron's its direction oracle.
+    # f(z) once, then each point's value and direction once, together: the
+    # fused stacked oracle takes the points as rows, PAIR_CHUNK at a time, in
+    # ceil(n / PAIR_CHUNK) calls (2 * PAIR_CHUNK + 1 points cross two chunk
+    # edges), and values is never called; without the fused oracle, the
+    # per-point oracles are called once per point.  Both ways give the same
+    # verdicts to the byte.  The GLM's direction is its gradient, the
+    # perceptron's its direction oracle.
     points = sample_in_ball(seeded_stream(32).generator(), 3, 2.0, n=2 * PAIR_CHUNK + 1)
     once = sorted(map(tuple, points))
-    for ds, f, kappa, single, stack in [
+
+    def no_values(P):
+        raise AssertionError("values called: the fused oracle gives the values")
+
+    for ds, f, kappa, single, fused in [
             (*make_idealized_glm(seeded_stream(31), d=3, m=50, W=2.0), math.exp(2.0),
-             "gradient", "gradients"),
+             "gradient", "values_and_gradients"),
             (*make_perceptron(seeded_stream(33), d=3, m=50, gamma=0.2), 10.0,
-             "direction_oracle", "directions")]:
-        reports = []
+             "direction_oracle", "values_and_directions")]:
+        batches = []
         for stacked in (True, False):
             seen, rows = {"value": [], "direction": []}, []
 
-            def counted(kind, fn, many):
+            def counted(kind, fn):
                 def call(x):
-                    seen[kind].extend(map(tuple, x) if many else [tuple(x)])
-                    rows.extend([len(x)] if many else [])
+                    seen[kind].append(tuple(x))
                     return fn(x)
                 return call
 
-            g = dataclasses.replace(f, value=counted("value", f.value, False), **{
-                single: counted("direction", getattr(f, single), False),
-                "values": counted("value", f.values, True) if stacked else None,
-                stack: counted("direction", getattr(f, stack), True) if stacked else None})
+            def counted_fused(P, fn=getattr(f, fused)):
+                rows.append(len(P))
+                seen["value"].extend(map(tuple, P))
+                seen["direction"].extend(map(tuple, P))
+                return fn(P)
+
+            g = dataclasses.replace(f, value=counted("value", f.value), values=no_values, **{
+                single: counted("direction", getattr(f, single)),
+                fused: counted_fused if stacked else None})
             batch = check_slqc_batch(g, ds.planted, kappa, [0.01, 0.1, 0.5], points,
                                      use_oracle=single == "direction_oracle")
             assert len(batch.reports) == 3 * len(points)
             assert sorted(seen["value"]) == sorted(once + [tuple(ds.planted)])
             assert sorted(seen["direction"]) == once
-            assert rows == ([PAIR_CHUNK, PAIR_CHUNK, 1] * 2 if stacked else [])
-            reports.append(batch.reports)
-        assert reports[0] == reports[1], single
+            assert rows == ([PAIR_CHUNK, PAIR_CHUNK, 1] if stacked else [])
+            batches.append(batch)
+        for a in ("clause", "margin", "grad_norm"):
+            assert getattr(batches[0], a).tobytes() == getattr(batches[1], a).tobytes(), single
 
 
 def test_batch_slqc_memory_is_bounded_by_the_chunk():
