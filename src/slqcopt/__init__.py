@@ -46,8 +46,6 @@ from .problems import (
     sigmoid,
 )
 from .properties import (
-    SlqcQuery,
-    SlqcReport,
     check_local_lipschitz,
     check_local_smooth,
     check_quasiconvex_grad,

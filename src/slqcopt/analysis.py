@@ -286,6 +286,13 @@ def lower_bound_experiment(eps: float, trials: int, T: int, stream: RandomStream
     the batch-mean gradient's sign depends only on whether the batch is
     all-linear).  Trials are drawn in fixed chunks of 10^4 with one
     substream each, so results do not depend on scheduling.
+
+    A walk enters the eps-optimal segment after h = ceil(1/eps) net moves
+    toward it, the count in exact arithmetic.  sngd's float iterates can need
+    one more: at eps 0.1 ten steps of x - 0.1 from 0 end at
+    -0.9999999999999999, outside the segment.  They never need fewer there,
+    so the model counts every hit sngd makes and may count more, which errs
+    toward failing.
     """
     in_range("eps", eps, 0, 0.1, "(]")
     in_range("trials", trials, 1)

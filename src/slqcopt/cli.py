@@ -422,10 +422,7 @@ def cmd_check(args) -> int:
             points = box_grid(region, args.grid)
         else:
             points = sample_region(stream.substream(1).generator(), region, n=args.points)
-        batch = properties.check_slqc_batch(
-            f, prob.minimizer, kappa, args.eps_grid, points,
-            use_oracle=f.direction_oracle is not None,
-        )
+        batch = properties.check_slqc_batch(f, prob.minimizer, kappa, args.eps_grid, points)
         result.update({"kappa": kappa, "eps_grid": args.eps_grid,
                        "n_points": len(points), "passed": batch.all_hold,
                        "failures": batch.failures})

@@ -18,7 +18,6 @@ from .core import (
     Box,
     FeasibleRegion,
     Objective,
-    Point,
     RandomStream,
     as_point,
     in_range,
@@ -26,46 +25,6 @@ from .core import (
     sample_in_ball,
     sample_region,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class SlqcQuery:
-    """One SLQC check: is f (eps, kappa, z)-SLQC at x?  With use_oracle the
-    direction is f.direction_oracle, which must exist, not the gradient."""
-
-    eps: float
-    kappa: float
-    z: Point
-    x: Point
-    use_oracle: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", as_point(self.z))
-        object.__setattr__(self, "x", as_point(self.x, self.z.size))
-        in_range("eps", self.eps, 0, ends="()")
-        in_range("kappa", self.kappa, 0, ends="()")
-
-
-@dataclass(frozen=True)
-class SlqcReport:
-    """Verdict and witness for one SLQC query.
-
-    clause 1 margin: eps - (f(x) - f(z)); clause 2 margin: the negated ball
-    maximum -(<g, z - x> + (eps/kappa)*||g||).  margin >= 0 iff the reported
-    clause holds; on failure margin is the (negative) clause-2 margin, or the
-    clause-1 margin when the direction vanished (norm <= GRAD_TOL).
-    """
-
-    holds: bool
-    clause: int | None
-    margin: float
-    grad_norm: float
-
-
-def _direction(f: Objective, use_oracle: bool):
-    if use_oracle and f.direction_oracle is None:
-        raise ValueError("objective has no direction oracle")
-    return f.direction_oracle if use_oracle else f.gradient
 
 
 def _stacked(stacked, single):
@@ -87,7 +46,12 @@ class BatchSlqcResult:
     """Verdicts of check_slqc_batch, held as arrays: clause[e, j] (1 or 2, 0
     when neither holds) and margin[e, j] of the query at eps_values[e] and
     points[j], and grad_norm[j], the direction norm at points[j].  Report
-    dicts are built, eps-major, only when `reports` or `failures` is read."""
+    dicts are built, eps-major, only when `reports` or `failures` is read.
+
+    Clause 1's margin is eps - (f(x) - f(z)); clause 2's is the negated ball
+    maximum -(<g, z - x> + (eps/kappa)*||g||).  margin >= 0 iff the reported
+    clause holds; on failure margin is the (negative) clause-2 margin, or the
+    clause-1 margin when the direction vanished (norm <= GRAD_TOL)."""
 
     eps_values: list[float]
     points: np.ndarray
@@ -118,11 +82,12 @@ class BatchSlqcResult:
                                          self.grad_norm[j].tolist())]
 
 
-def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
-                     use_oracle: bool = False) -> BatchSlqcResult:
-    """Decide each (eps, x) SLQC query exactly.  f(z) is evaluated once, and
-    f(x) and the direction g once per point, together, by the fused stacked
-    oracle where f has it; every eps is then decided for all points at once,
+def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points) -> BatchSlqcResult:
+    """Decide each (eps, x) SLQC query exactly.  The direction g is
+    f.direction_oracle where f has one and f.gradient otherwise, the
+    direction the normalized methods descend along.  f(z) is evaluated once,
+    and f(x) and g once per point, together, by the fused stacked oracle
+    where f has it; every eps is then decided for all points at once,
     on arrays, and the verdicts stay arrays (see BatchSlqcResult).  Clause 2
     is decided in closed form: <g, y - x> is linear in y, so its maximum over
     B(z, eps/kappa) is <g, z - x> + (eps/kappa)*||g||, and clause 2 holds
@@ -130,6 +95,8 @@ def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
     z = as_point(z, f.dim)
     in_range("kappa", kappa, 0, ends="()")
     eps_values = [float(in_range("eps", eps, 0, ends="()")) for eps in eps_values]
+    if not eps_values:
+        raise ValueError("eps_values must be non-empty")
     points = np.array(points, dtype=np.float64)  # a copy: the result holds it
     if points.ndim != 2 or len(points) == 0:
         raise ValueError(f"points must be a non-empty (n, d) array, got shape {points.shape}")
@@ -137,8 +104,8 @@ def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
         raise ValueError(f"dimension mismatch: expected {z.size}, got {points.shape[1]}")
     if not np.all(np.isfinite(points)):
         raise ValueError("point has non-finite coordinates")
-    direction = _direction(f, use_oracle)
-    values, G = _stacked(f.values_and_directions if use_oracle else f.values_and_gradients,
+    direction = f.direction_oracle or f.gradient
+    values, G = _stacked(f.values_and_directions if f.direction_oracle else f.values_and_gradients,
                          lambda p: (f.value(p), direction(p)))(points)
     gap = values - f.value(z)
     gn = np.sqrt(rowdot(G, G))  # np.linalg.norm's formula for one vector
@@ -151,10 +118,9 @@ def check_slqc_batch(f: Objective, z, kappa: float, eps_values, points,
     return BatchSlqcResult(eps_values, points, clause, margin, gn)
 
 
-def check_slqc(f: Objective, q: SlqcQuery) -> SlqcReport:
-    """Decide one SLQC query exactly: `check_slqc_batch` at the one point."""
-    r = check_slqc_batch(f, q.z, q.kappa, [q.eps], [q.x], q.use_oracle).reports[0]
-    return SlqcReport(r["holds"], r["clause"], r["margin"], r["grad_norm"])
+def check_slqc(f: Objective, z, kappa: float, eps: float, x) -> dict:
+    """Decide one SLQC query exactly: the report of `check_slqc_batch` at x."""
+    return check_slqc_batch(f, z, kappa, [eps], [x]).reports[0]
 
 
 # ---------------------------------------------------------------------------

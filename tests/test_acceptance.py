@@ -15,7 +15,6 @@ from slqcopt import (
     Ball,
     ChainSpec,
     NgdConfig,
-    SlqcQuery,
     SngdConfig,
     StepSchedule,
     absorb_probability,
@@ -211,8 +210,7 @@ def test_criterion_7_slqc_certifications():
     # margin perceptron with the direction oracle
     pds, perc = make_perceptron(seeded_stream(302), d=5, m=200, gamma=0.2)
     ppts = sample_in_ball(seeded_stream(303).generator(), 5, 2.0, n=100)
-    perc_ok = check_slqc_batch(perc, pds.planted, 2.0 / 0.2, [0.1, 0.5], ppts,
-                               use_oracle=True).all_hold
+    perc_ok = check_slqc_batch(perc, pds.planted, 2.0 / 0.2, [0.1, 0.5], ppts).all_hold
     elapsed = time.perf_counter() - t0
     _report(7, "slqc certificates: box objective grid, regression, perceptron",
             g_ok and glm_ok and perc_ok, elapsed)
@@ -254,8 +252,7 @@ def test_criterion_8_property_suites():
     lip_ok = check_local_lipschitz(cone, np.zeros(2), p.ball_radius, 1.0, 1000,
                                    seeded_stream(406)).passed
     slqc_ok = all(
-        check_slqc(cone, SlqcQuery(eps=eps, kappa=p.kappa, z=np.zeros(2),
-                                   x=gen.normal(size=2) * 4.0)).holds
+        check_slqc(cone, np.zeros(2), p.kappa, eps, gen.normal(size=2) * 4.0)["holds"]
         for _ in range(300)
     )
     checks["lipschitz-implies-slqc"] = lip_ok and slqc_ok

@@ -504,3 +504,38 @@ def test_walk_statistics_match_literal_sngd(seed_offset):
     se = math.sqrt(0.19 * 0.81 / events) + rep.p_hat_se
     # 4 SE on the sum of the two SEs: false-failure rate below 6.3e-5; K = 1..40: 0 failed
     assert abs(p_lit - rep.p_hat) <= 4.0 * se
+
+
+def test_walk_model_counts_segment_entry_in_exact_arithmetic(monkeypatch):
+    # lower_bound_experiment counts a hit once a walk has made h = 10 net
+    # moves toward [-5, -1] at eps 0.1, as exact arithmetic would; the float
+    # iterates enter after 10 or 11, never fewer, so the model counts every
+    # hit sngd makes and may count more.  Nothing below depends on the draws,
+    # so the test cannot fail by chance.
+    eps = 0.1
+    F = make_lower_bound_distribution(eps)
+    seen = []
+    monkeypatch.setattr(analysis, "_walk_hits", lambda gen, n, m, p, h: seen.append(h) or (0, 0))
+    lower_bound_experiment(eps, trials=1, T=13, stream=seeded_stream(0))
+    assert seen == [10]
+    # at lowerbound's b = 2 every sngd step from x > -3 is x - 0.1 or x + 0.1
+    # in floats, whichever hinge count was drawn ...
+    x = sngd(F, SngdConfig(T=300, eta=eps, x1=np.zeros(1), b=2,
+                           stream=seeded_stream(9))).iterates[:, 0]
+    moved = (x[1:] == x[:-1] - eps) | (x[1:] == x[:-1] + eps)
+    assert np.all(moved[x[:-1] > -3.0])
+    # ... so sngd's walks are float walks of such steps from 0.  Ten straight
+    # steps stop short of the segment, and the eleventh enters
+    straight = list(itertools.accumulate([-eps] * 11, initial=0.0))
+    assert straight[10] == -0.9999999999999999 and straight[10] > -1.0 >= straight[11]
+    # and every walk that stays at or below 30 enters after 10 or 11 net moves
+    reached, frontier, entries = {0.0}, [0.0], set()
+    while frontier:
+        x0 = frontier.pop()
+        for y in (x0 - eps, x0 + eps):
+            if y <= -1.0:
+                entries.add(round(-y / eps))
+            elif y <= 30.0 and y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    assert entries == {10, 11}

@@ -720,7 +720,7 @@ def test_public_surface_is_pinned():
     assert sorted(slqcopt.__all__) == [
         "Ball", "Box", "Budget", "ChainSpec", "FeasibleRegion", "GlmDataset", "NgdConfig",
         "Objective", "OptTrace", "PerceptronDataset", "Point", "RandomStream", "SigmoidLoss",
-        "SlqcQuery", "SlqcReport", "SngdConfig", "StepSchedule", "StochasticObjective",
+        "SngdConfig", "StepSchedule", "StochasticObjective",
         "absorb_probability", "absorb_probability_mc", "all_linear_prob", "analysis",
         "as_point", "check_local_lipschitz", "check_local_smooth", "check_quasiconvex_grad",
         "check_slqc", "check_slqc_batch", "check_sublevel_convex", "core",

@@ -11,8 +11,6 @@ from slqcopt import (
     Ball,
     Box,
     Objective,
-    SlqcQuery,
-    SlqcReport,
     check_local_lipschitz,
     check_local_smooth,
     check_quasiconvex_grad,
@@ -59,24 +57,23 @@ def test_slqc_cone_holds_everywhere():
     for eps in (0.05, 0.3, 1.0):
         for _ in range(50):
             x = gen.normal(size=2) * 5.0
-            rep = check_slqc(cone, SlqcQuery(eps=eps, kappa=1.0, z=z, x=x))
-            assert rep.holds, (eps, x, rep)
+            rep = check_slqc(cone, z, 1.0, eps, x)
+            assert rep["holds"], rep
 
 
 def test_slqc_sigmoid_sum_far_point():
     f = make_sigmoid_sum()
-    q = SlqcQuery(eps=0.5, kappa=1.0, z=SIGMOID_SUM_MINIMIZER, x=np.array([5.0, 5.0]))
-    rep = check_slqc(f, q)
-    assert rep.holds and rep.clause == 2
+    rep = check_slqc(f, SIGMOID_SUM_MINIMIZER, 1.0, 0.5, np.array([5.0, 5.0]))
+    assert rep["holds"] and rep["clause"] == 2
 
 
 def test_slqc_clause1_margin():
     quad = make_quadratic(2)
     eps = 0.2
     x = np.array([math.sqrt(eps / 2.0), 0.0])  # f(x) = eps/2
-    rep = check_slqc(quad, SlqcQuery(eps=eps, kappa=1.0, z=np.zeros(2), x=x))
-    assert rep.holds and rep.clause == 1
-    assert rep.margin == pytest.approx(eps / 2.0, rel=1e-12)
+    rep = check_slqc(quad, np.zeros(2), 1.0, eps, x)
+    assert rep["holds"] and rep["clause"] == 1
+    assert rep["margin"] == pytest.approx(eps / 2.0, rel=1e-12)
 
 
 def test_slqc_gap_is_measured_from_f_z():
@@ -84,36 +81,39 @@ def test_slqc_gap_is_measured_from_f_z():
     # below eps and clause 1 holds, while clause 2 fails this close to z
     # (<g, z - x> + eps * ||g|| = -2e-4 + 0.02 > 0); f(x) + f(z) would fail
     f = Objective(dim=1, value=lambda x: float(x @ x) + 5.0, gradient=lambda x: 2.0 * x)
-    rep = check_slqc(f, SlqcQuery(eps=0.1, kappa=1.0, z=np.zeros(1), x=np.array([0.01])))
-    assert rep.holds and rep.clause == 1
-    assert rep.margin == pytest.approx(0.1 - 1e-4, rel=1e-9)
+    rep = check_slqc(f, np.zeros(1), 1.0, 0.1, np.array([0.01]))
+    assert rep["holds"] and rep["clause"] == 1
+    assert rep["margin"] == pytest.approx(0.1 - 1e-4, rel=1e-9)
 
 
 def test_slqc_fails_when_gradient_points_at_ball():
     # value well above f(z) but the (synthetic) gradient points toward z:
     # neither clause can hold
     f = Objective(dim=1, value=lambda x: float(x[0]) ** 2, gradient=lambda x: -x)
-    rep = check_slqc(f, SlqcQuery(eps=0.1, kappa=1.0, z=np.zeros(1), x=np.array([5.0])))
-    assert not rep.holds and rep.clause is None and rep.margin < 0
+    rep = check_slqc(f, np.zeros(1), 1.0, 0.1, np.array([5.0]))
+    assert not rep["holds"] and rep["clause"] is None and rep["margin"] < 0
 
 
 def test_slqc_vanished_gradient_above_eps_fails():
     f = Objective(dim=1, value=lambda x: float(x[0] ** 2), gradient=lambda x: np.zeros(1))
-    rep = check_slqc(f, SlqcQuery(eps=0.1, kappa=1.0, z=np.zeros(1), x=np.array([3.0])))
-    assert not rep.holds and rep.grad_norm == 0.0
+    rep = check_slqc(f, np.zeros(1), 1.0, 0.1, np.array([3.0]))
+    assert not rep["holds"] and rep["grad_norm"] == 0.0
 
 
-def test_slqc_query_validation():
+def test_slqc_query_validation(quadratic):
+    # one query is validated as the batch validates it
+    with pytest.raises(ValueError, match="eps"):
+        check_slqc(quadratic, np.zeros(2), 1.0, 0.0, np.zeros(2))
+    with pytest.raises(ValueError, match="kappa"):
+        check_slqc(quadratic, np.zeros(2), -1.0, 0.1, np.zeros(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        check_slqc(quadratic, np.zeros(2), 1.0, 0.1, np.zeros(3))
     with pytest.raises(ValueError):
-        SlqcQuery(eps=0.0, kappa=1.0, z=np.zeros(1), x=np.zeros(1))
-    with pytest.raises(ValueError):
-        SlqcQuery(eps=0.1, kappa=-1.0, z=np.zeros(1), x=np.zeros(1))
-    with pytest.raises(ValueError):
-        SlqcQuery(eps=0.1, kappa=1.0, z=np.zeros(2), x=np.zeros(3))
+        check_slqc(quadratic, np.zeros(3), 1.0, 0.1, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
-# SLQC with the direction oracle (use_oracle=True)
+# SLQC with the direction oracle, which the check uses wherever f has one
 # ---------------------------------------------------------------------------
 
 
@@ -123,33 +123,20 @@ def test_slqc_oracle_perceptron_holds():
     gen = seeded_stream(3).generator()
     for _ in range(100):
         x = gen.normal(size=5) * 2.0
-        rep = check_slqc(f, SlqcQuery(eps=0.1, kappa=kappa, z=ds.planted, x=x,
-                                      use_oracle=True))
-        assert rep.holds
+        assert check_slqc(f, ds.planted, kappa, 0.1, x)["holds"]
 
 
 def test_slqc_oracle_zero_direction_at_optimum_is_clause1():
     ds, f = make_perceptron(seeded_stream(4), d=4, m=50, gamma=0.2)
-    rep = check_slqc(f, SlqcQuery(eps=0.1, kappa=10.0, z=ds.planted, x=ds.planted,
-                                  use_oracle=True))
-    assert rep.holds and rep.clause == 1
+    rep = check_slqc(f, ds.planted, 10.0, 0.1, ds.planted)
+    assert rep["holds"] and rep["clause"] == 1
 
 
 def test_slqc_x_equals_z_is_clause1(quadratic):
     z = np.array([0.3, -0.2])
-    rep = check_slqc(quadratic, SlqcQuery(eps=0.5, kappa=2.0, z=z, x=z))
-    assert rep.holds and rep.clause == 1
+    rep = check_slqc(quadratic, z, 2.0, 0.5, z)
+    assert rep["holds"] and rep["clause"] == 1
 
-
-def test_slqc_oracle_requires_oracle(quadratic):
-    with pytest.raises(ValueError):
-        check_slqc(quadratic, SlqcQuery(eps=0.1, kappa=1.0, z=np.zeros(2), x=np.ones(2),
-                                        use_oracle=True))
-
-
-def test_slqc_batch_oracle_requires_oracle(quadratic):
-    with pytest.raises(ValueError):
-        check_slqc_batch(quadratic, np.zeros(2), 1.0, [0.1], [np.ones(2)], use_oracle=True)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +564,7 @@ def test_lipschitz_implies_slqc_on_cone():
     gen = seeded_stream(24).generator()
     for _ in range(200):
         x = gen.normal(size=2) * 4.0
-        rep = check_slqc(cone, SlqcQuery(eps=eps, kappa=p.kappa, z=np.zeros(2), x=x))
-        assert rep.holds
+        assert check_slqc(cone, np.zeros(2), p.kappa, eps, x)["holds"]
 
 
 def test_lipschitz_implies_slqc_on_quadratic():
@@ -592,7 +578,7 @@ def test_lipschitz_implies_slqc_on_quadratic():
     gen = seeded_stream(26).generator()
     for _ in range(200):
         x = gen.normal(size=2) * 3.0
-        assert check_slqc(quad, SlqcQuery(eps=eps, kappa=p.kappa, z=np.zeros(2), x=x)).holds
+        assert check_slqc(quad, np.zeros(2), p.kappa, eps, x)["holds"]
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +655,7 @@ def test_batch_slqc_evaluates_each_point_once():
             g = dataclasses.replace(f, value=counted("value", f.value), values=no_values, **{
                 single: counted("direction", getattr(f, single)),
                 fused: counted_fused if stacked else None})
-            batch = check_slqc_batch(g, ds.planted, kappa, [0.01, 0.1, 0.5], points,
-                                     use_oracle=single == "direction_oracle")
+            batch = check_slqc_batch(g, ds.planted, kappa, [0.01, 0.1, 0.5], points)
             assert len(batch.reports) == 3 * len(points)
             assert sorted(seen["value"]) == sorted(once + [tuple(ds.planted)])
             assert sorted(seen["direction"]) == once
@@ -689,43 +674,48 @@ def test_batch_slqc_memory_is_bounded_by_the_chunk():
     points = sample_in_ball(seeded_stream(35).generator(), 5, 2.0, n=1200)
     tracemalloc.start()
     try:
-        check_slqc_batch(f, ds.planted, 10.0, [0.1], points, use_oracle=True)
+        check_slqc_batch(f, ds.planted, 10.0, [0.1], points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6
 
 
-def _slqc_reference(f, q):
-    """One SLQC query decided on scalars, one oracle call per point."""
-    g = (f.direction_oracle if q.use_oracle else f.gradient)(q.x)
-    gap, gn = f.value(q.x) - f.value(q.z), float(np.linalg.norm(g))
-    if gap <= q.eps or gn <= GRAD_TOL:
-        return {"holds": gap <= q.eps, "clause": 1 if gap <= q.eps else None,
-                "margin": q.eps - gap, "grad_norm": gn}
-    ball_max = float(np.dot(g, q.z - q.x)) + (q.eps / q.kappa) * gn
-    return {"holds": ball_max <= 0.0, "clause": 2 if ball_max <= 0.0 else None,
-            "margin": -ball_max, "grad_norm": gn}
+def _slqc_reference(f, z, kappa, eps, x):
+    """One SLQC query's report, decided on scalars with one oracle call per
+    point, by the direction oracle where f has one."""
+    g = (f.direction_oracle or f.gradient)(x)
+    gap, gn = f.value(x) - f.value(z), float(np.linalg.norm(g))
+    if gap <= eps or gn <= GRAD_TOL:
+        return {"eps": eps, "x": x.tolist(), "holds": gap <= eps,
+                "clause": 1 if gap <= eps else None, "margin": eps - gap, "grad_norm": gn}
+    ball_max = float(np.dot(g, z - x)) + (eps / kappa) * gn
+    return {"eps": eps, "x": x.tolist(), "holds": ball_max <= 0.0,
+            "clause": 2 if ball_max <= 0.0 else None, "margin": -ball_max, "grad_norm": gn}
 
 
-@pytest.mark.parametrize("use_oracle", [False, True], ids=["gradient", "oracle"])
-def test_batch_slqc_equals_per_query_checks(use_oracle):
-    # the perceptron's gradient is zero, so without the oracle every point
-    # above eps is a vanished-direction failure; kappa 0.1 makes the ball
-    # wide enough that the oracle fails clause 2 at some points
+@pytest.mark.parametrize("oracle", [False, True], ids=["gradient", "oracle"])
+def test_batch_slqc_equals_per_query_checks(oracle):
+    # the check judges an objective by its direction oracle where it has one.
+    # With the oracle stripped, the perceptron is judged by its gradient,
+    # which is zero, so every point above eps is a vanished-direction
+    # failure; kappa 0.1 makes the ball wide enough that the oracle fails
+    # clause 2 at some points
     ds, f = make_perceptron(seeded_stream(5), d=3, m=60, gamma=0.2)
+    if not oracle:
+        f = dataclasses.replace(f, direction_oracle=None, values_and_directions=None)
     points = np.vstack([ds.planted, sample_in_ball(seeded_stream(6).generator(), 3, 2.0, n=12)])
     eps_values, kappa = [0.05, 0.3], 0.1
-    batch = check_slqc_batch(f, ds.planted, kappa, eps_values, points, use_oracle=use_oracle)
-    queries = [SlqcQuery(eps=eps, kappa=kappa, z=ds.planted, x=x, use_oracle=use_oracle)
-               for eps in eps_values for x in points]
-    expected = [{"eps": q.eps, "x": q.x.tolist(), **_slqc_reference(f, q)} for q in queries]
+    batch = check_slqc_batch(f, ds.planted, kappa, eps_values, points)
+    expected = [_slqc_reference(f, ds.planted, kappa, eps, x)
+                for eps in eps_values for x in points]
     assert batch.reports == expected
     assert batch.failures == [r for r in batch.reports if not r["holds"]]
-    assert [vars(check_slqc(f, q)) for q in queries] == [_slqc_reference(f, q) for q in queries]
+    assert [check_slqc(f, ds.planted, kappa, eps, x)
+            for eps in eps_values for x in points] == expected
     assert batch.all_hold == all(r["holds"] for r in expected)
     kinds = {(r["clause"], r["grad_norm"] > 0) for r in batch.reports}
-    assert kinds >= ({(1, True), (2, True), (None, True)} if use_oracle
+    assert kinds >= ({(1, True), (2, True), (None, True)} if oracle
                      else {(1, False), (None, False)})
 
 
@@ -742,15 +732,13 @@ def test_batch_slqc_verdicts_equal_the_per_query_reference(name, rows, eps_value
     # perceptron all three, by its direction oracle.  The points reach past
     # both objectives' domains, where eps, kappa or both make queries fail
     if name == "sigmoid_sum":
-        f, z, use_oracle = make_sigmoid_sum(), SIGMOID_SUM_MINIMIZER, False
+        f, z = make_sigmoid_sum(), SIGMOID_SUM_MINIMIZER
         points = np.array(rows)[:, :2]
     else:
-        (ds, f), use_oracle = _PERCEPTRON, True
+        ds, f = _PERCEPTRON
         z, points = ds.planted, np.array(rows)
-    batch = check_slqc_batch(f, z, kappa, eps_values, points, use_oracle=use_oracle)
-    expected = [{"eps": eps, "x": x.tolist(),
-                 **_slqc_reference(f, SlqcQuery(eps, kappa, z, x, use_oracle))}
-                for eps in eps_values for x in points]
+    batch = check_slqc_batch(f, z, kappa, eps_values, points)
+    expected = [_slqc_reference(f, z, kappa, eps, x) for eps in eps_values for x in points]
     assert batch.reports == expected
     assert batch.failures == [r for r in expected if not r["holds"]]
     assert batch.all_hold is all(r["holds"] for r in expected)
@@ -777,14 +765,18 @@ def test_batch_slqc_direction_norm_at_grad_tol_has_vanished():
     # clause 2 would hold at any larger norm, but here neither clause holds
     # and the margin is clause 1's
     f = Objective(dim=1, value=lambda x: float(x[0]) ** 2, gradient=lambda x: np.array([GRAD_TOL]))
-    rep = check_slqc(f, SlqcQuery(eps=0.1, kappa=1.0, z=np.zeros(1), x=np.array([5.0])))
-    assert rep == SlqcReport(holds=False, clause=None, margin=0.1 - 25.0, grad_norm=GRAD_TOL)
+    rep = check_slqc(f, np.zeros(1), 1.0, 0.1, np.array([5.0]))
+    assert rep == {"eps": 0.1, "x": [5.0], "holds": False, "clause": None,
+                   "margin": 0.1 - 25.0, "grad_norm": GRAD_TOL}
 
 
 def test_batch_slqc_validates_eps_and_kappa(quadratic):
     for eps, kappa in ((0.0, 1.0), (math.nan, 1.0), (0.1, -1.0), (0.1, math.inf)):
         with pytest.raises(ValueError):
             check_slqc_batch(quadratic, np.zeros(2), kappa, [eps], [np.ones(2)])
+    # no eps used to report all_hold over no query
+    with pytest.raises(ValueError, match="eps_values"):
+        check_slqc_batch(quadratic, np.zeros(2), 1.0, [], [np.ones(2)])
 
 
 # an empty grid, such as box_grid(box, 0), used to report all_hold over no point
