@@ -206,6 +206,10 @@ def _minibatch(name: str, F: StochasticObjective, stream, x1, *, T: int, b: int 
     return F, _schedule(name, schedule, T, b), T, x1, b, stream
 
 
+# trials of one sweep value that `run` advances as one group at most: a
+# group's memory is this many runs' iterates, draw chunks and minibatches
+_GROUP = 8
+
 # config name -> (kind of objective it needs, optimizers.<name>, entry)
 OPTIMIZERS = {
     "ngd": ("deterministic", "ngd", _ngd),
@@ -217,9 +221,12 @@ OPTIMIZERS = {
 }
 
 
-def _bound_run(cfg: dict, prob: BuiltProblem, trial: int, sweep_idx: int):
-    """The configured optimizer's run on `prob` for one trial and sweep value,
-    its params bound; a param that does not bind is a usage error naming it."""
+def _bound_run(cfg: dict, prob: BuiltProblem, trials: list[int], sweep_idx: int):
+    """The configured optimizer's runs on `prob` for the trials and one sweep
+    value, their params bound; a param that does not bind is a usage error
+    naming it.  The call returned gives their traces, in the order of trials:
+    several runs go as one group through optimizers._lockstep, whose traces
+    have the bytes of the runs alone, and one run through optimizers.<name>."""
     name, params = cfg["optimizer"]["name"], dict(cfg["optimizer"].get("params") or {})
     if sweep := cfg.get("sweep"):
         params[sweep["param"]] = sweep["values"][sweep_idx]
@@ -229,7 +236,8 @@ def _bound_run(cfg: dict, prob: BuiltProblem, trial: int, sweep_idx: int):
     f = prob.stochastic if kind == "stochastic" else prob.objective
     if f is None or kind == "direction-oracle" and f.direction_oracle is None:
         raise ConfigError(f"optimizer {name!r} needs a {kind} problem")
-    stream = seeded_stream(cfg["seed"]).substream(1).substream(trial).substream(sweep_idx)
+    streams = [seeded_stream(cfg["seed"]).substream(1).substream(trial).substream(sweep_idx)
+               for trial in trials]
     x1 = params.pop("x1", None)  # every optimizer starts there, at the origin by default
     bad = f"bad parameters for optimizer {name!r}"
     try:
@@ -237,12 +245,14 @@ def _bound_run(cfg: dict, prob: BuiltProblem, trial: int, sweep_idx: int):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{bad}: 'x1': {exc}") from exc
     try:
-        args = _checked(entry, run_name, f, stream, x1, **params)
+        args = _checked(entry, run_name, f, streams[0], x1, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{bad}: {exc}") from exc
+    if len(trials) > 1:
+        return lambda: optimizers._lockstep(run_name, args, streams)
     # optimizers.<name> is looked up when the run is called, not here, so a
     # wrapper put on the module attribute (the perfbench tracer) reaches it
-    return lambda: getattr(optimizers, run_name)(*args)
+    return lambda: [getattr(optimizers, run_name)(*args)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,40 +285,45 @@ def _build_configured(cfg: dict) -> BuiltProblem:
                          seeded_stream(cfg["seed"]).substream(0))
 
 
-def _run_single(cfg: dict, trial: int, sweep_idx: int, out_dir: str,
-                prob: BuiltProblem | None = None) -> dict:
-    """One seeded run; safe to execute in a worker process, which builds the
-    problem itself when none is passed."""
+def _run_group(cfg: dict, trials: list[int], sweep_idx: int, out_dir: str,
+               prob: BuiltProblem | None = None) -> list[dict]:
+    """The seeded runs of the trials at one sweep value, as _bound_run makes
+    them; safe to execute in a worker process, which builds the problem
+    itself when none is passed.  Each run's wall time is the group's
+    optimize time over its size."""
     if prob is None:
         prob = _build_configured(cfg)
-    run = _bound_run(cfg, prob, trial, sweep_idx)
+    run = _bound_run(cfg, prob, trials, sweep_idx)
     sweep = cfg.get("sweep")
     tag = _sweep_tag(sweep["param"], sweep["values"][sweep_idx]) if sweep else ""
     t0 = time.perf_counter()
-    trace = run()
-    wall = time.perf_counter() - t0
-    csv_name = f"trace_trial{trial:03d}{tag}.csv"
-    trace.write_csv(Path(out_dir) / csv_name)
+    traces = run()
+    wall = (time.perf_counter() - t0) / len(trials)
     target = cfg.get("target_value")
-    first_hit = None
-    if target is not None:
-        hit = np.nonzero(trace.values <= target)[0]
-        first_hit = int(hit[0]) if hit.size else None
-    final_gap, best_gap = _population_gaps(prob, trace.iterates[-1], trace.returned)
-    return {
-        "trial": trial,
-        "sweep_param": sweep["param"] if sweep else None,
-        "sweep_value": sweep["values"][sweep_idx] if sweep else None,
-        "csv": csv_name,
-        "final_value": float(trace.values[-1]),
-        "best_value": float(trace.values[trace.returned_index]),
-        "best_index": int(trace.returned_index),
-        "final_gap": final_gap,
-        "best_gap": best_gap,
-        "first_hit": first_hit,
-        "aborted": trace.aborted,
-        "wall_time_s": wall,
-    }
+    entries = []
+    for trial, trace in zip(trials, traces):
+        csv_name = f"trace_trial{trial:03d}{tag}.csv"
+        trace.write_csv(Path(out_dir) / csv_name)
+        first_hit = None
+        if target is not None:
+            hit = np.nonzero(trace.values <= target)[0]
+            first_hit = int(hit[0]) if hit.size else None
+        final_gap, best_gap = _population_gaps(prob, trace.iterates[-1], trace.returned)
+        entries.append({
+            "trial": trial,
+            "sweep_param": sweep["param"] if sweep else None,
+            "sweep_value": sweep["values"][sweep_idx] if sweep else None,
+            "csv": csv_name,
+            "final_value": float(trace.values[-1]),
+            "best_value": float(trace.values[trace.returned_index]),
+            "best_index": int(trace.returned_index),
+            "final_gap": final_gap,
+            "best_gap": best_gap,
+            "first_hit": first_hit,
+            "aborted": trace.aborted,
+            "wall_time_s": wall,
+        })
+    return entries
 
 
 def _finite(text: str) -> float:
@@ -349,7 +364,7 @@ def cmd_run(args) -> int:
     # every sweep value binds before any run starts: a bad param writes nothing
     prob = _build_configured(cfg)
     for s in range(len(tags)):
-        _bound_run(cfg, prob, 0, s)
+        _bound_run(cfg, prob, [0], s)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -363,17 +378,26 @@ def cmd_run(args) -> int:
         old_cfg = None
     if old_cfg != cfg:
         summary_path.unlink(missing_ok=True)
-    work = [(trial, s) for trial in range(trials) for s in range(len(tags))]
-    jobs = cap_workers(args.jobs, len(work))
+    # A stochastic optimizer's trials at one sweep value run in n groups of
+    # near-equal size, at most _GROUP, and n is large enough that each of
+    # `jobs` workers has a group to run; other optimizers' trials run alone.
+    jobs = cap_workers(args.jobs, trials * len(tags))
+    n = trials
+    if OPTIMIZERS[cfg["optimizer"]["name"]][0] == "stochastic":
+        n = min(trials, max(-(-trials // _GROUP), -(-jobs // len(tags))))
+    work = [(list(range(trials * i // n, trials * (i + 1) // n)), s)
+            for i in range(n) for s in range(len(tags))]
     if jobs > 1:
         # imported here: it loads multiprocessing, which a serial run never uses
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_single, cfg, t, s, str(out_dir)) for t, s in work]
-            runs = [f.result() for f in futures]
+            futures = [pool.submit(_run_group, cfg, group, s, str(out_dir)) for group, s in work]
+            groups = [f.result() for f in futures]
     else:
-        runs = [_run_single(cfg, t, s, str(out_dir), prob) for t, s in work]
+        groups = [_run_group(cfg, group, s, str(out_dir), prob) for group, s in work]
+    done = {(r["trial"], s): r for (_, s), entries in zip(work, groups) for r in entries}
+    runs = [done[t, s] for t in range(trials) for s in range(len(tags))]
     summary = {"schema_version": 1, "config": cfg, "runs": runs}
     with atomic_write(summary_path) as fh:
         json.dump(summary, fh, indent=2)

@@ -87,32 +87,60 @@ class ChunkDraws:
     rows of a longer one's.  A call with other args (arrays included), another
     size, dtype, endpoint or out, and any other method, goes to the Generator
     itself, so at most one chunk per method is held.
+
+    Over a list of N Generators (a group of runs), every answer is the N
+    answers of ChunkDraws over each Generator alone, stacked: a size-b draw
+    is an (N, b) row, each Generator drawing its own (K, b) chunk, so each
+    run consumes exactly the draws it consumes alone, and at most N chunks
+    per method are held.
     """
 
-    def __init__(self, gen: np.random.Generator, b: int):
+    def __init__(self, gen: np.random.Generator | list[np.random.Generator], b: int):
         self._gen, self._b, self._K = gen, b, max(1, _DRAW_CHUNK // b)
         self._chunks = {}  # (name, args, b) of a method's first size-b call -> [answers, next row]
 
     def __getattr__(self, name: str):  # reached only for names not defined here
-        return getattr(self.__dict__.get("_gen"), name)  # no _gen yet while copied
+        gen = self.__dict__.get("_gen")  # no _gen yet while copied
+        if isinstance(gen, list):
+            return lambda *args, **kwargs: self._call(name, *args, **kwargs)
+        return getattr(gen, name)
+
+    def _call(self, name: str, *args, **kwargs):
+        """The Generator's own answer; over a group, each Generator's, stacked."""
+        if isinstance(self._gen, list):
+            return np.stack([getattr(gen, name)(*args, **kwargs) for gen in self._gen])
+        return getattr(self._gen, name)(*args, **kwargs)
+
+    def _chunk(self, name: str, args: tuple) -> np.ndarray:
+        """A fresh (K, b) chunk; over a group, (K, N, b), row r holding row r
+        of each Generator's own (K, b) chunk, drawn one Generator at a time."""
+        size = (self._K, self._b)
+        if not isinstance(self._gen, list):
+            return getattr(self._gen, name)(*args, size=size)
+        rows = np.empty((self._K, len(self._gen), self._b),
+                        np.int64 if name == "integers" else np.float64)
+        for i, gen in enumerate(self._gen):
+            rows[:, i] = getattr(gen, name)(*args, size=size)
+        return rows
 
     def _answer(self, name: str, args: tuple, size):
         try:
             chunk = self._chunks[name, args, size]
         except TypeError:  # an array argument
-            return getattr(self._gen, name)(*args, size)
+            return self._call(name, *args, size)
         except KeyError:
             if size != self._b or any(key[0] == name for key in self._chunks):
-                return getattr(self._gen, name)(*args, size)
+                return self._call(name, *args, size)
             chunk = self._chunks[name, args, size] = [None, self._K]
         if chunk[1] == self._K:
-            chunk[:] = getattr(self._gen, name)(*args, size=(self._K, self._b)), 0
+            chunk[0] = None  # the spent chunk goes before the next is drawn
+            chunk[:] = self._chunk(name, args), 0
         chunk[1] += 1
         return chunk[0][chunk[1] - 1]
 
     def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
         if dtype is not np.int64 or endpoint:
-            return self._gen.integers(low, high, size, dtype, endpoint)
+            return self._call("integers", low, high, size, dtype, endpoint)
         return self._answer("integers", (low, high), size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
@@ -120,7 +148,7 @@ class ChunkDraws:
 
     def random(self, size=None, dtype=np.float64, out=None):
         if dtype is not np.float64 or out is not None:
-            return self._gen.random(size, dtype, out)
+            return self._call("random", size, dtype, out)
         return self._answer("random", (), size)
 
 

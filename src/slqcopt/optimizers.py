@@ -19,6 +19,7 @@ from .core import (
     as_point,
     build_trace,
     in_range,
+    rowdot,
 )
 
 
@@ -88,7 +89,8 @@ class StepSchedule:
 # ---------------------------------------------------------------------------
 
 
-def _descent(x: Point, T: int, query, step, lookahead=None, stationary=False) -> OptTrace:
+def _descent(x: Point, T: int, query, step, lookahead=None,
+             stationary=False) -> OptTrace | list[OptTrace]:
     """The one descent loop; methods differ only in query and step.
 
     query() -> (value, direction) gives the oracles of the next iteration.
@@ -100,7 +102,44 @@ def _descent(x: Point, T: int, query, step, lookahead=None, stationary=False) ->
     step returns an iterate with the bytes of the current one, every later
     row would repeat this one, so they are filled in from it and the loop
     stops.
+
+    An (N, d) x is a group of N runs advanced as one stack, and a list of
+    their N traces is returned.  query() then gives (values, values_and_gradients)
+    over N minibatches, each taking an (N, d) stack, and step takes the
+    (N, d) directions and the N norms.  Every operation acts on each row as
+    the single run's on its point, so row i's trace has the bytes of run i
+    alone; a row ends its own trace at its first non-finite value or norm,
+    and the stack stops when every row has ended.
     """
+    if x.ndim == 2:
+        n = x.shape[0]
+        iterates = np.empty((n, T, x.shape[1]))  # run i's rows are contiguous
+        values = np.empty((n, T))
+        grad_norms = np.empty((n, T))
+        ends = np.full(n, T)
+        aborted = np.zeros(n, dtype=bool)
+        # A row that has ended goes on through the stack, on inf and nan, until
+        # every row has; its arithmetic warns of nothing and no other row reads it.
+        with np.errstate(all="ignore"):
+            for t in range(T):
+                values_at, pairs_at = query()
+                if lookahead is None:
+                    value, g = pairs_at(x)
+                else:
+                    value, g = values_at(x), pairs_at(lookahead(x))[1]
+                gn = np.sqrt(rowdot(g, g))
+                iterates[:, t] = x
+                values[:, t] = value
+                grad_norms[:, t] = gn
+                if not math.isfinite(value @ gn):  # finite only if every term is
+                    stop = ~(np.isfinite(value) & np.isfinite(gn) | aborted)
+                    ends[stop] = t + 1
+                    aborted |= stop
+                    if aborted.all():
+                        break
+                x = step(t, x, g, gn)
+        return [build_trace(iterates[i, :e], values[i, :e], grad_norms[i, :e], aborted=a)
+                for i, (e, a) in enumerate(zip(ends.tolist(), aborted.tolist()))]
     iterates = np.empty((T, x.size))
     values = np.empty(T)
     grad_norms = np.empty(T)
@@ -131,12 +170,22 @@ def _descent(x: Point, T: int, query, step, lookahead=None, stationary=False) ->
     return build_trace(iterates[:steps], values[:steps], grad_norms[:steps], aborted=aborted)
 
 
-def _minibatches(F: StochasticObjective, b: int, stream: RandomStream):
+def _minibatches(F: StochasticObjective, b: int, stream: RandomStream | list[RandomStream]):
     """query drawing one fresh size-b minibatch per iteration from stream.
 
     F.sample_minibatch is called once per iteration, with a ChunkDraws over
-    the stream's generator, so its size-b draws come a chunk at a time.
+    the stream's generator, so its size-b draws come a chunk at a time.  For
+    a list of N streams, a group's, the ChunkDraws is over their N generators,
+    so the minibatch is N minibatches, and the query gives its stacked oracles.
     """
+    if isinstance(stream, list):
+        gens = ChunkDraws([s.generator() for s in stream], b)
+
+        def stacked():
+            fb = F.sample_minibatch(gens, b)
+            return fb.values, fb.values_and_gradients
+
+        return stacked
     gen = ChunkDraws(stream.generator(), b)
 
     def query():
@@ -151,13 +200,15 @@ def _minibatches(F: StochasticObjective, b: int, stream: RandomStream):
 # ---------------------------------------------------------------------------
 
 
-def _run_normalized(dim: int, cfg: NgdConfig, query, stationary=False) -> OptTrace:
+def _run_normalized(dim: int, cfg: NgdConfig, query, stationary=False,
+                    group=0) -> OptTrace | list[OptTrace]:
     """Step rule x <- P(x - eta * g/||g||), P the projection onto cfg.region.
 
     A direction of norm <= GRAD_TOL skips the update: the iterate is kept
     and recorded again at the next iteration.  The step does not depend on
     t, so the run is stationary when the query returns the same oracles at
-    every call; the caller says which.
+    every call; the caller says which.  A group of N > 0 runs from x1 with
+    no region steps each row by the same rule.
     """
     eta, region = cfg.eta, cfg.region
 
@@ -167,7 +218,13 @@ def _run_normalized(dim: int, cfg: NgdConfig, query, stationary=False) -> OptTra
         x = x - (eta / gn) * g
         return x if region is None else region.project(x)
 
+    def steps(t: int, X: np.ndarray, G: np.ndarray, gn: np.ndarray) -> np.ndarray:
+        return np.where((gn <= GRAD_TOL)[:, None], X, X - (eta / gn)[:, None] * G)
+
     x = as_point(cfg.x1, dim)
+    if group:
+        assert region is None, "a group's runs are stochastic: no region"
+        return _descent(np.tile(x, (group, 1)), cfg.T, query, steps)
     if region is not None:
         x = region.project(x)
     return _descent(x, cfg.T, query, step, stationary=stationary)
@@ -219,14 +276,18 @@ def evaluate_iterates(trace: OptTrace, f: Objective) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _run_scheduled(dim: int, x1, T: int, schedule: StepSchedule, query) -> OptTrace:
+def _run_scheduled(dim: int, x1, T: int, schedule: StepSchedule, query,
+                   group=0) -> OptTrace | list[OptTrace]:
     """Step rule x <- x - eta_t * g; with momentum mu > 0 the look-ahead form
-    v <- mu*v - eta_t * g(x + mu*v); x <- x + v."""
+    v <- mu*v - eta_t * g(x + mu*v); x <- x + v.  A group of N > 0 runs from
+    x1 steps each row by the same rule."""
     eta, mu = schedule.step_size, schedule.momentum
     x = as_point(x1, dim)
+    if group:
+        x = np.tile(x, (group, 1))
     if mu == 0.0:
         return _descent(x, T, query, lambda t, x, g, gn: x - eta(t + 1) * g)
-    v = np.zeros(dim)
+    v = np.zeros_like(x)
 
     def step(t: int, x: Point, g: Point, gn: float) -> Point:
         nonlocal v
@@ -269,3 +330,21 @@ def nesterov(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,
     """
     _check_baseline(T, b, schedule, momentum=True)
     return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream))
+
+
+def _lockstep(name: str, args: tuple, streams: list[RandomStream]) -> list[OptTrace]:
+    """The traces of optimizers.<name>(*args) with each of streams in place of
+    args' stream, advanced as one group (see _descent): each trace has the
+    bytes of its run alone.
+
+    name is sngd, msgd or nesterov, and args are bound as `slqcopt run` binds
+    them: checked, and sngd's config without a region (a stochastic problem
+    has none).
+    """
+    F = args[0]
+    if name == "sngd":
+        cfg = args[1]
+        return _run_normalized(F.dim, cfg, _minibatches(F, cfg.b, streams), group=len(streams))
+    _, schedule, T, x1, b, _ = args
+    return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, streams),
+                          group=len(streams))

@@ -226,22 +226,27 @@ class SigmoidLoss:
     # stack, the BLAS gemv call that X @ w and X.T @ q make, and rowdot the
     # ddot that np.dot makes.  P @ X.T would be one gemm, which sums in
     # another order and moves the last bits.  They skip the memo; the fused
-    # form derives both parts from one sigmoid stack.
+    # form derives both parts from one sigmoid stack.  A loss over an
+    # (n, m, d) stack X and (n, m) labels y, the minibatches of a group of
+    # runs, is n losses: row i is loss i's at P[i].
 
     def _sigmoids_at(self, P: np.ndarray) -> np.ndarray:
         """sigmoid(X @ P[i]) in row i, shape (n, m)."""
         return sigmoid(np.matmul(self.X, np.asarray(P, dtype=np.float64)[:, :, None])[:, :, 0])
 
     def values(self, P: np.ndarray) -> np.ndarray:
-        R = self.y - self._sigmoids_at(P)
-        return rowdot(R, R) / self.y.size
+        y = self.y
+        R = y - self._sigmoids_at(P)
+        return rowdot(R, R) / y.shape[-1]
 
     def values_and_gradients(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = self.y
         S = self._sigmoids_at(P)
         R = y - S
         Q = S * (1.0 - S) * (S - y)
-        return rowdot(R, R) / y.size, (2.0 / y.size) * np.matmul(self.X.T, Q[:, :, None])[:, :, 0]
+        m = y.shape[-1]
+        return rowdot(R, R) / m, (2.0 / m) * np.matmul(np.swapaxes(self.X, -1, -2),
+                                                       Q[:, :, None])[:, :, 0]
 
 
 def glm_objective(ds: GlmDataset) -> Objective:
@@ -366,6 +371,21 @@ class _TwoComponentLoss:
             g += self.w_hinge * (1.0 - 0.5 * eps)
         return np.array([g / self.n])
 
+    # The stacks make value's and gradient's float operations, in their order,
+    # on arrays, so row i has the bytes of value(P[i]) and gradient(P[i]); the
+    # weights may be arrays of n entries, a group's n minibatches.
+
+    def values(self, P: np.ndarray) -> np.ndarray:
+        t, eps = P[:, 0], self.eps
+        return (self.w_linear * (-0.5 * eps) * t
+                + self.w_hinge * (1.0 - 0.5 * eps) * np.maximum(t + 3.0, 0.0)) / self.n
+
+    def values_and_gradients(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        eps = self.eps
+        g = self.w_linear * (-0.5 * eps)
+        g = np.where(P[:, 0] > -3.0, g + self.w_hinge * (1.0 - 0.5 * eps), g)
+        return self.values(P), (g / self.n)[:, None]
+
 
 def make_lower_bound_distribution(eps: float) -> StochasticObjective:
     """Two-component loss distribution whose expectation has minimum at -3.
@@ -384,7 +404,10 @@ def make_lower_bound_distribution(eps: float) -> StochasticObjective:
     expected = Objective(dim=1, value=pop.value, gradient=pop.gradient)
 
     def sample(gen: np.random.Generator, b: int) -> _TwoComponentLoss:
-        k = int((gen.random(b) < eps).sum())
+        hinges = gen.random(b) < eps
+        # a group's (n, b) draws give n counts; one run's count is a Python
+        # int, whose float arithmetic on inf and nan raises no numpy warning
+        k = hinges.sum(axis=-1) if hinges.ndim == 2 else int(hinges.sum())
         return _TwoComponentLoss(eps, b - k, k, b)
 
     return StochasticObjective(dim=1, sample_minibatch=sample, expected=expected,

@@ -539,3 +539,24 @@ def test_walk_model_counts_segment_entry_in_exact_arithmetic(monkeypatch):
                 reached.add(y)
                 frontier.append(y)
     assert entries == {10, 11}
+
+
+@pytest.mark.parametrize("b", [1, 5, 19])
+def test_sngd_up_moves_match_the_walk_model(b, seed_offset):
+    # the walk model's step: from x > -3 a minibatch with no hinge draw, which
+    # comes w.p. (1 - eps)^b, has a negative gradient, so sngd moves up, away
+    # from -3.  Whether step t counts depends only on the draws before it, so
+    # the up-moves among the n counted steps are Binomial(n, (1 - eps)^b).
+    # 4 SE, two-sided: false-failure rate 6.3e-5 per b; K = 1..40: 0 failed
+    eps, T = 0.1, 2000
+    F = make_lower_bound_distribution(eps)
+    up = n = 0
+    for trial in range(5):
+        stream = seeded_stream(60 + seed_offset).substream(trial)
+        x = sngd(F, SngdConfig(T=T, eta=eps, x1=np.zeros(1), b=b, stream=stream)).iterates[:, 0]
+        counted = x[:-1] > -3.0
+        n += int(counted.sum())
+        up += int((counted & (x[1:] > x[:-1])).sum())
+    p = (1.0 - eps) ** b
+    assert n >= 4000  # b 1 and 5 drift up; b 19 stays near -3, above it about half the time
+    assert abs(up - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slqcopt import cli, core, optimizers, seeded_stream
+from slqcopt import cli, core, optimizers, problems, seeded_stream
 from slqcopt.cli import build_problem, cap_workers, main
 
 from conftest import reference_csv
@@ -189,11 +190,14 @@ def test_run_byte_identical_across_repeats(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_run_sweep_and_jobs_invariance(tmp_path, seed_offset):
+@pytest.mark.parametrize("trials", [1, 3])
+def test_run_sweep_and_jobs_invariance(tmp_path, seed_offset, trials):
+    # at 3 trials `--jobs 1` advances each sweep value's trials as one group
+    # and `--jobs 2` runs the groups in two worker processes
     cfg_path = tmp_path / "cfg.json"
     write_config(
         cfg_path,
-        seed=11 + 10_000 * seed_offset,
+        seed=11 + 10_000 * seed_offset, trials=trials,
         problem={"name": "noisy_glm", "params": {"d": 4, "W": 2.0, "pool_size": 200}},
         optimizer={"name": "sngd", "params": {"T": 300, "eta": 0.1, "x1": [0, 0, 0, 0]}},
         sweep={"param": "b", "values": [1, 10, 100, 646]},
@@ -203,17 +207,116 @@ def test_run_sweep_and_jobs_invariance(tmp_path, seed_offset):
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out2),
                  "--jobs", "2"]) == 0
     csvs = sorted(p.name for p in out1.glob("trace_*.csv"))
-    assert len(csvs) == 4
+    assert len(csvs) == 4 * trials
     for name in csvs:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    summary = json.loads((out1 / "summary.json").read_text())
-    by_b = {r["sweep_value"]: r for r in summary["runs"]}
+    summaries = [json.loads((out / "summary.json").read_text()) for out in (out1, out2)]
+    for summary in summaries:
+        for r in summary["runs"]:
+            del r["wall_time_s"]
+    assert summaries[0] == summaries[1]
+    summary = summaries[0]
+    assert [(r["trial"], r["sweep_value"]) for r in summary["runs"]] == [
+        (t, b) for t in range(trials) for b in (1, 10, 100, 646)]
+    by_b = {r["sweep_value"]: r for r in summary["runs"] if r["trial"] == 0}
     assert set(by_b) == {1, 10, 100, 646}
     # qualitative: the big-batch run ends nearer the population minimum.
     # K = 1..40: 0 failed with core.ChunkDraws, and 1 (K = 10) with one
     # generator call per minibatch.  Comparing the mean of the last 50
     # minibatch values instead, a skewed statistic, failed 15 and 24 of the 40
     assert by_b[646]["final_gap"] < by_b[1]["final_gap"]
+
+
+def test_run_group_runs_end_as_they_end_alone(tmp_path, capsys):
+    # msgd at eta0 1.7e308 on lower_bound overflows after a run of up-moves:
+    # at seed 13 trials 0 and 1 of the group end at t = 109 and 235, trial 2
+    # runs all 300 steps, and each trace and flag is its run's alone
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, seed=13, trials=3, problem={"name": "lower_bound"},
+                 optimizer={"name": "msgd", "params": {"T": 300, "schedule": {"eta0": 1.7e308}}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert "warning: at least one run aborted" in capsys.readouterr().err
+    runs = json.loads((out / "summary.json").read_text())["runs"]
+    F = problems.make_lower_bound_distribution(0.1)
+    lengths = []
+    for trial, run in enumerate(runs):
+        alone = optimizers.msgd(F, optimizers.StepSchedule(eta0=1.7e308), 300, np.zeros(1), 1,
+                                seeded_stream(13).substream(1).substream(trial).substream(0))
+        alone.write_csv(tmp_path / "alone.csv")
+        assert (out / run["csv"]).read_bytes() == (tmp_path / "alone.csv").read_bytes()
+        assert run["aborted"] is alone.aborted
+        lengths.append((len(alone), alone.aborted))
+    assert lengths == [(109, True), (235, True), (300, False)]
+
+
+def test_run_groups_hold_at_most_the_cap(tmp_path, monkeypatch):
+    # 9 trials of one sweep value run as groups of at most cli._GROUP (8),
+    # and each trial once
+    sizes = []
+    lockstep = optimizers._lockstep
+
+    def recording(name, args, streams):
+        sizes.append(len(streams))
+        return lockstep(name, args, streams)
+
+    monkeypatch.setattr(optimizers, "_lockstep", recording)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, trials=9,
+                 problem={"name": "noisy_glm", "params": {"d": 3, "pool_size": 50}},
+                 optimizer={"name": "sngd", "params": {"T": 20, "eta": 0.1, "b": 4}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert cli._GROUP == 8 and sorted(sizes) == [4, 5]
+    runs = json.loads((out / "summary.json").read_text())["runs"]
+    assert [r["trial"] for r in runs] == list(range(9))
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that runs each submitted call at
+    once in this process and records its arguments."""
+
+    submitted: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        _InlinePool.submitted.append(args)
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs, trials, values, units", [
+    (2, 3, [4], 2), (4, 3, [4], 3), (3, 5, [2, 4], 4), (2, 3, [2, 4], 2), (2, 17, [4], 3)])
+def test_run_pool_gets_a_group_for_each_worker(tmp_path, monkeypatch, jobs, trials, values,
+                                               units):
+    # the trials of a sweep value are split into near-equal groups, enough
+    # that each of min(jobs, runs) workers has one, and at most 8 trials a group
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "submitted", [])
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, trials=trials,
+                 problem={"name": "noisy_glm", "params": {"d": 3, "pool_size": 50}},
+                 optimizer={"name": "sngd", "params": {"T": 5, "eta": 0.1}},
+                 sweep={"param": "b", "values": values})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out),
+                 "--jobs", str(jobs)]) == 0
+    groups = [(tuple(group), s) for _, group, s, _ in _InlinePool.submitted]
+    assert len(groups) == units >= min(jobs, trials * len(values))
+    assert sorted((t, s) for group, s in groups for t in group) == [
+        (t, s) for t in range(trials) for s in range(len(values))]
+    assert max(len(g) for g, _ in groups) - min(len(g) for g, _ in groups) <= 1
+    assert max(len(g) for g, _ in groups) <= cli._GROUP
 
 
 def test_run_empty_sweep_is_single_run(tmp_path):

@@ -190,6 +190,27 @@ def test_chunk_draws_pass_other_calls_to_the_generator():
     assert drawer.integers(0, 10, size=b).tobytes() == chunk[1].tobytes()
 
 
+@pytest.mark.parametrize("b", [7, 646])
+def test_group_chunk_draws_stack_each_generators_own_answers(b):
+    # over N generators every answer, chunked or passed through, is the N
+    # answers of ChunkDraws over each generator alone, in order: each run of
+    # a group consumes exactly the draws it consumes alone, across chunk ends
+    calls = [("integers", (0, 10), {"size": b}), ("uniform", (-1.0, 1.0), {"size": b}),
+             ("random", (b,), {}), ("integers", (0, 11), {"size": b}),
+             ("integers", (0, 10, b, np.int32), {}), ("random", (b,), {"dtype": np.float32}),
+             ("standard_normal", (3,), {}), ("normal", (1.0, 2.0), {"size": b})]
+    K = _DRAW_CHUNK // b
+    streams = [seeded_stream(16).substream(i) for i in range(3)]
+    group = ChunkDraws([s.generator() for s in streams], b)
+    alone = [ChunkDraws(s.generator(), b) for s in streams]
+    for t in range(2 * K + 3):
+        for name, args, kw in calls if t < 2 or t > 2 * K else calls[:3]:
+            got = getattr(group, name)(*args, **kw)
+            want = np.stack([getattr(d, name)(*args, **kw) for d in alone])
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                               want.tobytes()), (t, name)
+
+
 def test_chunk_draws_copy_and_pickle():
     # a copy or a pickled drawer goes on with the same draws, chunked or not
     drawer = ChunkDraws(seeded_stream(15).generator(), 3)
@@ -201,19 +222,26 @@ def test_chunk_draws_copy_and_pickle():
     assert draws[0] == draws[1] == draws[2]
 
 
-def test_chunk_draws_hold_one_chunk_per_method():
+@pytest.mark.parametrize("n", [None, 3], ids=["one", "group"])
+def test_chunk_draws_hold_one_chunk_per_method(n):
     # a sampler whose args change every minibatch draws each call with other
     # args from the Generator, and ChunkDraws keeps only the chunk of its
     # first args: 10^4 minibatches at b = 8 peak at about one integers chunk
-    # (128 KB), where a chunk per distinct args would hold 1000 (125 MB)
+    # (128 KB) per Generator, where a chunk per distinct args would hold 1000
+    # per Generator (125 MB); the fixed-args call is drawn a fresh chunk four
+    # times.  A spent chunk goes before the next is drawn, and a group of n
+    # draws one Generator's chunk at a time into its (K, n, b) stack, so the
+    # peak stays below n + 1 chunks and a half
     f, t = make_quadratic(2), itertools.count()
 
     def sample(gen, b):
+        gen.integers(0, 2, size=b)
         gen.integers(0, 2 + next(t) % 1000, size=b)
         return f
 
-    query = _minibatches(StochasticObjective(dim=2, sample_minibatch=sample), 8,
-                         seeded_stream(14))
+    streams = seeded_stream(14) if n is None else [seeded_stream(14).substream(i)
+                                                   for i in range(n)]
+    query = _minibatches(StochasticObjective(dim=2, sample_minibatch=sample), 8, streams)
     tracemalloc.start()
     try:
         for _ in range(10_000):
@@ -221,7 +249,7 @@ def test_chunk_draws_hold_one_chunk_per_method():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < ((n or 1) + 1.5) * _DRAW_CHUNK * 8
 
 
 @pytest.mark.parametrize("family, method, b", [

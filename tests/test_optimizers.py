@@ -25,6 +25,7 @@ from slqcopt import (
     ngd,
     ngd_budget,
     ngd_with_oracle,
+    optimizers,
     seeded_stream,
     sngd,
 )
@@ -482,3 +483,66 @@ def test_evaluate_iterates_matches_objective(quadratic):
     tr = ngd(quadratic, NgdConfig(T=10, eta=0.1, x1=np.array([1.0, 1.0])))
     vals = evaluate_iterates(tr, quadratic)
     np.testing.assert_allclose(vals, tr.values)
+
+
+# ---------------------------------------------------------------------------
+# groups: several runs advanced as one stack
+# ---------------------------------------------------------------------------
+
+
+def _group_and_alone(family, name, b, T, schedule, streams):
+    """optimizers._lockstep's traces of the runs over streams, and each run's
+    own trace from the public call."""
+    F, x1 = {"glm": (make_noisy_glm(seeded_stream(5), 4, 2.0, pool_size=200), np.full(4, 0.5)),
+             "lower_bound": (make_lower_bound_distribution(0.1), np.zeros(1)),
+             # one hinge in 32 draws gives a gradient of exactly 0 on x > -3
+             "lower_bound_flat": (make_lower_bound_distribution(0.0625), np.zeros(1))}[family]
+    if name == "sngd":
+        args = [(F, SngdConfig(T=T, eta=0.05, x1=x1, b=b, stream=s)) for s in streams]
+    else:
+        args = [(F, StepSchedule(**schedule), T, x1, b, s) for s in streams]
+    alone = [getattr(optimizers, name)(*a) for a in args]
+    return optimizers._lockstep(name, args[0], streams), alone
+
+
+def _assert_same_traces(group, alone):
+    assert len(group) == len(alone)
+    for g, a in zip(group, alone):
+        for field in ("iterates", "values", "grad_norms", "returned"):
+            assert getattr(g, field).tobytes() == getattr(a, field).tobytes(), field
+        assert (g.returned_index, g.aborted) == (a.returned_index, a.aborted)
+
+
+POLY = {"eta0": 0.05, "gamma": 1e-2}
+
+
+@pytest.mark.parametrize("family, name, b, schedule", [
+    ("glm", "sngd", 1, None), ("glm", "sngd", 7, None), ("glm", "sngd", 645, None),
+    ("glm", "sngd", 646, None), ("glm", "msgd", 1, POLY), ("glm", "msgd", 100, POLY),
+    ("glm", "nesterov", 8, {**POLY, "momentum": 0.9}), ("lower_bound", "sngd", 2, None),
+    ("lower_bound", "msgd", 32, POLY), ("lower_bound_flat", "sngd", 32, None),
+], ids=["sngd-1", "sngd-7", "sngd-645", "sngd-646", "msgd-1", "msgd-100", "nesterov",
+        "lower_bound-sngd", "lower_bound-msgd", "lower_bound-sngd-skips"])
+def test_group_traces_are_the_runs_alone(family, name, b, schedule):
+    # each row of the stack makes its run's own draws and the same float
+    # operations on them (stacked gemv, rowdot, elementwise ufuncs), so each
+    # trace of a 3-run group has the bytes of its run alone; T = 60 crosses
+    # two chunk ends at b 645 and 646 (25 minibatches a chunk)
+    streams = [seeded_stream(21).substream(i) for i in range(3)]
+    group, alone = _group_and_alone(family, name, b, 60, schedule, streams)
+    _assert_same_traces(group, alone)
+    if family == "lower_bound_flat":  # rows skip their updates at other t
+        skips = [np.flatnonzero(tr.grad_norms <= GRAD_TOL).tolist() for tr in alone]
+        assert all(skips) and skips[0] != skips[1] != skips[2]
+
+
+def test_group_rows_end_at_their_own_first_non_finite_value():
+    # msgd at eta0 1.7e308 on lower_bound overflows x to inf after a run of
+    # up-moves, a number of steps that depends on the draws: three of these
+    # four runs end at t = 103, 131 and 67, each flagged, while the group
+    # goes on, and the fourth runs all 300 steps
+    streams = [seeded_stream(3).substream(i) for i in range(4)]
+    group, alone = _group_and_alone("lower_bound", "msgd", 1, 300, {"eta0": 1.7e308}, streams)
+    assert [(len(tr), tr.aborted) for tr in alone] == [
+        (103, True), (300, False), (131, True), (67, True)]
+    _assert_same_traces(group, alone)

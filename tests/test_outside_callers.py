@@ -3,6 +3,7 @@ example and perfbench's span tracer, which patches package attributes by
 name, so a rename in the package breaks it without any other test failing."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -32,9 +33,17 @@ def test_readme_library_example_runs(capsys):
     assert F.expected.value(trace.returned) - F.expected.value(F.minimizer) <= 0.2
 
 
-def test_perfbench_tracer_fits_the_package(capsys):
+def test_perfbench_tracer_fits_the_package(capsys, tmp_path):
     # perfbench/run.py --trace 1 installs these wrappers around every pass;
-    # install looks each attribute up by name, so a renamed one raises here
+    # install looks each attribute up by name, so a renamed one raises here.
+    # A 3-trial run goes as one group through optimizers._lockstep, which
+    # the tracer does not wrap: its wrapped optimizers.sngd, whose after-hook
+    # reads one trace, would fail on a group's list of traces
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "seed": 4, "trials": 3,
+        "problem": {"name": "noisy_glm", "params": {"d": 3, "pool_size": 50}},
+        "optimizer": {"name": "sngd", "params": {"T": 30, "eta": 0.1, "b": 5}}}))
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -46,10 +55,12 @@ def test_perfbench_tracer_fits_the_package(capsys):
     undo = tracing.install(tracer, mods)
     try:
         assert cli.main(["check", "sigmoid_sum", "slqc", "--grid", "3"]) == 0
+        assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
     finally:
         tracing.uninstall(undo)
     assert '"passed": true' in capsys.readouterr().out
     assert tracer.calls["properties.batch"] == 1
-    assert tracer.calls["problems.build"] == 1
+    assert tracer.calls["problems.build"] == 2
+    assert tracer.calls["problems.draw"] == 30  # one stacked draw per iteration of the group
     for owner, attr, _ in undo:
         assert vars(owner)[attr] is before[id(owner)][attr], attr

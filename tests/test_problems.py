@@ -319,6 +319,48 @@ def test_sigmoid_loss_stacked_oracles_match_per_point_bytes(name, d):
                                loss.values_and_gradients, P)
 
 
+@pytest.mark.parametrize("m, d", [(1, 4), (7, 4), (646, 4), (100, 20)])
+def test_sigmoid_loss_over_stacked_minibatches_matches_each_minibatch(m, d):
+    # a group's minibatch is one loss over (n, m, d) rows and (n, m) labels:
+    # row i of its stacks has the bytes of minibatch i's own loss at P[i]
+    gen = np.random.default_rng(m)
+    X, y = gen.normal(size=(3, m, d)), gen.random((3, m))
+    P = gen.normal(scale=3.0, size=(3, d))
+    loss = problems.SigmoidLoss(X, y)
+    vs, (fv, G) = loss.values(P), loss.values_and_gradients(P)
+    assert vs.shape == fv.shape == (3,) and G.shape == (3, d)
+    for i in range(3):
+        alone = problems.SigmoidLoss(X[i], y[i])
+        v = np.float64(alone.value(P[i])).tobytes()
+        assert vs[i].tobytes() == v and fv[i].tobytes() == v
+        assert G[i].tobytes() == alone.gradient(P[i]).tobytes()
+
+
+@pytest.mark.parametrize("eps, b", [(0.1, 19), (0.0625, 32)])
+def test_lower_bound_stacks_match_per_point_bytes(eps, b):
+    # each minibatch's stacks at the kink -3 and beside it, at +-0, at the
+    # ends of the float range, inf and nan; and a group's minibatch, weights
+    # of n runs' draws, row i against run i's loss with Python int weights.
+    # Groups evaluate with numpy's warnings off, as _descent does
+    edges = np.array([-3.0, np.nextafter(-3.0, 0.0), np.nextafter(-3.0, -4.0), 0.0, -0.0, 2.5,
+                      -7.25, 1e308, -1e308, np.inf, -np.inf, np.nan])[:, None]
+    P = np.concatenate([edges, np.random.default_rng(b).normal(scale=5.0, size=(20, 1))])
+    ks = np.arange(b + 1)
+    with np.errstate(all="ignore"):
+        for k in ks.tolist():
+            loss = problems._TwoComponentLoss(eps, b - k, k, b)
+            _assert_stack_rows(loss.value, loss.gradient, loss.values, loss.values_and_gradients,
+                               P)
+        group = problems._TwoComponentLoss(eps, b - ks, ks, b)
+        for Q in (np.resize(P, (b + 1, 1)), np.full((b + 1, 1), -3.0)):
+            vs, (fv, G) = group.values(Q), group.values_and_gradients(Q)
+            for k in ks.tolist():
+                alone = problems._TwoComponentLoss(eps, b - k, k, b)
+                v = np.float64(alone.value(Q[k])).tobytes()
+                assert vs[k].tobytes() == v and fv[k].tobytes() == v
+                assert G[k].tobytes() == alone.gradient(Q[k]).tobytes()
+
+
 def test_glm_objective_carries_the_stacked_oracles():
     ds, f = make_idealized_glm(seeded_stream(8), d=3, m=30, W=2.0)
     P = np.random.default_rng(8).normal(size=(5, 3))
