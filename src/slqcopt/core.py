@@ -102,6 +102,7 @@ class ChunkDraws:
     def __getattr__(self, name: str):  # reached only for names not defined here
         gen = self.__dict__.get("_gen")  # no _gen yet while copied
         if isinstance(gen, list):
+            getattr(gen[0], name)  # an AttributeError for a name a Generator lacks
             return lambda *args, **kwargs: self._call(name, *args, **kwargs)
         return getattr(gen, name)
 

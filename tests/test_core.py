@@ -212,14 +212,17 @@ def test_group_chunk_draws_stack_each_generators_own_answers(b):
 
 
 def test_chunk_draws_copy_and_pickle():
-    # a copy or a pickled drawer goes on with the same draws, chunked or not
-    drawer = ChunkDraws(seeded_stream(15).generator(), 3)
-    drawer.uniform(size=3)
-    drawers = [drawer, copy.deepcopy(drawer), pickle.loads(pickle.dumps(drawer))]
-    draws = [b"".join(getattr(d, name)(*args, size=3).tobytes() for name, args in
-                      (("uniform", ()), ("integers", (0, 9)), ("standard_normal", ())))
-             for d in drawers]
-    assert draws[0] == draws[1] == draws[2]
+    # a copy or a pickled drawer goes on with the same draws, chunked or not,
+    # over one generator or a group's
+    for gens in (seeded_stream(15).generator(),
+                 [seeded_stream(15).generator(), seeded_stream(16).generator()]):
+        drawer = ChunkDraws(gens, 3)
+        drawer.uniform(size=3)
+        drawers = [drawer, copy.deepcopy(drawer), pickle.loads(pickle.dumps(drawer))]
+        draws = [b"".join(getattr(d, name)(*args, size=3).tobytes() for name, args in
+                          (("uniform", ()), ("integers", (0, 9)), ("standard_normal", ())))
+                 for d in drawers]
+        assert draws[0] == draws[1] == draws[2]
 
 
 @pytest.mark.parametrize("n", [None, 3], ids=["one", "group"])
