@@ -284,7 +284,10 @@ class StochasticObjective:
     sample_minibatch(gen, b) returns the mean of b independent component
     draws: any object with value(x) and gradient(x), in practice the
     family's own loss over the drawn rows.  gen is a Generator, or from the
-    minibatch optimizers a ChunkDraws over one.
+    minibatch optimizers a ChunkDraws over one.  For a group of N runs
+    (`slqcopt run`'s trials) gen is a ChunkDraws over N Generators, whose
+    draws are (N, b) rows, and the minibatch returned is N minibatches,
+    answering the stacked values and values_and_gradients of Objective.
     expected, when known in closed form, is the population objective;
     bound_M is a uniform bound on |component value| (inf if unbounded).
     """
