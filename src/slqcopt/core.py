@@ -309,9 +309,106 @@ _CSV_CHUNK = 256  # rows formatted at a time; bounds the text held
 _ENDINGS = ([str(e) for e in range(100)], [f"{e:02d}" for e in range(100)])
 
 
-def _format_table(line: str, table: np.ndarray) -> list[str]:
-    """The CSV text of each row [t, fields...] of table: every row write_csv formats."""
-    return [line % tuple(r) for r in table.tolist()]
+def _pow10(e: int) -> tuple[float, float]:
+    """10^e as a double-double: the double nearest it, and the double nearest the rest."""
+    if e >= 0:
+        h = float(10 ** e)
+        return h, float(10 ** e - int(h))
+    d = 10 ** -e
+    h = 1 / d  # int / int rounds correctly
+    num, den = h.as_integer_ratio()
+    return h, (den - num * d) / (den * d)
+
+
+# 10^e for _E0 <= e <= 117: every 10^E, 10^(E+1) and 10^(16-E) a cell with
+# 1e-100 <= |x| < 1e100 needs, E its decimal exponent
+_E0, _COVERED = -101, (1e-100, 1e100)
+_H, _L = np.array([_pow10(e) for e in range(_E0, 118)]).T
+_CEIL10 = np.where(_L > 0, np.nextafter(_H, np.inf), _H)  # the least double >= 10^e
+_SPLIT = 134217729.0  # 2^27 + 1: x * _SPLIT splits x into two 26-bit halves (Veltkamp)
+_H1 = _H * _SPLIT - (_H * _SPLIT - _H)
+_SCALE = np.stack([_H, _H1, _H - _H1, _L])
+# the 17 digits as 9 pairs, the first "0" and digit 0: pair j of value v ->
+# its two digit bytes, and 2j or 2j + 1 digits through its last nonzero one
+_TENS, _ONES = np.divmod(np.arange(100), 10)
+_PAIRS = np.zeros((9, 100, 4), np.uint8)
+_PAIRS[..., 0], _PAIRS[..., 1] = 48 + _TENS, 48 + _ONES
+_PAIRS[..., 2] = np.where(_TENS + _ONES > 0, 2 * np.arange(9)[:, None] + (_ONES > 0), 0)
+_PAIRS = _PAIRS.reshape(-1).view(np.uint32)
+# a cell's text in 45 byte slots, NUL where it has no byte: sign; "0." and up
+# to three zeros; digit j at 6 + 2j, and after it a gap for the point; the
+# exponent "e+dd[d]"; the separator.  _AFFIXES holds slots 1-5 and 39-43 by X.
+_AFFIXES = np.frombuffer(b"".join(
+    (b"0." + b"0" * (-X - 1) if -4 <= X < 0 else b"").ljust(5, b"\0")
+    + (b"" if -4 <= X < 17 else b"e%+03d" % X).ljust(5, b"\0")
+    for X in range(_E0, 118)), np.uint8).reshape(-1, 10).T.copy()
+_DIGIT, _GAP = np.arange(17, dtype=np.uint8)[:, None], np.arange(16, dtype=np.int8)[:, None]
+
+
+def _fallback(cells: np.ndarray) -> list[str]:
+    """'%.17g' % x for each cell the kernel cannot certify."""
+    return ["%.17g" % x for x in cells.tolist()]
+
+
+def _format_table(line: bytes, table: np.ndarray) -> str:
+    """The CSV text of the rows [t, fields...] of table, each cell followed by
+    the byte of line at its column; every cell prints as '%.17g' % x.
+
+    A cell x with |x| in _COVERED has decimal exponent E = floor(log10|x|):
+    log10's guess, moved by one where |x| is on the other side of the least
+    double >= 10^E or 10^(E+1).  Its 17 digits are round(y), y = |x|·10^(16-E)
+    in [1e16, 1e17), from a double-double product (Dekker's, with no fused
+    multiply-add) that is within 1e-13 of y, and 10^17 is 10^16 with E + 1.
+    Cells outside _COVERED (zeros, nan and inf too) and cells with y within
+    1e-6 of a rounding tie go to _fallback.  The text is laid out in fixed
+    slots as %g lays it out: fixed notation for -4 <= E < 17, else d.ddde±XX,
+    with trailing zeros and a bare point dropped.  One translate per chunk
+    deletes the unused bytes.
+    """
+    x = table.ravel()
+    ax = np.abs(x)
+    ok = (ax >= _COVERED[0]) & (ax < _COVERED[1])
+    ax[~ok] = 1.0
+    E = np.floor(np.log10(ax)).astype(np.intp)
+    E -= ax < _CEIL10.take(E - _E0)
+    E += ax >= _CEIL10.take(E + 1 - _E0)
+    h, h1, h2, hl = _SCALE.take(16 - _E0 - E, axis=1)  # 10^(16-E) = h + hl, h = h1 + h2
+    p = ax * h
+    a1 = ax * _SPLIT - (ax * _SPLIT - ax)
+    a2 = ax - a1
+    s = (a1 * h1 - p + a1 * h2 + a2 * h1 + a2 * h2) + ax * hl  # ax*h - p exactly, + ax*hl
+    y = p + s
+    lo = s - (y - p)  # y + lo is the product; y is an integer, |lo| <= 8
+    r = np.rint(lo)
+    ok &= np.abs(lo - r) < 0.5 - 1e-6
+    n = y.astype(np.int64) + r.astype(np.int64)
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    E += carry
+    pairs = np.empty((9, x.size), np.int64)
+    for j in range(9):  # one scalar divisor per call, which numpy divides by fast
+        np.floor_divide(n, 10 ** (16 - 2 * j), out=pairs[j])
+    for j in range(8, 0, -1):  # pair j, indexing row j of _PAIRS; no (9, n) temporary
+        pairs[j] -= 100 * pairs[j - 1] - 100 * j
+    chars = _PAIRS.take(pairs).view(np.uint8).reshape(9, -1, 4)
+    ndigits = chars[:, :, 2].max(axis=0)  # through the last nonzero digit
+    fixed = (E >= -4) & (E < 17)
+    whole = np.where(fixed & (E >= 0), E, -1)  # the last digit before the point
+    point = np.where(fixed, whole, 0).astype(np.int8)
+    point[ndigits <= point + 1] = -1  # no digit after it
+    slots = np.empty((45, x.size), np.uint8)
+    slots[0] = np.signbit(x).view(np.uint8) * np.uint8(45)
+    affixes = _AFFIXES.take(E - _E0, axis=1)
+    slots[1:6], slots[39:44] = affixes[:5], affixes[5:]
+    slots[6], slots[8:39:4], slots[10:39:4] = chars[0, :, 1], chars[1:, :, 0], chars[1:, :, 1]
+    slots[6:39:2] *= (_DIGIT < np.maximum(ndigits, whole + 1).astype(np.uint8)).view(np.uint8)
+    slots[7:38:2] = (_GAP == point).view(np.uint8) * np.uint8(46)
+    slots[44].reshape(-1, len(line))[:] = np.frombuffer(line, np.uint8)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        slots[:44, bad] = 0
+        slots[:24, bad] = np.array(_fallback(x[bad]), "S24").view(np.uint8).reshape(-1, 24).T
+    return slots.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @contextmanager
@@ -360,8 +457,8 @@ class OptTrace:
     def write_csv(self, path) -> None:
         """Bit-stable CSV: t, value, grad_norm, coord_0..; 17 significant digits.
 
-        Rows are formatted _CSV_CHUNK at a time with `%.17g`, which prints
-        exactly what format(x, ".17g") prints (nan, inf and -0 included).  A
+        Rows are formatted _CSV_CHUNK at a time by _format_table, each field
+        exactly as format(x, ".17g") prints it (nan, inf and -0 included).  A
         row whose fields have the bits of the row before it (-0.0 == 0.0 prints
         differently) reuses that row's text after t, its tail.  A run of repeats
         is written a hundred t's at a time: the t's 100p..100p+99 share the
@@ -369,7 +466,7 @@ class OptTrace:
         the run covers, is one join of their last digits with tail + str(p).
         """
         cols = ["t", "value", "grad_norm"] + [f"coord_{i}" for i in range(self.dim)]
-        line = "%d," + ",".join(["%.17g"] * (2 + self.dim)) + "\n"
+        line = b"," * (2 + self.dim) + b"\n"  # the byte after each cell of a row
         T = len(self)
         # bits compared as uint64 and as one void scalar per iterate row: O(T)
         # bools, where a (T, fields) temporary raised the peak RSS
@@ -384,10 +481,11 @@ class OptTrace:
             fh.write(",".join(cols) + "\n")
             for i in range(0, runs.size - 1, _CSV_CHUNK):
                 s = runs[i:min(i + _CSV_CHUNK, runs.size - 1)]
-                texts = _format_table(line, np.column_stack(
+                text = _format_table(line, np.column_stack(
                     [s, self.values[s], self.grad_norms[s], self.iterates[s]]))
-                done = 0
-                for k in np.flatnonzero(np.diff(runs[i:i + _CSV_CHUNK + 1]) > 1).tolist():
+                repeated = np.flatnonzero(np.diff(runs[i:i + _CSV_CHUNK + 1]) > 1).tolist()
+                texts, done = text.splitlines(True) if repeated else [text], 0
+                for k in repeated:
                     fh.write("".join(texts[done:k + 1]))
                     done, tail = k + 1, texts[k][texts[k].index(","):]
                     start, end = runs[i + k:i + k + 2].tolist()

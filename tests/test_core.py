@@ -1,9 +1,14 @@
 import copy
 import itertools
 import math
+import os
 import pickle
 import re
+import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from slqcopt import (
     check_local_smooth,
     check_sublevel_convex,
     derive_slqc_from_lipschitz,
+    gd,
     glm_sample_bound,
     lower_bound_experiment,
     make_cliff_plateau,
@@ -574,14 +580,24 @@ def test_trace_csv_round_trips_floats(tmp_path):
     np.testing.assert_array_equal(back[:, 2:], tr.iterates)
 
 
+# the doubles nearest 10^e for every e the writer's tables cover, and one more
+# at each end; np.log10 puts some of them, and some of their neighbours, in the
+# wrong decade (1e-6, gd_cliff's grad_norm, is 9.9999999999999995e-07)
+POWERS = [float(f"1e{e}") for e in range(-101, 101)]
+# exact ties at the 18th digit: k / 2^j (k odd) has the decimal digits of k * 5^j
+TIES = [1234567890123456.25, 1234567890123456.75, -1234567890123456.75, -2.0 ** -25,
+        *[k / 2.0 ** j for k in (1, 3, 7, 9) for j in range(64) if len(str(k * 5 ** j)) == 18]]
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
-           0.1, 1.0 / 3.0, 123456789.0, 1e22, 1e-7]
+           0.1, 1.0 / 3.0, 123456789.0, 1e22, 1e-7,
+           *POWERS, *np.nextafter(POWERS, 0).tolist(), *np.nextafter(POWERS, np.inf).tolist(),
+           *TIES, 9.9999999999999999e16]  # 1e17: the first power of ten in e notation
 
 
 def _special_trace():
     # spans three chunks; SPECIAL repeated row-major over 5 columns puts each
     # value in every column, since 5 and len(SPECIAL) are coprime
-    T, dim = 2 * _CSV_CHUNK + 5, 3
+    assert math.gcd(len(SPECIAL), 5) == 1
+    T, dim = max(2 * _CSV_CHUNK + 5, len(SPECIAL)), 3
     cells = np.resize(np.array(SPECIAL), (T, 2 + dim))
     return build_trace(cells[:, 2:], cells[:, 0], cells[:, 1])
 
@@ -599,6 +615,95 @@ def test_trace_csv_matches_per_field_reference(make, tmp_path):
     path = tmp_path / "t.csv"
     tr.write_csv(path)
     assert path.read_bytes() == reference_csv(tr).encode()
+
+
+def _bits(b: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", b))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64) | st.integers(0, 2 ** 64 - 1).map(_bits), min_size=1,
+                max_size=60))
+def test_trace_csv_cells_match_reference(tmp_path_factory, cells):
+    # any double, drawn as a float or as a raw bit pattern (subnormals, nan
+    # payloads, both signs), prints as format(x, ".17g")
+    cells = np.resize(np.array(cells), (-(-len(cells) // 3), 3))
+    tr = build_trace(cells[:, 2:], cells[:, 0], cells[:, 1])
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    tr.write_csv(path)
+    assert path.read_bytes() == reference_csv(tr).encode()
+
+
+def _sngd_noisy_glm_trace():
+    F = make_noisy_glm(seeded_stream(2), d=5, W=2.0)
+    return sngd(F, SngdConfig(T=2000, eta=0.027, x1=np.zeros(5), b=100, stream=seeded_stream(3)))
+
+
+def _gd_cliff_trace():
+    tr = gd(make_cliff_plateau(), StepSchedule(eta0=0.01), 10_000, np.array([7.0]))
+    assert np.all(tr.grad_norms == 1e-6)  # every row's grad_norm is the double below 10^-6
+    return tr
+
+
+def _fallen_cells(tr, path, monkeypatch) -> list[float]:
+    """Write tr's CSV, check it against the reference, and return the cells
+    the writer handed to its '%.17g' fallback."""
+    fell, fallback = [], core._fallback
+
+    def counting_fallback(cells):
+        fell.extend(cells.tolist())
+        return fallback(cells)
+
+    monkeypatch.setattr(core, "_fallback", counting_fallback)
+    tr.write_csv(path)
+    assert path.read_bytes() == reference_csv(tr).encode()
+    return fell
+
+
+@pytest.mark.parametrize("make", [_sngd_noisy_glm_trace, _gd_cliff_trace],
+                         ids=["sngd_noisy_glm", "gd_cliff"])
+def test_trace_csv_sends_only_zeros_to_the_fallback(make, tmp_path, monkeypatch):
+    # the writer's kernel certifies every nonzero cell of these traces; a wrong
+    # decade from np.log10 (1e-6 read as 10^-6) once sent all of gd_cliff's
+    # grad_norms to the '%.17g' fallback, and took twice the time
+    fell = _fallen_cells(make(), tmp_path / "t.csv", monkeypatch)
+    assert 0 < len(fell) == fell.count(0.0)  # t = 0 at least
+
+
+def test_trace_csv_sends_rounding_ties_to_the_fallback(tmp_path, monkeypatch):
+    # the kernel certifies 17 digits only at least 1e-6 away from a rounding
+    # tie, so an exact tie is printed by '%.17g' itself
+    fell = _fallen_cells(_special_trace(), tmp_path / "t.csv", monkeypatch)
+    assert set(TIES) <= set(fell)
+
+
+@pytest.mark.parametrize("toward", [-np.inf, np.inf], ids=["below", "above"])
+def test_trace_csv_corrects_a_log10_off_by_ulps(toward, tmp_path, monkeypatch):
+    # np.log10 rounds differently by host and SIMD level; the writer moves its
+    # guess of each cell's decade to the exact one, whichever way the guess errs
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(np.nextafter(log10(a), toward), toward))
+    tr = _special_trace()
+    tr.write_csv(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv(tr).encode()
+
+
+def test_trace_csv_special_cells_match_at_another_simd_level(tmp_path):
+    # np.log10 rounds differently at each SIMD level numpy dispatches to, and
+    # the writer's exact decade correction must absorb that: a child process
+    # with numpy's AVX-512 paths switched off (a no-op on a host without them)
+    # writes the special trace's bytes.  Costs one child interpreter, 0.3-0.5 s.
+    tr = _special_trace()
+    cells = np.column_stack([tr.values, tr.grad_norms, tr.iterates])
+    np.save(tmp_path / "cells.npy", cells)
+    code = ("import sys\nimport numpy as np\nfrom slqcopt.core import build_trace\n"
+            "c = np.load(sys.argv[1])\n"
+            "build_trace(c[:, 2:], c[:, 0], c[:, 1]).write_csv(sys.argv[2])")
+    env = {**os.environ, "PYTHONPATH": str(Path(core.__file__).parents[1]),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    subprocess.run([sys.executable, "-c", code, tmp_path / "cells.npy", tmp_path / "t.csv"],
+                   env=env, check=True, timeout=120)
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv(tr).encode()
 
 
 C = _CSV_CHUNK
@@ -687,11 +792,13 @@ def test_trace_csv_run_layouts_match_reference(tmp_path_factory, cells):
 @pytest.mark.parametrize("stationary, bound", [(True, 400_000), (False, 2_000_000)],
                          ids=["stationary", "distinct"])
 def test_trace_csv_memory_is_bounded(stationary, bound, tmp_path):
-    # 10^5 rows at dim 2: the writer holds one chunk of text, T + 1 bools and
-    # 8 bytes per distinct row.  Peaks measured with tracemalloc (stationary /
+    # 10^5 rows at dim 2: the writer holds one chunk of text and its kernel's
+    # arrays (about 300 bytes per cell of the chunk), T + 1 bools and 8 bytes
+    # per distinct row.  Peaks measured with tracemalloc (stationary /
     # distinct): 146 / 145 KB for the writer that formatted every chunk,
-    # 203 / 949 KB for this one.  Each bound is about twice this one's peak;
-    # writing the stationary run's 10^5 repeats as one string would take 9 MB.
+    # 202 / 949 KB for the one that formatted each row with %, 202 / 1327 KB
+    # for this one.  The bounds are 2 and 1.5 times this one's peaks; writing
+    # the stationary run's 10^5 repeats as one string would take 9 MB.
     T = 10 ** 5
     gen = seeded_stream(12).generator()
     x, v, g = gen.normal(size=(T, 2)), gen.normal(size=T), gen.normal(size=T)
