@@ -206,9 +206,11 @@ def _minibatch(name: str, F: StochasticObjective, stream, x1, *, T: int, b: int 
     return F, _schedule(name, schedule, T, b), T, x1, b, stream
 
 
-# trials of one sweep value that `run` advances as one group at most: a
-# group's memory is this many runs' iterates, draw chunks and minibatches
-_GROUP = 8
+# runs that `run` advances as one group at most.  A group holds per run two
+# draw chunks of core._DRAW_CHUNK (2^14) entries, 256 KiB for noisy_glm's
+# integers and uniforms, and its T x d iterates: at most 4 MiB of chunks
+# and 16 runs' traces
+_GROUP = 16
 
 # config name -> (kind of objective it needs, optimizers.<name>, entry)
 OPTIMIZERS = {
@@ -221,38 +223,40 @@ OPTIMIZERS = {
 }
 
 
-def _bound_run(cfg: dict, prob: BuiltProblem, trials: list[int], sweep_idx: int):
-    """The configured optimizer's runs on `prob` for the trials and one sweep
-    value, their params bound; a param that does not bind is a usage error
-    naming it.  The call returned gives their traces, in the order of trials:
-    several runs go as one group through optimizers._lockstep, whose traces
-    have the bytes of the runs alone, and one run through optimizers.<name>."""
-    name, params = cfg["optimizer"]["name"], dict(cfg["optimizer"].get("params") or {})
-    if sweep := cfg.get("sweep"):
-        params[sweep["param"]] = sweep["values"][sweep_idx]
+def _bound_run(cfg: dict, prob: BuiltProblem, runs: list[tuple[int, int]]):
+    """The configured optimizer's runs on `prob`, each a (trial, sweep index),
+    their params bound; a param that does not bind is a usage error naming it.
+    The call returned gives their traces, in the order of runs: several runs
+    go as one group through optimizers._lockstep, whose traces have the bytes
+    of the runs alone, and one run through optimizers.<name>."""
+    name, sweep = cfg["optimizer"]["name"], cfg.get("sweep")
     if name not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {name!r}; known: {sorted(OPTIMIZERS)}")
     kind, run_name, entry = OPTIMIZERS[name]
     f = prob.stochastic if kind == "stochastic" else prob.objective
     if f is None or kind == "direction-oracle" and f.direction_oracle is None:
         raise ConfigError(f"optimizer {name!r} needs a {kind} problem")
-    streams = [seeded_stream(cfg["seed"]).substream(1).substream(trial).substream(sweep_idx)
-               for trial in trials]
-    x1 = params.pop("x1", None)  # every optimizer starts there, at the origin by default
     bad = f"bad parameters for optimizer {name!r}"
-    try:
-        x1 = np.zeros(f.dim) if x1 is None else as_point(x1, f.dim)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{bad}: 'x1': {exc}") from exc
-    try:
-        args = _checked(entry, run_name, f, streams[0], x1, **params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{bad}: {exc}") from exc
-    if len(trials) > 1:
-        return lambda: optimizers._lockstep(run_name, args, streams)
+    bound = []
+    for trial, s in runs:
+        params = dict(cfg["optimizer"].get("params") or {})
+        if sweep:
+            params[sweep["param"]] = sweep["values"][s]
+        stream = seeded_stream(cfg["seed"]).substream(1).substream(trial).substream(s)
+        x1 = params.pop("x1", None)  # every optimizer starts there, at the origin by default
+        try:
+            x1 = np.zeros(f.dim) if x1 is None else as_point(x1, f.dim)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{bad}: 'x1': {exc}") from exc
+        try:
+            bound.append(_checked(entry, run_name, f, stream, x1, **params))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{bad}: {exc}") from exc
+    if len(runs) > 1:
+        return lambda: optimizers._lockstep(run_name, bound)
     # optimizers.<name> is looked up when the run is called, not here, so a
     # wrapper put on the module attribute (the perfbench tracer) reaches it
-    return lambda: [getattr(optimizers, run_name)(*args)]
+    return lambda: [getattr(optimizers, run_name)(*bound[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +289,23 @@ def _build_configured(cfg: dict) -> BuiltProblem:
                          seeded_stream(cfg["seed"]).substream(0))
 
 
-def _run_group(cfg: dict, trials: list[int], sweep_idx: int, out_dir: str,
+def _run_group(cfg: dict, runs: list[tuple[int, int]], out_dir: str,
                prob: BuiltProblem | None = None) -> list[dict]:
-    """The seeded runs of the trials at one sweep value, as _bound_run makes
-    them; safe to execute in a worker process, which builds the problem
-    itself when none is passed.  Each run's wall time is the group's
-    optimize time over its size."""
+    """The seeded runs, each a (trial, sweep index), as _bound_run makes them;
+    safe to execute in a worker process, which builds the problem itself when
+    none is passed.  Each run's wall time is the group's optimize time over
+    its run count."""
     if prob is None:
         prob = _build_configured(cfg)
-    run = _bound_run(cfg, prob, trials, sweep_idx)
+    run = _bound_run(cfg, prob, runs)
     sweep = cfg.get("sweep")
-    tag = _sweep_tag(sweep["param"], sweep["values"][sweep_idx]) if sweep else ""
     t0 = time.perf_counter()
     traces = run()
-    wall = (time.perf_counter() - t0) / len(trials)
+    wall = (time.perf_counter() - t0) / len(runs)
     target = cfg.get("target_value")
     entries = []
-    for trial, trace in zip(trials, traces):
+    for (trial, s), trace in zip(runs, traces):
+        tag = _sweep_tag(sweep["param"], sweep["values"][s]) if sweep else ""
         csv_name = f"trace_trial{trial:03d}{tag}.csv"
         trace.write_csv(Path(out_dir) / csv_name)
         first_hit = None
@@ -312,7 +316,7 @@ def _run_group(cfg: dict, trials: list[int], sweep_idx: int, out_dir: str,
         entries.append({
             "trial": trial,
             "sweep_param": sweep["param"] if sweep else None,
-            "sweep_value": sweep["values"][sweep_idx] if sweep else None,
+            "sweep_value": sweep["values"][s] if sweep else None,
             "csv": csv_name,
             "final_value": float(trace.values[-1]),
             "best_value": float(trace.values[trace.returned_index]),
@@ -324,6 +328,24 @@ def _run_group(cfg: dict, trials: list[int], sweep_idx: int, out_dir: str,
             "wall_time_s": wall,
         })
     return entries
+
+
+def _groups(trials: int, values: int, sizes: bool, cap: int, jobs: int) -> list[list]:
+    """The runs (trial, sweep index) of `trials` trials at `values` sweep
+    values, in groups of at most cap runs, enough that each of `jobs` workers
+    has one.  The values share groups when they are minibatch sizes (sizes),
+    and then the runs split by trial first, so that each group holds every
+    value, and by value only where the cap or the workers need it.  A group's
+    runs come value by value, so the runs of one minibatch size are in a row."""
+    keys = [range(values)] if sizes else [range(s, s + 1) for s in range(values)]
+    v = len(keys[0])  # values a key holds
+    need = max(-(-trials * v // cap), -(-jobs // len(keys)))  # groups per key
+    n_t = min(trials, need)  # trial slices
+    per = -(-trials // n_t)  # trials in the largest slice
+    n_v = max(-(-need // n_t), -(-v // (cap // per)))  # value slices
+    return [[(t, s) for s in key[v * j // n_v:v * (j + 1) // n_v]
+             for t in range(trials * i // n_t, trials * (i + 1) // n_t)]
+            for key in keys for i in range(n_t) for j in range(n_v)]
 
 
 def _finite(text: str) -> float:
@@ -364,7 +386,7 @@ def cmd_run(args) -> int:
     # every sweep value binds before any run starts: a bad param writes nothing
     prob = _build_configured(cfg)
     for s in range(len(tags)):
-        _bound_run(cfg, prob, [0], s)
+        _bound_run(cfg, prob, [(0, s)])
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,25 +400,23 @@ def cmd_run(args) -> int:
         old_cfg = None
     if old_cfg != cfg:
         summary_path.unlink(missing_ok=True)
-    # A stochastic optimizer's trials at one sweep value run in n groups of
-    # near-equal size, at most _GROUP, and n is large enough that each of
-    # `jobs` workers has a group to run; other optimizers' trials run alone.
+    # A stochastic optimizer's runs that differ only in trial and minibatch
+    # size go in groups of at most _GROUP, enough that each of `jobs` workers
+    # has one; other optimizers' runs go alone.
     jobs = cap_workers(args.jobs, trials * len(tags))
-    n = trials
-    if OPTIMIZERS[cfg["optimizer"]["name"]][0] == "stochastic":
-        n = min(trials, max(-(-trials // _GROUP), -(-jobs // len(tags))))
-    work = [(list(range(trials * i // n, trials * (i + 1) // n)), s)
-            for i in range(n) for s in range(len(tags))]
+    stochastic = OPTIMIZERS[cfg["optimizer"]["name"]][0] == "stochastic"
+    work = _groups(trials, len(tags), bool(sweep) and sweep["param"] == "b",
+                   _GROUP if stochastic else 1, jobs)
     if jobs > 1:
         # imported here: it loads multiprocessing, which a serial run never uses
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_group, cfg, group, s, str(out_dir)) for group, s in work]
+            futures = [pool.submit(_run_group, cfg, runs, str(out_dir)) for runs in work]
             groups = [f.result() for f in futures]
     else:
-        groups = [_run_group(cfg, group, s, str(out_dir), prob) for group, s in work]
-    done = {(r["trial"], s): r for (_, s), entries in zip(work, groups) for r in entries}
+        groups = [_run_group(cfg, runs, str(out_dir), prob) for runs in work]
+    done = {run: r for runs, entries in zip(work, groups) for run, r in zip(runs, entries)}
     runs = [done[t, s] for t in range(trials) for s in range(len(tags))]
     summary = {"schema_version": 1, "config": cfg, "runs": runs}
     with atomic_write(summary_path) as fh:

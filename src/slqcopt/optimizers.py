@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -170,19 +171,25 @@ def _descent(x: Point, T: int, query, step, lookahead=None,
     return build_trace(iterates[:steps], values[:steps], grad_norms[:steps], aborted=aborted)
 
 
-def _minibatches(F: StochasticObjective, b: int, stream: RandomStream | list[RandomStream]):
+def _minibatches(F: StochasticObjective, b: int | list[int],
+                 stream: RandomStream | list[RandomStream]):
     """query drawing one fresh size-b minibatch per iteration from stream.
 
     F.sample_minibatch is called once per iteration, with a ChunkDraws over
-    the stream's generator, so its size-b draws come a chunk at a time.  For
-    a list of N streams, a group's, the ChunkDraws is over their N generators,
-    so the minibatch is N minibatches, and the query gives its stacked oracles.
+    the stream's generator, so its size-b draws come a chunk at a time.  A
+    group's b and stream are lists, one entry per run, and its runs of equal
+    b in a row are a block: one ChunkDraws over the block's generators and
+    one sampler call per iteration give the block's minibatches as one
+    stacked loss.  The query gives that loss's stacked oracles, or, over
+    several blocks, the oracles of their losses joined by the loss's _join.
     """
     if isinstance(stream, list):
-        gens = ChunkDraws([s.generator() for s in stream], b)
+        blocks = [(ChunkDraws([s.generator() for _, s in runs], size), size)
+                  for size, runs in itertools.groupby(zip(b, stream), key=lambda run: run[0])]
 
         def stacked():
-            fb = F.sample_minibatch(gens, b)
+            fbs = [F.sample_minibatch(gens, size) for gens, size in blocks]
+            fb = fbs[0] if len(fbs) == 1 else fbs[0]._join(fbs)
             return fb.values, fb.values_and_gradients
 
         return stacked
@@ -332,19 +339,20 @@ def nesterov(F: StochasticObjective, schedule: StepSchedule, T: int, x1, b: int,
     return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, stream))
 
 
-def _lockstep(name: str, args: tuple, streams: list[RandomStream]) -> list[OptTrace]:
-    """The traces of optimizers.<name>(*args) with each of streams in place of
-    args' stream, advanced as one group (see _descent): each trace has the
-    bytes of its run alone.
+def _lockstep(name: str, runs: list[tuple]) -> list[OptTrace]:
+    """The traces of optimizers.<name>(*args) for each args of runs, advanced
+    as one group (see _descent): each trace has the bytes of its run alone.
 
-    name is sngd, msgd or nesterov, and args are bound as `slqcopt run` binds
-    them: checked, and sngd's config without a region (a stochastic problem
-    has none).
+    name is sngd, msgd or nesterov, and runs are bound as `slqcopt run` binds
+    them: checked, sngd's configs without a region (a stochastic problem has
+    none), and alike but for the stream and the minibatch size b.  The runs
+    of equal b in a row draw as one block (see _minibatches).
     """
-    F = args[0]
+    F = runs[0][0]
     if name == "sngd":
-        cfg = args[1]
-        return _run_normalized(F.dim, cfg, _minibatches(F, cfg.b, streams), group=len(streams))
-    _, schedule, T, x1, b, _ = args
-    return _run_scheduled(F.dim, x1, T, schedule, _minibatches(F, b, streams),
-                          group=len(streams))
+        cfgs = [args[1] for args in runs]
+        query = _minibatches(F, [c.b for c in cfgs], [c.stream for c in cfgs])
+        return _run_normalized(F.dim, cfgs[0], query, group=len(runs))
+    _, schedule, T, x1, _, _ = runs[0]
+    query = _minibatches(F, [args[4] for args in runs], [args[5] for args in runs])
+    return _run_scheduled(F.dim, x1, T, schedule, query, group=len(runs))

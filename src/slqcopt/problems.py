@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -227,26 +228,84 @@ class SigmoidLoss:
     # ddot that np.dot makes.  P @ X.T would be one gemm, which sums in
     # another order and moves the last bits.  They skip the memo; the fused
     # form derives both parts from one sigmoid stack.  A loss over an
-    # (n, m, d) stack X and (n, m) labels y, the minibatches of a group of
-    # runs, is n losses: row i is loss i's at P[i].
+    # (n, m, d) stack X and (n, m) labels y, the minibatches of a group's runs
+    # of one size, is n losses: row i is loss i's at P[i].  Such losses of
+    # several sizes join as one (_join, _JoinedSigmoidLoss).
+
+    @classmethod
+    def _join(cls, blocks: list[SigmoidLoss]) -> SigmoidLoss:
+        return _JoinedSigmoidLoss(tuple(block.X for block in blocks),
+                                  np.concatenate([block.y for block in blocks], None))
 
     def _sigmoids_at(self, P: np.ndarray) -> np.ndarray:
-        """sigmoid(X @ P[i]) in row i, shape (n, m)."""
+        """sigmoid(X @ P[i]) in the cells of row i."""
         return sigmoid(np.matmul(self.X, np.asarray(P, dtype=np.float64)[:, :, None])[:, :, 0])
 
+    def _means(self, R: np.ndarray) -> np.ndarray:
+        """np.dot(r, r) / m for the m residuals r of each row."""
+        return rowdot(R, R) / R.shape[-1]
+
+    def _gradients(self, Q: np.ndarray) -> np.ndarray:
+        """(2 / m) * (X.T @ q) for the m cells q of S(1 - S)(S - y) of each row."""
+        return (2.0 / Q.shape[-1]) * np.matmul(self.X.swapaxes(-1, -2), Q[:, :, None])[:, :, 0]
+
     def values(self, P: np.ndarray) -> np.ndarray:
-        y = self.y
-        R = y - self._sigmoids_at(P)
-        return rowdot(R, R) / y.shape[-1]
+        return self._means(self.y - self._sigmoids_at(P))
 
     def values_and_gradients(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = self.y
         S = self._sigmoids_at(P)
-        R = y - S
-        Q = S * (1.0 - S) * (S - y)
-        m = y.shape[-1]
-        return rowdot(R, R) / m, (2.0 / m) * np.matmul(np.swapaxes(self.X, -1, -2),
-                                                       Q[:, :, None])[:, :, 0]
+        return self._means(y - S), self._gradients(S * (1.0 - S) * (S - y))
+
+
+class _JoinedSigmoidLoss(SigmoidLoss):
+    """Stacked minibatch losses of several sizes as one, for the stacked
+    forms: X is the tuple of their (n, m, d) stacks and y their (n, m) labels
+    end to end, and the rows of P go to the stacks in order.  The gemv and
+    ddot calls run stack by stack, and the elementwise arithmetic once over
+    every stack's cells."""
+
+    @cached_property
+    def _blocks(self) -> tuple[list[tuple], np.ndarray]:
+        """Each stack X with its rows of P and its cells of y, and the m of each row."""
+        layout, m = _layout(tuple(X.shape[:2] for X in self.X))
+        return [(X, *block) for X, block in zip(self.X, layout)], m
+
+    def _sigmoids_at(self, P: np.ndarray) -> np.ndarray:
+        P = np.asarray(P, dtype=np.float64)[:, :, None]
+        Z = np.empty(self.y.size)
+        for X, rows, cells in self._blocks[0]:
+            np.matmul(X, P[rows], out=Z[cells].reshape(*X.shape[:2], 1))
+        return sigmoid(Z)
+
+    def _means(self, R: np.ndarray) -> np.ndarray:
+        blocks, m = self._blocks
+        v = np.empty(len(m))
+        for X, rows, cells in blocks:
+            Rk = R[cells].reshape(X.shape[:2])
+            v[rows] = rowdot(Rk, Rk)
+        return v / m
+
+    def _gradients(self, Q: np.ndarray) -> np.ndarray:
+        blocks, m = self._blocks
+        G = np.empty((len(m), self.X[0].shape[-1], 1))
+        for X, rows, cells in blocks:
+            np.matmul(X.swapaxes(-1, -2), Q[cells].reshape(*X.shape[:2], 1), out=G[rows])
+        return (2.0 / m)[:, None] * G[:, :, 0]
+
+
+@lru_cache(maxsize=16)
+def _layout(shapes: tuple[tuple[int, int], ...]) -> tuple[list[tuple], np.ndarray]:
+    """For blocks of n rows of m cells each, in order: each block's rows and
+    cells, end to end, and the m of each row; the same for every iteration
+    of a group, so it is worked out once."""
+    layout, r, c = [], 0, 0
+    for n, m in shapes:
+        layout.append((slice(r, r + n), slice(c, c + n * m)))
+        r, c = r + n, c + n * m
+    m = np.repeat([float(m) for _, m in shapes], [n for n, _ in shapes])
+    m.flags.writeable = False  # every loss of the group shares it
+    return layout, m
 
 
 def glm_objective(ds: GlmDataset) -> Objective:
@@ -373,7 +432,14 @@ class _TwoComponentLoss:
 
     # The stacks make value's and gradient's float operations, in their order,
     # on arrays, so row i has the bytes of value(P[i]) and gradient(P[i]); the
-    # weights may be arrays of n entries, a group's n minibatches.
+    # weights may be arrays of n entries, a group's n minibatches, and n too,
+    # when blocks of several sizes are joined.
+
+    @classmethod
+    def _join(cls, blocks: list[_TwoComponentLoss]) -> _TwoComponentLoss:
+        return cls(blocks[0].eps, np.concatenate([b.w_linear for b in blocks]),
+                   np.concatenate([b.w_hinge for b in blocks]),
+                   np.repeat([b.n for b in blocks], [b.w_hinge.size for b in blocks]))
 
     def values(self, P: np.ndarray) -> np.ndarray:
         t, eps = P[:, 0], self.eps

@@ -250,26 +250,47 @@ def test_run_group_runs_end_as_they_end_alone(tmp_path, capsys):
     assert lengths == [(109, True), (235, True), (300, False)]
 
 
-def test_run_groups_hold_at_most_the_cap(tmp_path, monkeypatch):
-    # 9 trials of one sweep value run as groups of at most cli._GROUP (8),
-    # and each trial once
-    sizes = []
-    lockstep = optimizers._lockstep
+def _recording_lockstep(monkeypatch) -> list:
+    """The minibatch sizes of each group that reaches optimizers._lockstep."""
+    groups, lockstep = [], optimizers._lockstep
 
-    def recording(name, args, streams):
-        sizes.append(len(streams))
-        return lockstep(name, args, streams)
+    def recording(name, runs):
+        groups.append([args[1].b if name == "sngd" else args[4] for args in runs])
+        return lockstep(name, runs)
 
     monkeypatch.setattr(optimizers, "_lockstep", recording)
-    cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, trials=9,
-                 problem={"name": "noisy_glm", "params": {"d": 3, "pool_size": 50}},
-                 optimizer={"name": "sngd", "params": {"T": 20, "eta": 0.1, "b": 4}})
-    out = tmp_path / "o"
-    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
-    assert cli._GROUP == 8 and sorted(sizes) == [4, 5]
-    runs = json.loads((out / "summary.json").read_text())["runs"]
-    assert [r["trial"] for r in runs] == list(range(9))
+    return groups
+
+
+def test_run_groups_hold_at_most_the_cap(tmp_path, monkeypatch):
+    # 9 trials at b 2 and 4 (18 runs) split by trial into groups of at most
+    # cli._GROUP (16) runs that each hold both sizes; 1 trial at 20 sizes
+    # splits by size.  Each run goes once, and the runs of one b in a row
+    for trials, values, groups in ((9, [2, 4], [[2] * 4 + [4] * 4, [2] * 5 + [4] * 5]),
+                                   (1, list(range(1, 21)), [list(range(1, 11)),
+                                                            list(range(11, 21))])):
+        sizes = _recording_lockstep(monkeypatch)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, trials=trials,
+                     problem={"name": "noisy_glm", "params": {"d": 3, "pool_size": 50}},
+                     optimizer={"name": "sngd", "params": {"T": 20, "eta": 0.1}},
+                     sweep={"param": "b", "values": values})
+        out = tmp_path / f"o{trials}"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        assert cli._GROUP == 16 and sizes == groups
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert [(r["trial"], r["sweep_value"]) for r in runs] == [
+            (t, b) for t in range(trials) for b in values]
+
+
+def test_run_sweep_over_b_is_one_group(tmp_path, monkeypatch):
+    # the reference sweep at 3 trials is 12 runs that differ only in trial
+    # and b, so `--jobs 1` advances them as one stack of four blocks
+    sizes = _recording_lockstep(monkeypatch)
+    config = Path(__file__).parents[1] / "configs" / "minibatch_sweep.json"
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path), "--trials", "3",
+                 "--jobs", "1"]) == 0
+    assert sizes == [[1] * 3 + [10] * 3 + [100] * 3 + [646] * 3]
 
 
 class _InlinePool:
@@ -295,11 +316,13 @@ class _InlinePool:
 
 
 @pytest.mark.parametrize("jobs, trials, values, units", [
-    (2, 3, [4], 2), (4, 3, [4], 3), (3, 5, [2, 4], 4), (2, 3, [2, 4], 2), (2, 17, [4], 3)])
+    (2, 3, [4], 2), (4, 3, [4], 3), (3, 5, [2, 4], 3), (2, 3, [2, 4], 2), (2, 17, [4], 2),
+    (2, 1, [1, 2, 3, 4], 2), (4, 1, [2, 4, 8], 3)])
 def test_run_pool_gets_a_group_for_each_worker(tmp_path, monkeypatch, jobs, trials, values,
                                                units):
-    # the trials of a sweep value are split into near-equal groups, enough
-    # that each of min(jobs, runs) workers has one, and at most 8 trials a group
+    # the runs split by trial into groups, enough that each of min(jobs, runs)
+    # workers has one, and by b only where there are fewer trials than
+    # workers; each run goes once, and at most cli._GROUP runs a group
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "submitted", [])
@@ -311,12 +334,13 @@ def test_run_pool_gets_a_group_for_each_worker(tmp_path, monkeypatch, jobs, tria
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out),
                  "--jobs", str(jobs)]) == 0
-    groups = [(tuple(group), s) for _, group, s, _ in _InlinePool.submitted]
+    groups = [runs for _, runs, _ in _InlinePool.submitted]
     assert len(groups) == units >= min(jobs, trials * len(values))
-    assert sorted((t, s) for group, s in groups for t in group) == [
+    assert sorted(run for runs in groups for run in runs) == [
         (t, s) for t in range(trials) for s in range(len(values))]
-    assert max(len(g) for g, _ in groups) - min(len(g) for g, _ in groups) <= 1
-    assert max(len(g) for g, _ in groups) <= cli._GROUP
+    assert max(len(runs) for runs in groups) <= cli._GROUP
+    if trials >= units:
+        assert all({s for _, s in runs} == set(range(len(values))) for runs in groups)
 
 
 def test_run_empty_sweep_is_single_run(tmp_path):

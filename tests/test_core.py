@@ -250,7 +250,8 @@ def test_chunk_draws_hold_one_chunk_per_method(n):
 
     streams = seeded_stream(14) if n is None else [seeded_stream(14).substream(i)
                                                    for i in range(n)]
-    query = _minibatches(StochasticObjective(dim=2, sample_minibatch=sample), 8, streams)
+    query = _minibatches(StochasticObjective(dim=2, sample_minibatch=sample),
+                         8 if n is None else [8] * n, streams)
     tracemalloc.start()
     try:
         for _ in range(10_000):

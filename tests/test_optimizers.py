@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,19 +495,19 @@ def test_evaluate_iterates_matches_objective(quadratic):
 # ---------------------------------------------------------------------------
 
 
-def _group_and_alone(family, name, b, T, schedule, streams):
-    """optimizers._lockstep's traces of the runs over streams, and each run's
-    own trace from the public call."""
+def _group_and_alone(family, name, bs, T, schedule, streams):
+    """optimizers._lockstep's traces of the runs at the minibatch sizes bs
+    over streams, and each run's own trace from the public call."""
     F, x1 = {"glm": (make_noisy_glm(seeded_stream(5), 4, 2.0, pool_size=200), np.full(4, 0.5)),
              "lower_bound": (make_lower_bound_distribution(0.1), np.zeros(1)),
-             # one hinge in 32 draws gives a gradient of exactly 0 on x > -3
+             # one hinge in 32 draws (two in 64) gives a gradient of exactly 0 on x > -3
              "lower_bound_flat": (make_lower_bound_distribution(0.0625), np.zeros(1))}[family]
     if name == "sngd":
-        args = [(F, SngdConfig(T=T, eta=0.05, x1=x1, b=b, stream=s)) for s in streams]
+        args = [(F, SngdConfig(T=T, eta=0.05, x1=x1, b=b, stream=s)) for b, s in zip(bs, streams)]
     else:
-        args = [(F, StepSchedule(**schedule), T, x1, b, s) for s in streams]
+        args = [(F, StepSchedule(**schedule), T, x1, b, s) for b, s in zip(bs, streams)]
     alone = [getattr(optimizers, name)(*a) for a in args]
-    return optimizers._lockstep(name, args[0], streams), alone
+    return optimizers._lockstep(name, args), alone
 
 
 def _assert_same_traces(group, alone):
@@ -514,22 +519,31 @@ def _assert_same_traces(group, alone):
 
 
 POLY = {"eta0": 0.05, "gamma": 1e-2}
+NESTEROV = {**POLY, "momentum": 0.9}
 
 
-@pytest.mark.parametrize("family, name, b, schedule", [
-    ("glm", "sngd", 1, None), ("glm", "sngd", 7, None), ("glm", "sngd", 645, None),
-    ("glm", "sngd", 646, None), ("glm", "msgd", 1, POLY), ("glm", "msgd", 100, POLY),
-    ("glm", "nesterov", 8, {**POLY, "momentum": 0.9}), ("lower_bound", "sngd", 2, None),
-    ("lower_bound", "msgd", 32, POLY), ("lower_bound_flat", "sngd", 32, None),
+@pytest.mark.parametrize("family, name, bs, schedule", [
+    ("glm", "sngd", [1] * 3, None), ("glm", "sngd", [7] * 3, None),
+    ("glm", "sngd", [645] * 3, None), ("glm", "sngd", [646] * 3, None),
+    ("glm", "msgd", [1] * 3, POLY), ("glm", "msgd", [100] * 3, POLY),
+    ("glm", "nesterov", [8] * 3, NESTEROV), ("lower_bound", "sngd", [2] * 3, None),
+    ("lower_bound", "msgd", [32] * 3, POLY), ("lower_bound_flat", "sngd", [32] * 3, None),
+    # groups of several sizes, one block per run of equal b
+    ("glm", "sngd", [1, 7, 7, 645, 646, 646], None), ("glm", "msgd", [1, 100, 100], POLY),
+    ("glm", "nesterov", [1, 1, 100], NESTEROV), ("lower_bound", "sngd", [2, 19, 19], None),
+    ("lower_bound", "msgd", [1, 32, 32], POLY), ("lower_bound_flat", "sngd", [32, 64, 64], None),
 ], ids=["sngd-1", "sngd-7", "sngd-645", "sngd-646", "msgd-1", "msgd-100", "nesterov",
-        "lower_bound-sngd", "lower_bound-msgd", "lower_bound-sngd-skips"])
-def test_group_traces_are_the_runs_alone(family, name, b, schedule):
+        "lower_bound-sngd", "lower_bound-msgd", "lower_bound-sngd-skips", "sngd-sizes",
+        "msgd-sizes", "nesterov-sizes", "lower_bound-sngd-sizes", "lower_bound-msgd-sizes",
+        "lower_bound-sngd-skips-sizes"])
+def test_group_traces_are_the_runs_alone(family, name, bs, schedule):
     # each row of the stack makes its run's own draws and the same float
     # operations on them (stacked gemv, rowdot, elementwise ufuncs), so each
-    # trace of a 3-run group has the bytes of its run alone; T = 60 crosses
-    # two chunk ends at b 645 and 646 (25 minibatches a chunk)
-    streams = [seeded_stream(21).substream(i) for i in range(3)]
-    group, alone = _group_and_alone(family, name, b, 60, schedule, streams)
+    # trace of a group has the bytes of its run alone, also where the group
+    # joins blocks of several sizes; T = 60 crosses two chunk ends at b 645
+    # and 646 (25 minibatches a chunk)
+    streams = [seeded_stream(21).substream(i) for i in range(len(bs))]
+    group, alone = _group_and_alone(family, name, bs, 60, schedule, streams)
     _assert_same_traces(group, alone)
     if family == "lower_bound_flat":  # rows skip their updates at other t
         skips = [np.flatnonzero(tr.grad_norms <= GRAD_TOL).tolist() for tr in alone]
@@ -542,7 +556,65 @@ def test_group_rows_end_at_their_own_first_non_finite_value():
     # four runs end at t = 103, 131 and 67, each flagged, while the group
     # goes on, and the fourth runs all 300 steps
     streams = [seeded_stream(3).substream(i) for i in range(4)]
-    group, alone = _group_and_alone("lower_bound", "msgd", 1, 300, {"eta0": 1.7e308}, streams)
+    group, alone = _group_and_alone("lower_bound", "msgd", [1] * 4, 300, {"eta0": 1.7e308},
+                                    streams)
     assert [(len(tr), tr.aborted) for tr in alone] == [
         (103, True), (300, False), (131, True), (67, True)]
     _assert_same_traces(group, alone)
+
+
+def test_group_rows_of_several_sizes_end_at_their_own_first_non_finite_value():
+    # as above over three blocks, b 1, 2 and 3: four runs end at four other t
+    streams = [seeded_stream(4).substream(i) for i in range(5)]
+    group, alone = _group_and_alone("lower_bound", "msgd", [1, 1, 2, 2, 3], 300,
+                                    {"eta0": 1.7e308}, streams)
+    assert [(len(tr), tr.aborted) for tr in alone] == [
+        (214, True), (106, True), (225, True), (274, True), (300, False)]
+    _assert_same_traces(group, alone)
+
+
+def test_b_sweep_group_holds_its_chunks_and_iterates():
+    # the benchmark's sweep as one group, 3 trials at each of b 1, 10, 100 and
+    # 646: each run holds its two draw chunks (integers and uniforms) and its
+    # T x (d + 2) trace cells, and the minibatches, the refill of a chunk and
+    # the stack's temporaries stay under four chunks more (3.63 MiB of 3.82;
+    # at the benchmark's T = 2000, 4.66 MiB)
+    F, T, d = make_noisy_glm(seeded_stream(5), 5, 2.0), 500, 5
+    runs = [(F, SngdConfig(T=T, eta=0.027, x1=np.zeros(d), b=b,
+                           stream=seeded_stream(1).substream(t).substream(s)))
+            for s, b in enumerate([1, 10, 100, 646]) for t in range(3)]
+    tracemalloc.start()
+    try:
+        optimizers._lockstep("sngd", runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = _DRAW_CHUNK * 8
+    assert peak < len(runs) * (2 * chunk + T * (d + 2) * 8) + 4 * chunk
+
+
+def test_group_traces_are_the_runs_alone_at_another_simd_level():
+    # a group of several sizes runs its elementwise ufuncs once over every
+    # block's cells, so it relies on np.exp and the rest giving an element
+    # the same bits wherever it sits in the array.  A child process with
+    # numpy's AVX-512 paths switched off (a no-op on a host without them)
+    # checks that at that level for sngd and nesterov, whose values are read
+    # at x over the stack.  Costs one child interpreter, 0.4-0.6 s.
+    code = """if True:
+        import numpy as np
+        from slqcopt import optimizers, make_noisy_glm, seeded_stream
+        F, x1 = make_noisy_glm(seeded_stream(5), 4, 2.0, pool_size=200), np.full(4, 0.5)
+        schedule = optimizers.StepSchedule(eta0=0.05, gamma=1e-2, momentum=0.9)
+        for name in ("sngd", "nesterov"):
+            runs = [(F, optimizers.SngdConfig(T=60, eta=0.05, x1=x1, b=b, stream=s))
+                    if name == "sngd" else (F, schedule, 60, x1, b, s)
+                    for b, s in zip([1, 7, 7, 100, 646, 646],
+                                    [seeded_stream(21).substream(i) for i in range(6)])]
+            for g, args in zip(optimizers._lockstep(name, runs), runs):
+                a = getattr(optimizers, name)(*args)
+                for field in ("iterates", "values", "grad_norms"):
+                    assert getattr(g, field).tobytes() == getattr(a, field).tobytes(), (name, field)
+        """
+    env = {**os.environ, "PYTHONPATH": str(Path(optimizers.__file__).parents[1]),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

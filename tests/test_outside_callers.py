@@ -36,14 +36,16 @@ def test_readme_library_example_runs(capsys):
 def test_perfbench_tracer_fits_the_package(capsys, tmp_path):
     # perfbench/run.py --trace 1 installs these wrappers around every pass;
     # install looks each attribute up by name, so a renamed one raises here.
-    # A 3-trial run goes as one group through optimizers._lockstep, which
-    # the tracer does not wrap: its wrapped optimizers.sngd, whose after-hook
-    # reads one trace, would fail on a group's list of traces
+    # A 3-trial sweep over b goes as one group through optimizers._lockstep,
+    # which the tracer does not wrap: its wrapped optimizers.sngd, whose
+    # after-hook reads one trace, would fail on a group's list of traces.  The
+    # group joins its two blocks' minibatches, each behind the tracer's proxy
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "schema_version": 1, "seed": 4, "trials": 3,
         "problem": {"name": "noisy_glm", "params": {"d": 3, "pool_size": 50}},
-        "optimizer": {"name": "sngd", "params": {"T": 30, "eta": 0.1, "b": 5}}}))
+        "optimizer": {"name": "sngd", "params": {"T": 30, "eta": 0.1}},
+        "sweep": {"param": "b", "values": [2, 5]}}))
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -61,6 +63,6 @@ def test_perfbench_tracer_fits_the_package(capsys, tmp_path):
     assert '"passed": true' in capsys.readouterr().out
     assert tracer.calls["properties.batch"] == 1
     assert tracer.calls["problems.build"] == 2
-    assert tracer.calls["problems.draw"] == 30  # one stacked draw per iteration of the group
+    assert tracer.calls["problems.draw"] == 60  # a stacked draw per block and iteration
     for owner, attr, _ in undo:
         assert vars(owner)[attr] is before[id(owner)][attr], attr
