@@ -599,7 +599,7 @@ def test_group_traces_are_the_runs_alone_at_another_simd_level():
     # the same bits wherever it sits in the array.  A child process with
     # numpy's AVX-512 paths switched off (a no-op on a host without them)
     # checks that at that level for sngd and nesterov, whose values are read
-    # at x over the stack.  Costs one child interpreter, 0.4-0.6 s.
+    # at x over the stack.  Costs one child interpreter, 0.2-0.3 s.
     code = """if True:
         import numpy as np
         from slqcopt import optimizers, make_noisy_glm, seeded_stream
