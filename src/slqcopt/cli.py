@@ -385,8 +385,7 @@ def cmd_run(args) -> int:
 
     # every sweep value binds before any run starts: a bad param writes nothing
     prob = _build_configured(cfg)
-    for s in range(len(tags)):
-        _bound_run(cfg, prob, [(0, s)])
+    _bound_run(cfg, prob, [(0, s) for s in range(len(tags))])
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
