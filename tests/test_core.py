@@ -790,22 +790,28 @@ def test_trace_csv_run_layouts_match_reference(tmp_path_factory, cells):
     assert path.read_bytes() == reference_csv(tr).encode()
 
 
-@pytest.mark.parametrize("stationary, bound", [(True, 400_000), (False, 2_000_000)],
-                         ids=["stationary", "distinct"])
-def test_trace_csv_memory_is_bounded(stationary, bound, tmp_path):
-    # 10^5 rows at dim 2: the writer holds one chunk of text and its kernel's
-    # arrays (about 300 bytes per cell of the chunk), T + 1 bools and 8 bytes
-    # per distinct row.  Peaks measured with tracemalloc (stationary /
-    # distinct): 146 / 145 KB for the writer that formatted every chunk,
-    # 202 / 949 KB for the one that formatted each row with %, 202 / 1327 KB
-    # for this one.  The bounds are 2 and 1.5 times this one's peaks; writing
-    # the stationary run's 10^5 repeats as one string would take 9 MB.
+def _long_trace(stationary: bool):
+    """10^5 rows at dim 2: one row repeated, or every row distinct."""
     T = 10 ** 5
     gen = seeded_stream(12).generator()
     x, v, g = gen.normal(size=(T, 2)), gen.normal(size=T), gen.normal(size=T)
     if stationary:
         x[:], v[:], g[:] = x[0], v[0], g[0]
-    tr = build_trace(x, v, g)
+    return build_trace(x, v, g)
+
+
+@pytest.mark.parametrize("stationary, bound", [(True, 400_000), (False, 2_000_000)],
+                         ids=["stationary", "distinct"])
+def test_trace_csv_memory_is_bounded(stationary, bound, tmp_path):
+    # the writer holds one chunk of text and its kernel's arrays (about 300
+    # bytes per cell of the chunk), T + 1 bools, 8 bytes per distinct row and
+    # the file's 64 KiB buffer.  Peaks measured with tracemalloc (stationary /
+    # distinct): 146 / 145 KB for the writer that formatted every chunk,
+    # 202 / 949 KB for the one that formatted each row with %, 202 / 1327 KB
+    # for the vectorized kernel with a 4 KiB file buffer, 203 / 1388 KB for
+    # this one.  The bounds are 2 and 1.4 times this one's peaks; writing the
+    # stationary run's 10^5 repeats as one string would take 9 MB.
+    tr = _long_trace(stationary)
     tracemalloc.start()
     try:
         tr.write_csv(tmp_path / "t.csv")
@@ -813,6 +819,27 @@ def test_trace_csv_memory_is_bounded(stationary, bound, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def _write_syscalls() -> int:
+    """The write syscalls this process has made (syscw in /proc/self/io)."""
+    with open("/proc/self/io") as fh:
+        return int(next(line for line in fh if line.startswith("syscw:")).split()[1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/io").exists(), reason="no /proc/self/io")
+@pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "distinct"])
+def test_trace_csv_reaches_the_file_in_large_writes(stationary, tmp_path):
+    # the file is written through a 64 KiB buffer: 143 / 195 write syscalls for
+    # the 9.0 / 8.7 MB traces, where a 4 KiB buffer made 1001 / 392
+    tr = _long_trace(stationary)
+    path = tmp_path / "t.csv"
+    before = _write_syscalls()
+    tr.write_csv(path)
+    writes = _write_syscalls() - before
+    text = path.read_bytes()
+    assert text == reference_csv(tr).encode()
+    assert writes <= len(text) / 32768 + 4
 
 
 # ---------------------------------------------------------------------------
